@@ -335,19 +335,10 @@ def _multiplets(l_min: int, l_max: int) -> list[Multiplet]:
 
 
 def cmd_spectrum(args, cfg) -> int:
+    """Level table for ``spectrum`` and ``predict``; they differ only in the default L range."""
     p = _params_from_args(args, cfg)
     l_min = _resolve(args, "l_min", cfg, int, 1)
-    l_max = _resolve(args, "l_max", cfg, int, 9)
-    print("L\tM\tE_th_mev")
-    for m in _multiplets(l_min, l_max):
-        print(f"{m.L}\t{m.M}\t{_fmt_mev(mass(p, m))}")
-    return _EXIT_OK
-
-
-def cmd_predict(args, cfg) -> int:
-    p = _params_from_args(args, cfg)
-    l_min = _resolve(args, "l_min", cfg, int, 1)
-    l_max = _resolve(args, "l_max", cfg, int, 2)
+    l_max = _resolve(args, "l_max", cfg, int, args.default_l_max)
     print("L\tM\tE_th_mev")
     for m in _multiplets(l_min, l_max):
         print(f"{m.L}\t{m.M}\t{_fmt_mev(mass(p, m))}")
@@ -499,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_params(p_spec)
     p_spec.add_argument("--l-min", type=int)
     p_spec.add_argument("--l-max", type=int)
-    p_spec.set_defaults(func=cmd_spectrum)
+    p_spec.set_defaults(func=cmd_spectrum, default_l_max=9)
 
     p_fit = sub.add_parser("fit", help="fit the level formula to particle records")
     p_fit.add_argument("--data", help="'builtin' or a CSV/JSON file")
@@ -507,10 +498,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--l-min", type=int)
     p_fit.add_argument("--l-max", type=int)
     p_fit.add_argument("--exclude", help="comma-separated names to drop ('' for none)")
-    p_fit.add_argument("--starts", type=int)
-    p_fit.add_argument("--seed", type=int)
-    p_fit.add_argument("--max-evals", type=int)
-    p_fit.add_argument("--tol", type=float)
+    p_fit.add_argument("--starts", type=int, help="alpha-scan minima refined by Brent (default 32)")
+    p_fit.add_argument("--seed", type=int, help="validated only: the fit draws no random numbers")
+    p_fit.add_argument("--max-evals", type=int,
+                       help="profile-loss evaluations allowed, scan included (default 2500)")
+    p_fit.add_argument("--tol", type=float, help="validated (must be > 0) but unused by the fit")
     p_fit.add_argument("--out", help="write the JSON fit report here")
     p_fit.set_defaults(func=cmd_fit)
 
@@ -518,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_params(p_pred)
     p_pred.add_argument("--l-min", type=int)
     p_pred.add_argument("--l-max", type=int)
-    p_pred.set_defaults(func=cmd_predict)
+    p_pred.set_defaults(func=cmd_spectrum, default_l_max=2)
 
     p_rep = sub.add_parser("report", help="write table.csv and plot.tsv for given parameters")
     add_params(p_rep)

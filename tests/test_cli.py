@@ -150,6 +150,19 @@ def test_fit_cli_custom_data(capsys, tmp_path):
     assert "alpha" in out and "rms" in out
 
 
+def test_fit_cli_overflowing_row_ends_cleanly(capsys, tmp_path):
+    # Gamma(1 + 201*alpha) overflows for alpha above ~0.71: the fit must
+    # treat those alphas as infeasible, not end in a traceback
+    from fraczee.dataset import ParticleRecord, records_to_csv
+
+    data = tmp_path / "data.csv"
+    rows = builtin_table() + [ParticleRecord("heavy", 200, 0, 50000.0, "", "baryon")]
+    data.write_text(records_to_csv(rows))
+    code, _, err = run(capsys, "fit", "--data", str(data), "--l-max", "250")
+    assert code in (0, 1)
+    assert "Traceback" not in err
+
+
 def test_fit_cli_reports_subset_breakdown(capsys, tmp_path):
     code, out, _ = run(capsys, "fit", "--starts", "4", "--max-evals", "2000")
     assert code == 0

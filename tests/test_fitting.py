@@ -8,8 +8,6 @@ from fraczee.fitting import (
     DEFAULT_EXCLUDE,
     FitConfig,
     FitError,
-    _gamma_vec,
-    _rgamma_vec,
     fit,
     loss_rms_mev,
     objective,
@@ -17,7 +15,6 @@ from fraczee.fitting import (
     select_records,
 )
 from fraczee.spectrum import REFERENCE_PARAMS, FitParams, Multiplet, mass
-from fraczee.specfun import gamma, rgamma
 
 from reference_values import E_TH
 
@@ -33,6 +30,36 @@ def synthetic_records(p: FitParams, l_lo=3, l_hi=9):
                 )
             )
     return out
+
+
+def noisy_records(p: FitParams, seed: int, sigma: float, l_lo=3, l_hi=9):
+    rng = np.random.default_rng(seed)
+    return [
+        ParticleRecord(
+            r.name, r.L, r.M, r.mass_mev * (1.0 + sigma * rng.standard_normal()), "", "baryon"
+        )
+        for r in synthetic_records(p, l_lo, l_hi)
+    ]
+
+
+def lstsq_loss_curve(records, alphas) -> np.ndarray:
+    """Least-squares r.m.s. loss in MeV at each alpha, from columns built with mass()."""
+    y = np.array([r.mass_mev for r in records])
+    out = []
+    for a in alphas:
+        A = np.array(
+            [
+                [
+                    1.0,
+                    mass(FitParams(a, 0.0, 1.0, 0.0), Multiplet(r.L, r.M)),
+                    mass(FitParams(a, 0.0, 0.0, 1.0), Multiplet(r.L, r.M)),
+                ]
+                for r in records
+            ]
+        )
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        out.append(math.sqrt(np.mean((A @ coef - y) ** 2)))
+    return np.array(out)
 
 
 # ------------------------------------------------------------- selection
@@ -100,31 +127,6 @@ def test_objective_permutation_invariant():
     assert abs(a - b) < 1e-12
 
 
-# ----------------------------------------------------- vectorized kernels
-
-
-def test_vectorized_gamma_matches_scalar():
-    xs = np.concatenate(
-        [
-            np.linspace(0.05, 45.0, 700),
-            np.linspace(-5.7, 0.45, 300),
-        ]
-    )
-    for x in xs:
-        x = float(x)
-        if x <= 0.0 and x == math.floor(x):
-            continue
-        assert _gamma_vec(np.array([x]))[0] == pytest.approx(gamma(x), rel=2e-14)
-
-
-def test_vectorized_rgamma_matches_scalar_and_poles():
-    xs = [0.0, -1.0, -6.0, 0.3, 1.7, -2.5, 12.0]
-    got = _rgamma_vec(np.array(xs))
-    for x, g in zip(xs, got):
-        assert g == pytest.approx(rgamma(x), abs=1e-15)
-    assert got[0] == 0.0 and got[1] == 0.0 and got[2] == 0.0
-
-
 # ------------------------------------------------------------------- fit
 
 
@@ -183,6 +185,29 @@ def test_fit_mass_agreement_with_reference_table(default_fit):
         assert abs(row.e_th - E_TH[row.name]) <= 5.0, row
 
 
+def test_fit_default_set_budget(default_fit):
+    _, _, result, _ = default_fit
+    assert result.evals <= 400
+
+
+@pytest.mark.parametrize("table", ["default", "noisy"])
+def test_fit_is_global_optimum_over_alpha(table):
+    if table == "default":
+        records = select_records(builtin_table(), FitConfig())
+    else:
+        records = noisy_records(FitParams(0.5, -100.0, 500.0, 200.0), seed=9, sigma=0.02)
+    curve = lstsq_loss_curve(records, np.linspace(0.01, 1.0, 991))
+    if table == "noisy":
+        last = len(curve) - 1
+        minima = [
+            i for i, v in enumerate(curve)
+            if v <= curve[max(i - 1, 0)] and v <= curve[min(i + 1, last)]
+        ]
+        assert len(minima) >= 2
+    res = fit(records, FitConfig())
+    assert res.loss_rms_mev <= curve.min() * (1.0 + 1e-9)
+
+
 def test_fit_requires_five_records():
     p = FitParams(0.25, -100.0, 500.0, 200.0)
     with pytest.raises(FitError):
@@ -193,6 +218,13 @@ def test_fit_raises_when_nothing_converges():
     p = FitParams(0.25, -100.0, 500.0, 200.0)
     with pytest.raises(FitError, match="converged"):
         fit(synthetic_records(p), FitConfig(starts=2, max_evals=2))
+
+
+def test_fit_raises_when_every_alpha_overflows():
+    # Gamma(1 + (L+1)*alpha) overflows for L = 20000 already at alpha = 0.01
+    records = [ParticleRecord(f"big-{M}", 20000, M, 1000.0, "", "baryon") for M in range(5)]
+    with pytest.raises(FitError, match="not finite"):
+        fit(records)
 
 
 def test_regression_reference_params_reproduce_table():
