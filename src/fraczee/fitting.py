@@ -18,8 +18,13 @@ variable projection in alpha alone (Golub & Pereyra, SIAM J. Numer. Anal.
 10 (1973) 413): the profile loss, with the linear part solved by least
 squares, is scanned on a 199-point alpha grid over [0.01, 1], and its
 lowest ``starts`` local minima are refined by bounded Brent between the
-neighbouring grid points.  An alpha where a Casimir overflows gets an
-infinite loss.  No random numbers are drawn; results are bit-reproducible.
+neighbouring grid points.  The scan is one batched evaluation: the array
+Gamma kernel gives the Casimirs at all grid alphas at once, and the 199
+least-squares problems are solved by one stacked QR.  The refine and the
+returned (m0, a0, b0) use the scalar kernel that :func:`spectrum.mass`
+uses, so the fitted parameters do not depend on the array kernel's
+roundoff.  An alpha where a Casimir overflows gets an infinite loss.  No
+random numbers are drawn; results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +39,16 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .dataset import ParticleRecord
-from .spectrum import FitParams, Multiplet, casimir_L2, casimir_Lz, mass, spectrum
+from .spectrum import (
+    FitParams,
+    Multiplet,
+    casimir_L2,
+    casimir_L2_array,
+    casimir_Lz,
+    casimir_Lz_array,
+    mass,
+    spectrum,
+)
 
 __all__ = [
     "DEFAULT_SEED",
@@ -56,6 +70,10 @@ DEFAULT_EXCLUDE = ("Sigma0", "Xi0")
 
 #: alpha grid of the profile-loss scan
 _ALPHA_GRID = np.linspace(0.01, 1.0, 199)
+#: relative QR pivot below which a scan row is solved by lstsq instead: well
+#: above lstsq's own cut-off (eps * rows, ~1e-14) and well below the smallest
+#: pivot of a full-rank table (~3e-4 on the built-in selection at alpha = 0.01)
+_RANK_RTOL = 1e-10
 
 
 class FitError(RuntimeError):
@@ -79,8 +97,8 @@ class FitConfig:
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
 
@@ -120,7 +138,13 @@ def select_records(
 
 
 class _Problem:
-    """Record arrays and the profile loss over alpha."""
+    """Record arrays and the profile loss over alpha.
+
+    :meth:`scan_losses` evaluates the loss at many alphas at once through the
+    array Gamma kernel (the grid scan); :meth:`profile_loss` evaluates one
+    alpha through the scalar kernel that :func:`mass` uses (the Brent refine
+    and the final parameters).
+    """
 
     def __init__(self, records: Sequence[ParticleRecord]):
         # the Casimirs depend only on L and |M|: each distinct value is
@@ -129,6 +153,12 @@ class _Problem:
         self.m_values, self.m_index = np.unique([abs(r.M) for r in records], return_inverse=True)
         self.e_exp = np.array([r.mass_mev for r in records], dtype=float)
         self.evals = 0
+
+    def _lstsq_loss(self, A: np.ndarray) -> tuple[float, np.ndarray]:
+        # minimum-norm least squares, so a rank-deficient A is solved too
+        coef, *_ = np.linalg.lstsq(A, self.e_exp, rcond=None)
+        res = A @ coef - self.e_exp
+        return float(np.sqrt(np.mean(res * res))), coef
 
     def profile_loss(self, alpha: float) -> tuple[float, np.ndarray | None]:
         """R.m.s. residual in MeV and (m0, a0, b0) solved exactly at alpha;
@@ -139,10 +169,36 @@ class _Problem:
             c_lz = np.array([casimir_Lz(alpha, int(m)) for m in self.m_values])
         except OverflowError:
             return math.inf, None
+        # the scalar Gamma raises on most overflows but returns inf on some
+        # (just above x = 142.2), which lstsq would reject
+        if not (np.isfinite(c_l2).all() and np.isfinite(c_lz).all()):
+            return math.inf, None
         A = np.column_stack([np.ones_like(self.e_exp), c_l2[self.l_index], c_lz[self.m_index]])
-        coef, *_ = np.linalg.lstsq(A, self.e_exp, rcond=None)
-        res = A @ coef - self.e_exp
-        return float(np.sqrt(np.mean(res * res))), coef
+        return self._lstsq_loss(A)
+
+    def scan_losses(self, alphas: np.ndarray) -> np.ndarray:
+        """The profile loss (first item of :meth:`profile_loss`) at every alpha:
+        one stacked QR solve, with :meth:`_lstsq_loss` for rank-deficient
+        design matrices and ``inf`` where a Casimir is not finite."""
+        alphas = np.asarray(alphas, dtype=float)
+        self.evals += len(alphas)
+        a = alphas[:, None]
+        c_l2 = casimir_L2_array(a, self.l_values)[:, self.l_index]
+        c_lz = casimir_Lz_array(a, self.m_values)[:, self.m_index]
+        feasible = np.isfinite(c_l2).all(axis=1) & np.isfinite(c_lz).all(axis=1)
+        A = np.stack([np.ones_like(c_l2), c_l2, c_lz], axis=-1)[feasible]
+        q, r = np.linalg.qr(A)
+        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        full = diag.min(axis=1) > _RANK_RTOL * diag.max(axis=1)
+        losses = np.empty(len(A))
+        coef = np.linalg.solve(r[full], (self.e_exp @ q[full])[..., None])
+        res = (A[full] @ coef)[..., 0] - self.e_exp
+        losses[full] = np.sqrt(np.mean(res * res, axis=1))
+        for k in np.flatnonzero(~full):
+            losses[k] = self._lstsq_loss(A[k])[0]
+        out = np.full(len(alphas), math.inf)
+        out[feasible] = losses
+        return out
 
 
 def loss_rms_mev(p: FitParams, records: Sequence[ParticleRecord]) -> float:
@@ -190,7 +246,7 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
         raise FitError(f"need at least 5 records to fit 4 parameters, got {len(records)}")
     prob = _Problem(records)
 
-    scan = [prob.profile_loss(float(a))[0] for a in _ALPHA_GRID]
+    scan = prob.scan_losses(_ALPHA_GRID).tolist()
     if not any(math.isfinite(v) for v in scan):
         raise FitError("the profile loss is not finite at any alpha scanned")
     last = len(scan) - 1
@@ -218,7 +274,10 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
         converged = converged or bool(res.success)
         refined.append((float(res.fun), i, a_i + float(res.x)))
     if not converged:
-        raise FitError(f"no scan minimum converged within {cfg.max_evals} profile evaluations")
+        raise FitError(
+            f"no scan minimum converged within {cfg.max_evals} profile evaluations; "
+            f"the alpha scan alone takes {len(_ALPHA_GRID)} of them"
+        )
 
     alpha = min(refined)[2]
     _, coef = prob.profile_loss(alpha)

@@ -16,7 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .specfun import gamma, rgamma
+import numpy as np
+
+from .specfun import gamma, gamma_array, rgamma, rgamma_array
 
 __all__ = [
     "FitParams",
@@ -24,6 +26,8 @@ __all__ = [
     "REFERENCE_PARAMS",
     "casimir_L2",
     "casimir_Lz",
+    "casimir_L2_array",
+    "casimir_Lz_array",
     "mass",
     "spectrum",
 ]
@@ -85,6 +89,22 @@ def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
         raise ValueError("sign must be +1 or -1")
     m = abs(M)
     return sign * gamma(1.0 + m * alpha) * rgamma(1.0 + (m - 1) * alpha)
+
+
+def casimir_L2_array(alpha, L) -> np.ndarray:
+    """:func:`casimir_L2` broadcast over arrays of alpha and L >= 0; ``inf`` or
+    ``nan`` where a Gamma overflows."""
+    alpha, L = np.asarray(alpha, dtype=float), np.asarray(L, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gamma_array(1.0 + (L + 1) * alpha) * rgamma_array(1.0 + (L - 1) * alpha)
+
+
+def casimir_Lz_array(alpha, M) -> np.ndarray:
+    """Plus-branch :func:`casimir_Lz` broadcast over arrays of alpha and M; ``inf``
+    or ``nan`` where a Gamma overflows."""
+    alpha, m = np.asarray(alpha, dtype=float), np.abs(np.asarray(M, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gamma_array(1.0 + m * alpha) * rgamma_array(1.0 + (m - 1) * alpha)
 
 
 def mass(p: FitParams, mult: Multiplet) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from fraczee.cli import main
 from fraczee.dataset import builtin_table
 
 from reference_values import DE_PERCENT
+
+FIT_SEED42 = Path(__file__).parent / "fixtures" / "fit_seed42.json"
 
 
 def run(capsys, *argv):
@@ -121,6 +124,23 @@ def test_fit_cli_deterministic_json(capsys, tmp_path):
     doc = json.loads(out1.read_text())
     assert set(doc) == {"params", "rms_percent", "per_particle", "evals", "converged"}
     assert len(doc["per_particle"]) == 42
+
+
+def test_fit_cli_default_output_is_pinned(capsys, tmp_path):
+    # the fixture is the default fit's file: alpha 0.11600374414090753
+    # internally, b0 7578.92 MeV (0.0007 MeV from a rounding boundary), 222
+    # profile evaluations; a kernel change must not move a byte of it
+    out = tmp_path / "fit.json"
+    code, _, _ = run(capsys, "fit", "--seed", "42", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == FIT_SEED42.read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "inf", "-inf"])
+def test_fit_cli_rejects_bad_tol(capsys, tol):
+    code, _, err = run(capsys, "fit", f"--tol={tol}")
+    assert code == 2
+    assert "tol" in err and "Traceback" not in err
 
 
 def test_spectrum_accepts_params_file(capsys, tmp_path):

@@ -5,15 +5,18 @@ import pytest
 
 from fraczee.dataset import ParticleRecord, builtin_table
 from fraczee.fitting import (
+    _ALPHA_GRID,
     DEFAULT_EXCLUDE,
     FitConfig,
     FitError,
+    _Problem,
     fit,
     loss_rms_mev,
     objective,
     predict,
     select_records,
 )
+from fraczee.specfun import gamma
 from fraczee.spectrum import REFERENCE_PARAMS, FitParams, Multiplet, mass
 
 from reference_values import E_TH
@@ -208,6 +211,46 @@ def test_fit_is_global_optimum_over_alpha(table):
     assert res.loss_rms_mev <= curve.min() * (1.0 + 1e-9)
 
 
+def _scan_table(table):
+    noisy = noisy_records(FitParams(0.5, -100.0, 500.0, 200.0), seed=9, sigma=0.02)
+    default = select_records(builtin_table(), FitConfig())
+    if table == "default":
+        return default
+    if table == "noisy":
+        return noisy
+    if table == "single-M":
+        return [r for r in noisy if r.M == 2]
+    if table == "single-L":
+        return [r for r in noisy if r.L == 7]
+    # Gamma(1 + 201*alpha) overflows for alpha above about 0.70
+    return default + [ParticleRecord("heavy", 200, 0, 50000.0, "", "baryon")]
+
+
+@pytest.mark.parametrize("table", ["default", "noisy", "single-M", "single-L", "L200"])
+def test_scan_losses_match_scalar_profile_loss(table):
+    prob = _Problem(_scan_table(table))
+    if table.startswith("single"):
+        # one distinct Casimir value makes a column parallel to the constant
+        assert min(len(prob.l_values), len(prob.m_values)) == 1
+    batched = prob.scan_losses(_ALPHA_GRID)
+    assert prob.evals == len(_ALPHA_GRID)
+    scalar = np.array([prob.profile_loss(float(a))[0] for a in _ALPHA_GRID])
+    assert np.array_equal(np.isinf(batched), np.isinf(scalar))
+    assert np.isinf(scalar).any() == (table == "L200")
+    finite = np.isfinite(scalar)
+    assert finite.any()
+    np.testing.assert_allclose(batched[finite], scalar[finite], rtol=1e-11, atol=0.0)
+
+
+def test_profile_loss_is_infinite_where_gamma_returns_inf():
+    # the scalar Gamma returns inf, without raising, just above x = 142.2
+    alpha = 0.703
+    assert gamma(1.0 + 201 * alpha) == math.inf
+    prob = _Problem(_scan_table("L200"))
+    assert prob.profile_loss(alpha) == (math.inf, None)
+    assert prob.scan_losses(np.array([alpha])).tolist() == [math.inf]
+
+
 def test_fit_requires_five_records():
     p = FitParams(0.25, -100.0, 500.0, 200.0)
     with pytest.raises(FitError):
@@ -218,6 +261,19 @@ def test_fit_raises_when_nothing_converges():
     p = FitParams(0.25, -100.0, 500.0, 200.0)
     with pytest.raises(FitError, match="converged"):
         fit(synthetic_records(p), FitConfig(starts=2, max_evals=2))
+
+
+def test_fit_error_names_the_scan_cost():
+    records = select_records(builtin_table(), FitConfig())
+    n = len(_ALPHA_GRID)
+    with pytest.raises(FitError, match=f"converged within 100 .* scan alone takes {n}"):
+        fit(records, FitConfig(max_evals=100))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_fit_config_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        FitConfig(tol=tol)
 
 
 def test_fit_raises_when_every_alpha_overflows():

@@ -1,10 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fraczee.specfun import GammaPoleError, frac_binomial, gamma, rgamma
+from fraczee.specfun import (
+    GammaPoleError,
+    frac_binomial,
+    gamma,
+    gamma_array,
+    rgamma,
+    rgamma_array,
+)
 
 from oracles import spouge_gamma
 from reference_values import GAMMA_1_448
@@ -105,3 +113,69 @@ def test_gamma_matches_oracle_broadly():
         x = float(x)
         want = float(spouge_gamma(x))
         assert gamma(x) == pytest.approx(want, rel=1e-12)
+
+
+# ------------------------------------------------------------ array kernel
+
+# The array kernel performs the scalar kernel's operations in the same order,
+# but numpy's vectorised pow and exp may differ from libm's by 1 ulp each.
+# With the three products after them, the reflection's product and quotient,
+# and the reciprocal, that bounds the disagreement by 8 eps relative.
+_ARRAY_RTOL = 8 * np.finfo(float).eps
+
+
+def _scalar(f, x):
+    try:
+        return f(x)
+    except OverflowError:
+        return None
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.999, 0.5), (0.5, 171.0), (-170.0, -1.0)])
+def test_array_kernel_matches_scalar(lo, hi):
+    xs = np.random.default_rng(31).uniform(lo, hi, size=3000)
+    for array_f, scalar_f in ((gamma_array, gamma), (rgamma_array, rgamma)):
+        got = array_f(xs)
+        for x, g in zip(xs.tolist(), got.tolist()):
+            want = _scalar(scalar_f, x)
+            if want is None:
+                continue  # covered by test_array_kernel_overflow_is_not_an_error
+            if math.isinf(want) or want == 0.0:
+                assert g == want, (scalar_f.__name__, x)
+            else:
+                assert abs(g - want) <= _ARRAY_RTOL * abs(want), (scalar_f.__name__, x, g, want)
+
+
+def test_array_kernel_exact_at_integers_and_poles():
+    n = np.arange(1.0, 172.0)
+    assert gamma_array(n).tolist() == [gamma(float(v)) for v in n]
+    assert rgamma_array(n).tolist() == [rgamma(float(v)) for v in n]
+    poles = -np.arange(0.0, 21.0)
+    assert rgamma_array(poles).tolist() == [0.0] * 21
+    assert np.isnan(gamma_array(poles)).all()
+    # shapes are preserved, scalars included
+    assert rgamma_array(-3.0).shape == ()
+    assert gamma_array(np.full((2, 3), 4.0)).tolist() == [[6.0] * 3] * 2
+
+
+def test_array_kernel_overflow_is_not_an_error():
+    big = [171.5, 172.0, 200.5, 1000.5, 1e6]
+    for x in big:
+        with pytest.raises(OverflowError):
+            gamma(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_array(big).tolist() == [math.inf] * len(big)
+        assert rgamma_array(big).tolist() == [0.0] * len(big)
+        # below zero the reflection turns the overflow of Gamma(1 - x) into
+        # an underflow of Gamma(x) and an overflow of 1/Gamma(x)
+        assert gamma_array(-200.5) == 0.0
+        assert abs(rgamma_array(-200.5)) == math.inf
+
+
+def test_array_gamma_matches_oracle():
+    # the 1000 arguments of acceptance criterion 7
+    xs = np.random.default_rng(777).uniform(0.1, 40.0, size=1000)
+    for x, g in zip(xs.tolist(), gamma_array(xs).tolist()):
+        want = spouge_gamma(x)
+        assert abs((g - want) / want) <= 1e-12, x
