@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from .checks import SUITES
 from .dataset import DatasetError, builtin_table, load_records
 from .fitting import (
     DEFAULT_EXCLUDE,
@@ -31,32 +31,9 @@ from .fitting import (
     objective,
     select_records,
 )
-from .monomial import (
-    DomainError,
-    ExprSyntaxError,
-    PolyExpr,
-    parse_expr,
-    rl_derive,
-    term,
-)
-from .operators import (
-    CheckReport,
-    build_Kz,
-    build_Lz,
-    build_Sz,
-    build_H,
-    check_connection_reduction,
-    check_constant_field,
-    check_curl_coefficient,
-    check_kkk,
-    check_zeeman_reduction,
-    commutator,
-    curl_frac,
-    gauge_field_A,
-    verify_J_algebra,
-)
+from .monomial import DomainError, ExprSyntaxError, parse_expr, rl_derive
 from .rlquad import rl_derivative_quad
-from .specfun import GammaPoleError, gamma
+from .specfun import GammaPoleError
 from .spectrum import REFERENCE_PARAMS, FitParams, Multiplet, mass
 
 _EXIT_OK = 0
@@ -64,9 +41,6 @@ _EXIT_VERIFY = 1
 _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
 _EXIT_IO = 4
-
-_VERIFY_ALPHAS = (0.3, 0.5, 0.75, 0.9)
-_FIELD_ALPHAS = (0.112, 0.5, 0.9)
 
 
 def _fmt_mev(v: float) -> str:
@@ -152,17 +126,20 @@ def _parse_point(text: str) -> dict[str, float]:
         if "=" not in piece:
             raise ValueError(f"bad point component {piece!r}, expected axis=value")
         axis, value = piece.split("=", 1)
-        point[axis.strip()] = float(value)
+        v = float(value)
+        if not math.isfinite(v):
+            raise ValueError(f"point component {piece!r} is not finite")
+        point[axis.strip()] = v
     return point
 
 
 def cmd_derive(args, cfg) -> int:
+    point = None if args.at is None else _parse_point(args.at)
     expr = parse_expr(args.expr)
     result = rl_derive(expr, args.axis, args.order)
     print(result.render())
-    if args.at is None:
+    if point is None:
         return _EXIT_OK
-    point = _parse_point(args.at)
     value = result.evaluate(point)
     print(f"value: {value:.10g}")
     x0 = point.get(args.axis, 0.0)
@@ -185,132 +162,17 @@ def cmd_derive(args, cfg) -> int:
 
 
 # ----------------------------------------------------------------------
-# verify suites
+# verify
 # ----------------------------------------------------------------------
-
-
-def _random_monomials(seed: int, n: int, lo: int = 2, hi: int = 6) -> list[PolyExpr]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        ex, ey, ez = (int(v) for v in rng.integers(lo, hi + 1, size=3))
-        out.append(PolyExpr.from_terms([term(1.0, x=ex, y=ey, z=ez)]))
-    return out
-
-
-def _suite_quad(nodes: int) -> list[CheckReport]:
-    worst = 0.0
-    details = {}
-    for nu in (0.0, 0.5, 1.0, 2.3):
-        for alpha in (0.112, 0.3, 0.5, 0.9):
-            for x in (0.5, 1.0, 2.0):
-                got = rl_derivative_quad(lambda s, nu=nu: s**nu, alpha, x, nodes)
-                want = (
-                    gamma(1.0 + nu)
-                    / gamma(1.0 + nu - alpha)
-                    * x ** (nu - alpha)
-                )
-                rel = abs(got - want) / abs(want)
-                worst = max(worst, rel)
-    details["grid"] = "nu in {0,0.5,1,2.3} x alpha in {0.112,0.3,0.5,0.9} x x in {0.5,1,2}"
-    details["nodes"] = nodes
-    return [
-        CheckReport(
-            "quad-vs-power-rule", worst <= 1e-6, 1e-6, {"worst_rel_error": worst}, details
-        )
-    ]
-
-
-def _suite_zeeman_field() -> list[CheckReport]:
-    reports = []
-    for alpha in _FIELD_ALPHAS:
-        reports.append(check_curl_coefficient(1.0, alpha))
-        _, _, bz = curl_frac(gauge_field_A(1.0, alpha))
-        reports.append(check_constant_field(bz, alpha))
-    return reports
-
-
-def _suite_connection() -> list[CheckReport]:
-    reports = []
-    f = PolyExpr.from_terms([term(1.0, x=3, y=3, z=3)])
-    for alpha in _FIELD_ALPHAS:
-        reports.append(check_connection_reduction(1.0, alpha, K_max=5))
-        reports.append(check_zeeman_reduction(1.7, alpha, f))
-    return reports
-
-
-def _suite_commutators(seed: int) -> list[CheckReport]:
-    reports = []
-    monos = _random_monomials(seed, 50)
-    for alpha in _VERIFY_ALPHAS:
-        worst = max(
-            commutator(build_Kz(2 * alpha - 1), build_H(alpha), f).max_abs_coeff()
-            for f in monos
-        )
-        reports.append(
-            CheckReport("Jz-H-commutation", worst < 1e-10, 1e-10,
-                        {"worst_max_coeff": worst}, {"alpha": alpha, "monomials": len(monos)})
-        )
-    f0 = PolyExpr.from_terms([term(1.0, x=3, y=3, z=3)])
-    for alpha in _VERIFY_ALPHAS:
-        resid = commutator(build_Kz(1.0), build_H(alpha), f0).max_abs_coeff()
-        expect_zero = alpha == 1.0
-        passed = resid < 1e-10 if expect_zero else resid > 1e-6
-        reports.append(
-            CheckReport("Lz-H-noncommutation", passed, 1e-6, {"max_coeff": resid},
-                        {"alpha": alpha, "pass_requires": "residual above tolerance"})
-        )
-    for alpha in _VERIFY_ALPHAS:
-        for beta in (0.3, 1.0, 2 * alpha - 1):
-            reports.append(check_kkk(alpha, beta, f0))
-    return reports
-
-
-def _suite_spin_algebra() -> list[CheckReport]:
-    reports = []
-    f0 = PolyExpr.from_terms([term(1.0, x=3, y=3, z=3)])
-    for alpha in _VERIFY_ALPHAS:
-        reports.append(verify_J_algebra(alpha, f0))
-    sz1 = build_Sz(1.0)
-    reports.append(
-        CheckReport(
-            "Sz-vanishes-at-alpha-1", sz1.is_zero(), 1e-12,
-            {"terms": float(len(sz1.canonical().terms))},
-        )
-    )
-    for alpha in _VERIFY_ALPHAS:
-        diff = (build_Kz(2 * alpha - 1) - build_Kz(1.0) - build_Sz(alpha)).canonical()
-        worst = max((abs(t.coeff) for t in diff.terms), default=0.0)
-        reports.append(
-            CheckReport("Jz-decomposition", worst < 1e-12, 1e-12,
-                        {"max_coeff": worst}, {"alpha": alpha})
-        )
-    # classical reduction: K_z(1) equals the rotation generator at alpha=1
-    diff = (build_Kz(1.0) - build_Lz(1.0)).canonical()
-    worst = max((abs(t.coeff) for t in diff.terms), default=0.0)
-    reports.append(CheckReport("Kz1-is-classical-Lz", worst < 1e-12, 1e-12, {"max_coeff": worst}))
-    return reports
-
-
-_SUITES = ("quad", "zeeman-field", "connection", "commutators", "spin-algebra")
 
 
 def cmd_verify(args, cfg) -> int:
     seed = _resolve_seed(args, cfg)
     nodes = _resolve(args, "nodes", cfg, int, 64)
-    chosen = _SUITES if args.suite == "all" else (args.suite,)
+    chosen = SUITES if args.suite == "all" else (args.suite,)
     doc = {"suites": {}, "seed": seed, "passed": True}
     for suite in chosen:
-        if suite == "quad":
-            reports = _suite_quad(nodes)
-        elif suite == "zeeman-field":
-            reports = _suite_zeeman_field()
-        elif suite == "connection":
-            reports = _suite_connection()
-        elif suite == "commutators":
-            reports = _suite_commutators(seed)
-        else:
-            reports = _suite_spin_algebra()
+        reports = SUITES[suite](seed, nodes)
         ok = all(r.passed for r in reports)
         doc["suites"][suite] = {
             "passed": ok,
@@ -441,7 +303,7 @@ def cmd_report(args, cfg) -> int:
     (out_dir / "table.csv").write_text("\n".join(lines) + "\n")
 
     rows = ["series\tL\tM\tmass_mev\tlabel"]
-    for m in _multiplets(l_min, l_max) if l_min <= l_max else []:
+    for m in _multiplets(l_min, l_max):
         rows.append(f"theory_L{m.L}\t{m.L}\t{m.M}\t{_fmt_mev(mass(p, m))}\t")
     for r in records:
         rows.append(f"experiment\t{r.L}\t{r.M}\t{_fmt_mev(r.mass_mev)}\t{r.name}")
@@ -473,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=cmd_derive)
 
     p_verify = sub.add_parser("verify", help="run operator identity suites")
-    p_verify.add_argument("suite", choices=_SUITES + ("all",))
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--nodes", type=int)
     p_verify.add_argument("--out", help="also write the JSON report here")

@@ -201,33 +201,30 @@ class _Problem:
         return out
 
 
-def loss_rms_mev(p: FitParams, records: Sequence[ParticleRecord]) -> float:
-    """Root-mean-square residual in MeV (the minimized loss)."""
+def _rms(values: list[float]) -> float:
+    return math.sqrt(math.fsum(v * v for v in values) / len(values))
+
+
+def _levels(p: FitParams, records: Sequence[ParticleRecord]) -> list[tuple[float, float, float]]:
+    """(E_th, residual in MeV, residual in percent) of every record: the one
+    ``mass`` pass behind the loss, the objective and the per-particle table."""
     if not records:
         raise ValueError("no records")
-    res = [mass(p, Multiplet(r.L, r.M)) - r.mass_mev for r in records]
-    return math.sqrt(math.fsum(v * v for v in res) / len(res))
+    out = []
+    for r in records:
+        e = mass(p, Multiplet(r.L, r.M))
+        out.append((e, e - r.mass_mev, 100.0 * (e - r.mass_mev) / r.mass_mev))
+    return out
+
+
+def loss_rms_mev(p: FitParams, records: Sequence[ParticleRecord]) -> float:
+    """Root-mean-square residual in MeV (the minimized loss)."""
+    return _rms([mev for _, mev, _ in _levels(p, records)])
 
 
 def objective(p: FitParams, records: Sequence[ParticleRecord]) -> float:
     """Relative r.m.s. error in percent (the reported figure of merit)."""
-    if not records:
-        raise ValueError("no records")
-    res = [
-        100.0 * (mass(p, Multiplet(r.L, r.M)) - r.mass_mev) / r.mass_mev
-        for r in records
-    ]
-    return math.sqrt(math.fsum(v * v for v in res) / len(res))
-
-
-def _per_particle(p: FitParams, records: Sequence[ParticleRecord]) -> tuple[PerParticle, ...]:
-    rows = []
-    for r in records:
-        e_th = mass(p, Multiplet(r.L, r.M))
-        rows.append(
-            PerParticle(r.name, r.mass_mev, e_th, 100.0 * (e_th - r.mass_mev) / r.mass_mev)
-        )
-    return tuple(rows)
+    return _rms([pct for _, _, pct in _levels(p, records)])
 
 
 def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitResult:
@@ -282,13 +279,16 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
     alpha = min(refined)[2]
     _, coef = prob.profile_loss(alpha)
     params = FitParams(alpha, float(coef[0]), float(coef[1]), float(coef[2]))
+    levels = _levels(params, records)
     return FitResult(
         params=params,
-        rms_percent=objective(params, records),
-        per_particle=_per_particle(params, records),
+        rms_percent=_rms([pct for _, _, pct in levels]),
+        per_particle=tuple(
+            PerParticle(r.name, r.mass_mev, e, pct) for r, (e, _, pct) in zip(records, levels)
+        ),
         evals=prob.evals,
         converged=converged,
-        loss_rms_mev=loss_rms_mev(params, records),
+        loss_rms_mev=_rms([mev for _, mev, _ in levels]),
     )
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .monomial import AXES, DROP_TOL, PolyExpr, PowerTerm, _exps_tuple, rl_derive, term
+from .rlquad import rl_derivative_quad
 from .specfun import frac_binomial, gamma
 
 __all__ = [
@@ -57,9 +58,15 @@ __all__ = [
     "check_curl_coefficient",
     "check_zeeman_reduction",
     "check_commutation",
+    "check_commutation_worst",
+    "check_noncommutation",
     "check_kkk",
     "verify_J_algebra",
+    "check_Sz_vanishes",
+    "check_spin_decomposition",
+    "check_classical_Lz",
     "check_semigroup",
+    "check_quadrature",
     "commutator",
 ]
 
@@ -558,6 +565,26 @@ def check_commutation(alpha: float, f: PolyExpr, tol: float = 1e-10) -> CheckRep
     return CheckReport("Jz-H-commutation", res < tol, tol, {"max_coeff": res})
 
 
+def check_commutation_worst(
+    alpha: float, fs: Sequence[PolyExpr], tol: float = 1e-10
+) -> CheckReport:
+    """:func:`check_commutation` over many operands; reports the worst."""
+    worst = max(check_commutation(alpha, f, tol).residuals["max_coeff"] for f in fs)
+    return CheckReport("Jz-H-commutation", worst < tol, tol, {"worst_max_coeff": worst},
+                       {"alpha": alpha, "monomials": len(fs)})
+
+
+def check_noncommutation(alpha: float, f: PolyExpr, tol: float = 1e-6) -> CheckReport:
+    """[K_z(1), H^a] f must NOT vanish: passes when the residual exceeds tol.
+
+    The classical L_z = K_z(1) commutes with H^1 only, so this check fails
+    at alpha = 1.
+    """
+    res = commutator(build_Kz(1.0), build_H(alpha), f).max_abs_coeff()
+    return CheckReport("Lz-H-noncommutation", res > tol, tol, {"max_coeff": res},
+                       {"alpha": alpha, "pass_requires": "residual above tolerance"})
+
+
 def check_kkk(alpha: float, beta: float, f: PolyExpr, tol: float = 1e-10) -> CheckReport:
     """Deformed commutator: [i K_z(b), H^a] = a (D_x^(2a-1) D_y^b - D_x^b D_y^(2a-1))."""
     iKz = build_Kz(beta).scaled(1.0, iphase_shift=1)
@@ -589,6 +616,25 @@ def verify_J_algebra(alpha: float, f: PolyExpr, tol: float = 1e-10) -> CheckRepo
     return CheckReport("J-algebra", all(v < tol for v in r.values()), tol, r)
 
 
+def check_Sz_vanishes(tol: float = 1e-12) -> CheckReport:
+    """The internal spin S_z vanishes at alpha = 1 (no term survives)."""
+    sz1 = build_Sz(1.0)
+    return CheckReport("Sz-vanishes-at-alpha-1", sz1.is_zero(tol), tol,
+                       {"terms": float(len(sz1.canonical().terms))})
+
+
+def check_spin_decomposition(alpha: float, tol: float = 1e-12) -> CheckReport:
+    """J_z(2a-1) = K_z(1) + S_z(a): orbital plus internal spin."""
+    res = _op_residual(build_Kz(2 * alpha - 1) - build_Kz(1.0), build_Sz(alpha))
+    return CheckReport("Jz-decomposition", res < tol, tol, {"max_coeff": res}, {"alpha": alpha})
+
+
+def check_classical_Lz(tol: float = 1e-12) -> CheckReport:
+    """K_z(1) equals the classical rotation generator L_z(1)."""
+    res = _op_residual(build_Kz(1.0), build_Lz(1.0))
+    return CheckReport("Kz1-is-classical-Lz", res < tol, tol, {"max_coeff": res})
+
+
 def check_semigroup(
     f: PolyExpr, axis: str, orders: Sequence[float], tol: float = 1e-10
 ) -> CheckReport:
@@ -599,3 +645,20 @@ def check_semigroup(
     direct = rl_derive(f, axis, math.fsum(orders))
     res = (g - direct).max_abs_coeff()
     return CheckReport("semigroup", res < tol, tol, {"max_coeff": res})
+
+
+def check_quadrature(nodes: int = 64, tol: float = 1e-6) -> CheckReport:
+    """Gauss-Jacobi quadrature of D^a s^nu against the power rule
+    Gamma(1+nu)/Gamma(1+nu-a) x^(nu-a), worst relative error on a fixed grid."""
+    worst = 0.0
+    for nu in (0.0, 0.5, 1.0, 2.3):
+        for alpha in (0.112, 0.3, 0.5, 0.9):
+            for x in (0.5, 1.0, 2.0):
+                got = rl_derivative_quad(lambda s, nu=nu: s**nu, alpha, x, nodes)
+                want = gamma(1.0 + nu) / gamma(1.0 + nu - alpha) * x ** (nu - alpha)
+                worst = max(worst, abs(got - want) / abs(want))
+    details = {
+        "grid": "nu in {0,0.5,1,2.3} x alpha in {0.112,0.3,0.5,0.9} x x in {0.5,1,2}",
+        "nodes": nodes,
+    }
+    return CheckReport("quad-vs-power-rule", worst <= tol, tol, {"worst_rel_error": worst}, details)

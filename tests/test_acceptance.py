@@ -13,24 +13,9 @@ import time
 
 import numpy as np
 
+from fraczee.checks import SUITES
 from fraczee.cli import main as cli_main
 from fraczee.dataset import builtin_table
-from fraczee.monomial import PolyExpr, term
-from fraczee.operators import (
-    build_H,
-    build_Jz,
-    build_Kz,
-    build_Sz,
-    check_connection_reduction,
-    check_constant_field,
-    check_curl_coefficient,
-    check_kkk,
-    commutator,
-    curl_frac,
-    gauge_field_A,
-    verify_J_algebra,
-)
-from fraczee.rlquad import rl_derivative_quad
 from fraczee.specfun import gamma, rgamma
 from fraczee.spectrum import REFERENCE_PARAMS, Multiplet, mass
 
@@ -41,10 +26,6 @@ from reference_values import E_TH, MESONS
 def _line(num, label, ok, detail=""):
     print(f"ACCEPTANCE {num} ({label}): {'PASS' if ok else 'FAIL'}"
           + (f" - {detail}" if detail else ""))
-
-
-def _mono(**exps):
-    return PolyExpr.from_terms([term(1.0, **exps)])
 
 
 def test_criterion_1_table_forward_reproduction():
@@ -103,46 +84,45 @@ def test_criterion_3_meson_predictions():
     assert ok
 
 
+def _checks(*suites, seed=2024, nodes=64):
+    """The registry's reports of the given suites, grouped by check name."""
+    out = {}
+    for suite in suites:
+        for r in SUITES[suite](seed, nodes):
+            out.setdefault(r.name, []).append(r)
+    return out
+
+
+def _within(reports, count, tol):
+    """``count`` reports, every residual of them below ``tol``."""
+    return len(reports) == count and max(v for r in reports for v in r.residuals.values()) < tol
+
+
+def _all_passed(checks):
+    return all(r.passed for reports in checks.values() for r in reports)
+
+
 def test_criterion_4_quadrature_vs_closed_form():
-    worst = 0.0
-    for nu in (0.0, 0.5, 1.0, 2.3):
-        for alpha in (0.112, 0.3, 0.5, 0.9):
-            for x in (0.5, 1.0, 2.0):
-                got = rl_derivative_quad(lambda s, nu=nu: s**nu, alpha, x, 64)
-                want = gamma(1 + nu) / gamma(1 + nu - alpha) * x ** (nu - alpha)
-                worst = max(worst, abs(got - want) / abs(want))
-    ok = worst <= 1e-6
+    (report,) = _checks("quad", nodes=64)["quad-vs-power-rule"]
+    worst = report.residuals["worst_rel_error"]
+    ok = report.passed and worst <= 1e-6
     _line(4, "quadrature vs power rule", ok, f"worst rel err = {worst:.2e}")
     assert ok
 
 
 def test_criterion_5_operator_identities():
-    alphas = (0.3, 0.5, 0.75, 0.9)
-    rng = np.random.default_rng(2024)
-    monos = [
-        _mono(x=int(e[0]), y=int(e[1]), z=int(e[2]))
-        for e in rng.integers(2, 7, size=(50, 3))
-    ]
-    worst_a = max(
-        commutator(build_Jz(a), build_H(a), f).max_abs_coeff()
-        for a in alphas
-        for f in monos
-    )
-    ok_a = worst_a < 1e-10
-
-    f0 = _mono(x=3, y=3, z=3)
-    worst_b = min(
-        commutator(build_Kz(1.0), build_H(a), f0).max_abs_coeff() for a in alphas
-    )
+    checks = _checks("commutators", "spin-algebra", seed=2024)
+    jz_h = checks["Jz-H-commutation"]
+    worst_a = max(r.residuals["worst_max_coeff"] for r in jz_h)
+    grid = [(r.details["alpha"], r.details["monomials"]) for r in jz_h]
+    ok_a = _within(jz_h, 4, 1e-10) and grid == [(0.3, 50), (0.5, 50), (0.75, 50), (0.9, 50)]
+    worst_b = min(r.residuals["max_coeff"] for r in checks["Lz-H-noncommutation"])
     ok_b = worst_b > 1e-6
-
-    ok_c = all(
-        check_kkk(a, b, f0).passed for a in alphas for b in (0.3, 1.0, 2 * a - 1)
-    )
-    ok_d = all(verify_J_algebra(a, f0).passed for a in alphas)
-    ok_e = build_Sz(1.0).is_zero()
-
-    ok = ok_a and ok_b and ok_c and ok_d and ok_e
+    ok_c = _within(checks["kz-h-commutator"], 12, 1e-10)
+    ok_d = _within(checks["J-algebra"], 4, 1e-10)
+    (sz1,) = checks["Sz-vanishes-at-alpha-1"]
+    ok_e = sz1.residuals["terms"] == 0.0
+    ok = ok_a and ok_b and ok_c and ok_d and ok_e and _all_passed(checks)
     _line(
         5,
         "operator identity suite",
@@ -150,19 +130,15 @@ def test_criterion_5_operator_identities():
         f"(a) [Jz,H] worst={worst_a:.2e} (b) [Lz,H] min={worst_b:.2e} "
         f"(c) kkk={ok_c} (d) J-algebra={ok_d} (e) Sz(1)=0: {ok_e}",
     )
-    assert ok_a and ok_b and ok_c and ok_d and ok_e
+    assert ok
 
 
 def test_criterion_6_gauge_field_suite():
-    coeff_ok = all(check_curl_coefficient(1.0, a).passed for a in (0.112, 0.5, 0.9))
-    constant_ok = True
-    for a in (0.112, 0.5, 0.9):
-        _, _, bz = curl_frac(gauge_field_A(1.0, a))
-        constant_ok = constant_ok and check_constant_field(bz, a).passed
-    reduction_ok = all(
-        check_connection_reduction(1.0, a, K_max=5).passed for a in (0.112, 0.5, 0.9)
-    )
-    ok = coeff_ok and constant_ok and reduction_ok
+    checks = _checks("zeeman-field", "connection")
+    coeff_ok = _within(checks["curl-coefficient"], 3, 1e-12)
+    constant_ok = _within(checks["constant-field"], 3, 1e-12)
+    reduction_ok = _within(checks["connection-reduction"], 3, 1e-12)
+    ok = coeff_ok and constant_ok and reduction_ok and _all_passed(checks)
     _line(
         6,
         "gauge-field suite",

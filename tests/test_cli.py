@@ -45,6 +45,15 @@ def test_derive_with_point_and_quadrature(capsys):
     assert deviation < 1e-6
 
 
+@pytest.mark.parametrize("at", ["x=inf", "x=nan", "x=-inf", "x=1,y=nan"])
+def test_derive_rejects_non_finite_point(capsys, at):
+    code, out, err = run(capsys, "derive", "x", "--axis", "x", "--order", "0.5", "--at", at)
+    assert code == 2
+    assert "value:" not in out
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 def test_derive_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "derive", "x +* y", "--axis", "x", "--order", "1")
     assert code == 2
@@ -72,6 +81,35 @@ def test_verify_all_passes(capsys):
         "commutators",
         "spin-algebra",
     }
+
+
+# (check name, tolerance, passed) of every report `verify all` emits, in order
+T12, T10, T6 = 1e-12, 1e-10, 1e-6
+VERIFY_SHAPE = {
+    "quad": [("quad-vs-power-rule", T6, True)],
+    "zeeman-field": [("curl-coefficient", T12, True), ("constant-field", T12, True)] * 3,
+    "connection": [("connection-reduction", T12, True), ("zeeman-reduction", T10, True)] * 3,
+    "commutators": [("Jz-H-commutation", T10, True)] * 4
+    + [("Lz-H-noncommutation", T6, True)] * 4
+    + [("kz-h-commutator", T10, True)] * 12,
+    "spin-algebra": [("J-algebra", T10, True)] * 4
+    + [("Sz-vanishes-at-alpha-1", T12, True)]
+    + [("Jz-decomposition", T12, True)] * 4
+    + [("Kz1-is-classical-Lz", T12, True)],
+}
+
+
+@pytest.mark.parametrize("seed", [None, "2024"])
+def test_verify_report_shape_is_pinned(capsys, seed):
+    code, out, _ = run(capsys, "verify", "all", *(["--seed", seed] if seed else []))
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert list(suites) == list(VERIFY_SHAPE)
+    for name, shape in VERIFY_SHAPE.items():
+        got = [(c["name"], c["tolerance"], c["passed"]) for c in suites[name]["checks"]]
+        assert got == shape, name
+        assert suites[name]["passed"] is True
+    assert sum(len(s) for s in VERIFY_SHAPE.values()) == 43
 
 
 def test_verify_quad_fails_with_too_few_nodes(capsys):

@@ -170,6 +170,14 @@ def test_fit_result_consistency(default_fit):
     )
 
 
+def test_fit_figures_equal_the_public_functions_bit_for_bit(default_fit):
+    # fit() shares one mass pass between the three figures; the public
+    # functions must give the very same floats
+    _, selected, result, _ = default_fit
+    assert result.rms_percent == objective(result.params, selected)
+    assert result.loss_rms_mev == loss_rms_mev(result.params, selected)
+
+
 def test_fit_optimality_certificate(default_fit):
     cfg, selected, result, _ = default_fit
     base = loss_rms_mev(result.params, selected)

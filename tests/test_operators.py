@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fraczee.operators as operators
 from fraczee.monomial import PolyExpr, parse_expr, term
 from fraczee.operators import (
     OperatorExpr,
@@ -14,12 +15,18 @@ from fraczee.operators import (
     build_Lz,
     build_Sz,
     build_p,
+    check_classical_Lz,
     check_commutation,
+    check_commutation_worst,
     check_connection_reduction,
     check_constant_field,
     check_curl_coefficient,
     check_kkk,
+    check_noncommutation,
+    check_quadrature,
     check_semigroup,
+    check_spin_decomposition,
+    check_Sz_vanishes,
     check_zeeman_reduction,
     commutator,
     curl_frac,
@@ -203,6 +210,67 @@ def test_J_algebra_lhs_is_deformed():
 def test_check_commutation_report():
     rep = check_commutation(0.75, mono(1.0, x=3, y=3, z=3))
     assert rep.passed and rep.residuals["max_coeff"] < 1e-10
+
+
+# ------------------------------------------------ registry checks: pass and fail
+# A check whose identity holds for every valid input is shown to fail on a
+# deliberately wrong operator, swapped in for the builder it calls.
+
+
+def test_check_commutation_worst(monkeypatch):
+    monos = random_monomials(23, 50)
+    rep = check_commutation_worst(0.5, monos)
+    assert rep.passed and rep.residuals["worst_max_coeff"] < 1e-10
+    assert rep.details == {"alpha": 0.5, "monomials": 50}
+    # with the classical K_z(1) in place of J_z the worst operand shows it
+    monkeypatch.setattr(operators, "build_Jz", lambda alpha, m=1.0: build_Kz(1.0))
+    rep = check_commutation_worst(0.5, monos)
+    assert not rep.passed and rep.residuals["worst_max_coeff"] > 1e-6
+
+
+def test_check_noncommutation():
+    f = mono(1.0, x=3, y=3, z=3)
+    rep = check_noncommutation(0.5, f)
+    assert rep.passed and rep.residuals["max_coeff"] > 1e-6
+    # K_z(1) commutes with H(1), so the must-not-commute check fails there
+    rep = check_noncommutation(1.0, f)
+    assert not rep.passed and rep.residuals["max_coeff"] < 1e-12
+
+
+def test_check_Sz_vanishes(monkeypatch):
+    rep = check_Sz_vanishes()
+    assert rep.passed and rep.residuals == {"terms": 0.0}
+    build = operators.build_Sz
+    monkeypatch.setattr(operators, "build_Sz", lambda alpha, m=1.0: build(0.5))
+    rep = check_Sz_vanishes()
+    assert not rep.passed and rep.residuals["terms"] > 0
+
+
+def test_check_spin_decomposition(monkeypatch):
+    for alpha in ALPHAS:
+        rep = check_spin_decomposition(alpha)
+        assert rep.passed and rep.residuals["max_coeff"] < 1e-12
+    build = operators.build_Sz
+    monkeypatch.setattr(operators, "build_Sz", lambda alpha, m=1.0: build(0.5))
+    rep = check_spin_decomposition(0.75)
+    assert not rep.passed and rep.residuals["max_coeff"] > 1e-6
+
+
+def test_check_classical_Lz(monkeypatch):
+    rep = check_classical_Lz()
+    assert rep.passed and rep.residuals["max_coeff"] < 1e-12
+    build = operators.build_Lz
+    monkeypatch.setattr(operators, "build_Lz", lambda alpha: build(0.5))
+    rep = check_classical_Lz()
+    assert not rep.passed and rep.residuals["max_coeff"] > 1e-6
+
+
+def test_check_quadrature():
+    rep = check_quadrature(64)
+    assert rep.passed and rep.residuals["worst_rel_error"] <= 1e-6
+    assert rep.details["nodes"] == 64
+    rep = check_quadrature(2)
+    assert not rep.passed and rep.residuals["worst_rel_error"] > 1e-6
 
 
 # ------------------------------------------------------------- gauge field
