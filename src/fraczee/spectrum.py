@@ -8,6 +8,10 @@ which at a = 1 collapses to the familiar m0 + a0 L(L+1) +/- b0 M.  The
 plus branch is used for every row of the built-in table: it is the only
 branch whose levels increase with M at fixed L, and at M = 0 it leaves a
 nonzero zero-point contribution b0 / Gamma(1-a) for a < 1.
+
+:func:`spectrum` is the one evaluator of the formula (:func:`mass`, the
+fit's residuals and the CLI level tables call it); it evaluates each
+distinct L and |M| Casimir once, as the fit's profile loss does.
 """
 
 from __future__ import annotations
@@ -107,17 +111,28 @@ def casimir_Lz_array(alpha, M) -> np.ndarray:
         return gamma_array(1.0 + m * alpha) * rgamma_array(1.0 + (m - 1) * alpha)
 
 
+def _casimir_columns(alpha: float, rows: Sequence) -> tuple[list[float], list[float]]:
+    """:func:`casimir_L2` and plus-branch :func:`casimir_Lz` for every row (any
+    object with ``L`` and ``M``), evaluating each distinct L and |M| once."""
+    c_l2 = {L: casimir_L2(alpha, L) for L in dict.fromkeys(r.L for r in rows)}
+    c_lz = {m: casimir_Lz(alpha, m) for m in dict.fromkeys(abs(r.M) for r in rows)}
+    return [c_l2[r.L] for r in rows], [c_lz[abs(r.M)] for r in rows]
+
+
 def mass(p: FitParams, mult: Multiplet) -> float:
     """Level energy in MeV for one multiplet."""
-    return (
-        p.m0
-        + p.a0 * casimir_L2(p.alpha, mult.L)
-        + p.b0 * casimir_Lz(p.alpha, mult.M, mult.sign)
-    )
+    return spectrum(p, [mult])[0][1]
 
 
-def spectrum(
-    p: FitParams, mults: Iterable[Multiplet] | Sequence[Multiplet]
-) -> list[tuple[Multiplet, float]]:
-    """Masses for a list of multiplets, preserving input order."""
-    return [(m, mass(p, m)) for m in mults]
+def spectrum(p: FitParams, mults: Iterable[Multiplet]) -> list[tuple[Multiplet, float]]:
+    """Masses for a list of multiplets, preserving input order; ``ValueError``
+    where a level is not finite (the parameters or a Casimir overflow)."""
+    mults = list(mults)
+    c_l2, c_lz = _casimir_columns(p.alpha, mults)
+    out = []
+    for m, l2, lz in zip(mults, c_l2, c_lz):
+        e = p.m0 + p.a0 * l2 + p.b0 * (m.sign * lz)
+        if not math.isfinite(e):
+            raise ValueError(f"the level of L={m.L}, M={m.M} is not finite at {p}")
+        out.append((m, e))
+    return out

@@ -9,7 +9,8 @@ from fraczee.dataset import builtin_table
 
 from reference_values import DE_PERCENT
 
-FIT_SEED42 = Path(__file__).parent / "fixtures" / "fit_seed42.json"
+FIXTURES = Path(__file__).parent / "fixtures"
+FIT_SEED42 = FIXTURES / "fit_seed42.json"
 
 
 def run(capsys, *argv):
@@ -45,9 +46,20 @@ def test_derive_with_point_and_quadrature(capsys):
     assert deviation < 1e-6
 
 
-@pytest.mark.parametrize("at", ["x=inf", "x=nan", "x=-inf", "x=1,y=nan"])
-def test_derive_rejects_non_finite_point(capsys, at):
-    code, out, err = run(capsys, "derive", "x", "--axis", "x", "--order", "0.5", "--at", at)
+@pytest.mark.parametrize(
+    "expr, at",
+    [
+        pytest.param("x", "x=inf", id="x=inf"),
+        pytest.param("x", "x=nan", id="x=nan"),
+        pytest.param("x", "x=-inf", id="x=-inf"),
+        pytest.param("x", "x=1,y=nan", id="x=1,y=nan"),
+        # finite points whose quadrature nodes or derivative value overflow
+        pytest.param("x", "x=1e308", id="x=1e308"),
+        pytest.param("x^3", "x=1e200", id="x^3 at x=1e200"),
+    ],
+)
+def test_derive_rejects_non_finite_point(capsys, expr, at):
+    code, out, err = run(capsys, "derive", expr, "--axis", "x", "--order", "0.5", "--at", at)
     assert code == 2
     assert "value:" not in out
     assert err.startswith("error: ") and "not finite" in err
@@ -146,6 +158,39 @@ def test_predict_defaults_to_meson_band(capsys):
     assert len(lines) == 1 + 5
     assert lines[-1].split("\t")[:2] == ["2", "2"]
     assert float(lines[-1].split("\t")[2]) == pytest.approx(945.76, abs=0.05)
+
+
+# the fixtures are the outputs of the per-row evaluator that preceded the
+# cached-Casimir ``spectrum`` pass: the pass must not move a byte
+@pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (("spectrum", "--l-min", "0", "--l-max", "14"), "spectrum_reference_L0-14.tsv"),
+        (("spectrum", "--alpha", "1", "--l-min", "0", "--l-max", "14"),
+         "spectrum_alpha1_L0-14.tsv"),
+        (("predict",), "predict_default.tsv"),
+    ],
+)
+def test_level_table_is_pinned(capsys, argv, fixture):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (FIXTURES / fixture).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--m0", "1e308", "--a0", "1e308", "--l-min", "3", "--l-max", "3"),
+        # the scalar Gamma returns inf without raising just above x = 142.2
+        ("--alpha", "0.703", "--l-min", "200", "--l-max", "200"),
+    ],
+)
+def test_spectrum_rejects_non_finite_levels(capsys, argv):
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------- fit
@@ -257,6 +302,14 @@ def test_report_files(capsys, tmp_path):
     series = {line.split("\t")[0] for line in plot[1:]}
     assert series == {f"theory_L{L}" for L in range(1, 10)} | {"experiment"}
     assert sum(1 for line in plot[1:] if line.startswith("experiment")) == 53
+
+
+def test_report_files_are_pinned(capsys, tmp_path):
+    out_dir = tmp_path / "rep"
+    code, _, _ = run(capsys, "report", "--out-dir", str(out_dir))
+    assert code == 0
+    assert (out_dir / "table.csv").read_bytes() == (FIXTURES / "report_table.csv").read_bytes()
+    assert (out_dir / "plot.tsv").read_bytes() == (FIXTURES / "report_plot.tsv").read_bytes()
 
 
 def test_report_empty_selection_headers_only(capsys, tmp_path):

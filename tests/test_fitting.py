@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -103,6 +104,25 @@ def test_objective_reference_params_on_default_set():
 def test_objective_requires_records():
     with pytest.raises(ValueError):
         objective(REFERENCE_PARAMS, [])
+    with pytest.raises(ValueError):
+        loss_rms_mev(REFERENCE_PARAMS, [])
+
+
+def test_objective_evaluates_each_distinct_casimir_once(monkeypatch):
+    # the package exports a function named ``spectrum`` over the module's name
+    spectrum_module = importlib.import_module("fraczee.spectrum")
+    calls = []
+    for name in ("casimir_L2", "casimir_Lz"):
+        def counted(*args, _fn=getattr(spectrum_module, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(spectrum_module, name, counted)
+    records = builtin_table()
+    objective(REFERENCE_PARAMS, records)
+    # 13 distinct L and 12 distinct |M| over the 53 rows, not 2 x 53
+    assert len(records) == 53
+    assert calls.count("casimir_L2") == len({r.L for r in records}) == 13
+    assert calls.count("casimir_Lz") == len({abs(r.M) for r in records}) == 12
 
 
 def test_objective_homogeneity():

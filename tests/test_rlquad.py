@@ -33,11 +33,16 @@ def test_quad_rejects_bad_order():
         rl_derivative_quad(lambda s: s, 1.5, 1.0)
     with pytest.raises(ValueError):
         rl_derivative_quad(lambda s: s, 0.5, -1.0)
+    with pytest.raises(ValueError, match="nodes .* not finite"):
+        rl_derivative_quad(lambda s: s, 0.5, 1e308)
 
 
 def test_quad_rejects_nonfinite_sample():
     with pytest.raises(ValueError):
         rl_derivative_quad(lambda s: float("nan"), 0.5, 1.0)
+    # a sample times the terminal weight overflows: rejected, not warned about
+    with pytest.raises(ValueError, match="non-finite sample"):
+        rl_derivative_quad(lambda s: s**-0.4 + 1e300 * s, 0.5, 1e7, left_exponent=-0.4)
 
 
 def test_quad_absorbs_singular_terminal_behavior():

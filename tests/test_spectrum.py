@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -81,6 +82,31 @@ def test_spectrum_order_and_empty():
     out = spectrum(REFERENCE_PARAMS, mults)
     assert [m for m, _ in out] == mults
     assert out[1][1] == pytest.approx(959.39, abs=0.05)
+
+
+def test_spectrum_equals_the_level_formula_bit_for_bit():
+    # the cached-Casimir pass must reproduce the per-level formula exactly,
+    # for both signs, negative M and repeated L/|M| within one call
+    rng = random.Random(20071)
+    for _ in range(60):
+        alpha = rng.choice([1.0, 0.112, rng.uniform(0.01, 1.0)])
+        p = FitParams(alpha, *(rng.uniform(-2e4, 2e4) for _ in range(3)))
+        lo = rng.randint(0, 30)
+        mults = [
+            Multiplet(L, M, sign)
+            for L in range(lo, lo + rng.randint(0, 3) + 1)
+            for M in range(-L, L + 1)
+            for sign in (+1, -1)
+        ]
+        rng.shuffle(mults)
+        want = [
+            p.m0 + p.a0 * casimir_L2(p.alpha, m.L) + p.b0 * casimir_Lz(p.alpha, m.M, m.sign)
+            for m in mults
+        ]
+        got = spectrum(p, mults)
+        assert [m for m, _ in got] == mults
+        assert [e.hex() for _, e in got] == [e.hex() for e in want]
+        assert [mass(p, m).hex() for m in mults[:5]] == [e.hex() for e in want[:5]]
 
 
 def test_multiplet_validation():
