@@ -173,9 +173,13 @@ def cmd_derive(args, cfg) -> int:
             f"the quadrature at {args.at}",
             lambda: rl_derivative_quad(f, args.order, x0, nodes, left_exponent=left),
         )
-        deviation = abs(q - value) / max(abs(value), 1e-300)
         lines.append(f"quadrature: {q:.10g}")
-        lines.append(f"quadrature relative deviation: {deviation:.3g}")
+        if value == 0.0:
+            # a relative deviation from an exact zero is meaningless
+            lines.append(f"quadrature absolute deviation: {abs(q):.3g}")
+        else:
+            deviation = abs(q - value) / max(abs(value), 1e-300)
+            lines.append(f"quadrature relative deviation: {deviation:.3g}")
     print("\n".join(lines))
     return _EXIT_OK
 

@@ -18,9 +18,12 @@ variable projection in alpha alone (Golub & Pereyra, SIAM J. Numer. Anal.
 10 (1973) 413): the profile loss, with the linear part solved by least
 squares, is scanned on a 199-point alpha grid over [0.01, 1], and its
 lowest ``starts`` local minima are refined by bounded Brent between the
-neighbouring grid points.  The scan is one batched evaluation: the array
-Gamma kernel gives the Casimirs at all grid alphas at once, and the 199
-least-squares problems are solved by one stacked QR.  The refine and the
+neighbouring grid points (Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 5; :func:`minimize_scalar` follows scipy's
+``method="bounded"`` operation for operation, so it returns the same
+bits).  The scan is one batched evaluation: the array Gamma kernel gives
+the Casimirs at all grid alphas at once, and the 199 least-squares
+problems are solved by one stacked QR.  The refine and the
 returned (m0, a0, b0) use the scalar Casimirs of :func:`spectrum.spectrum`,
 so the fitted parameters do not depend on the array kernel's roundoff.
 That function is the one level evaluator: every level this module reports
@@ -32,12 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-# ``minimize`` is unused here, but the benchmark's tracer (perfbench/layers.py)
-# wraps ``fraczee.fitting.minimize`` by attribute name, so the name stays.
-from scipy.optimize import minimize, minimize_scalar  # noqa: F401
 
 from .dataset import ParticleRecord
 # ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.fitting.mass``
@@ -51,6 +51,8 @@ from .spectrum import (  # noqa: F401
     mass,
     spectrum,
 )
+
+minimize = None  # the Nelder-Mead fit is gone, but perfbench/layers.py still wraps this name
 
 __all__ = [
     "DEFAULT_SEED",
@@ -80,6 +82,111 @@ _RANK_RTOL = 1e-10
 
 class FitError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class BoundedMin:
+    x: float
+    fun: float
+    nfev: int
+    success: bool
+
+
+def minimize_scalar(
+    func: Callable[[float], float], lo: float, hi: float, xatol: float, maxiter: int
+) -> BoundedMin:
+    """Brent's bounded minimiser of ``func`` on [lo, hi] (Brent 1973, ch. 5).
+
+    A statement-for-statement port of scipy 1.17's ``_minimize_scalar_bounded``
+    (same constants, tests and operation order), so it evaluates ``func`` at the
+    same points and returns the same bits.  ``success`` is false when
+    ``maxiter`` evaluations were used up or the minimum is NaN.
+    """
+    # xf is the best point so far, nfc the second best and fulc the one before
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    fu = math.inf
+    flag = 0
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # try a parabola through the three best points
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            if (abs(p) < abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = ((xm - xf) > 0) - ((xm - xf) < 0) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        # sign(rat), with a zero step taken upwards
+        si = (rat > 0) - (rat < 0) + (rat == 0)
+        x = xf + si * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxiter:
+            flag = 1
+            break
+
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        flag = 2
+    return BoundedMin(x=xf, fun=fx, nfev=num, success=flag == 0)
 
 
 @dataclass(frozen=True)
@@ -269,13 +376,14 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
         # from the grid point keeps that term near 1e-10 in alpha instead of 2e-9
         a_i = float(_ALPHA_GRID[i])
         res = minimize_scalar(
-            lambda t: prob.profile_loss(a_i + float(t))[0],
-            bounds=(_ALPHA_GRID[max(i - 1, 0)] - a_i, _ALPHA_GRID[min(i + 1, last)] - a_i),
-            method="bounded",
-            options={"xatol": 1e-12, "maxiter": budget},
+            lambda t: prob.profile_loss(a_i + t)[0],
+            float(_ALPHA_GRID[max(i - 1, 0)]) - a_i,
+            float(_ALPHA_GRID[min(i + 1, last)]) - a_i,
+            xatol=1e-12,
+            maxiter=budget,
         )
-        converged = converged or bool(res.success)
-        refined.append((float(res.fun), i, a_i + float(res.x)))
+        converged = converged or res.success
+        refined.append((res.fun, i, a_i + res.x))
     if not converged:
         raise FitError(
             f"no scan minimum converged within {cfg.max_evals} profile evaluations; "

@@ -85,18 +85,11 @@ class PhasedPoly:
     def zero() -> "PhasedPoly":
         return PhasedPoly(PolyExpr.zero(), PolyExpr.zero())
 
-    @staticmethod
-    def from_real(e: PolyExpr) -> "PhasedPoly":
-        return PhasedPoly(e, PolyExpr.zero())
-
     def __add__(self, other: "PhasedPoly") -> "PhasedPoly":
         return PhasedPoly(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "PhasedPoly") -> "PhasedPoly":
         return PhasedPoly(self.re - other.re, self.im - other.im)
-
-    def times_i(self) -> "PhasedPoly":
-        return PhasedPoly(-self.im, self.re)
 
     def scaled(self, s: float) -> "PhasedPoly":
         return PhasedPoly(self.re.scaled(s), self.im.scaled(s))

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .monomial import PolyExpr, rl_derive
 from .specfun import frac_binomial, gamma
@@ -29,6 +28,20 @@ __all__ = ["rl_derivative_quad", "leibniz_series"]
 
 #: relative step for the outer central difference
 _FD_REL_STEP = 1e-5
+
+
+def roots_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights for the weight (1-t)^a (1+t)^b on [-1, 1].
+
+    ``scipy.special`` is imported on the first call, so importing fraczee
+    does not pay for it.  At a + b = -1 scipy evaluates a masked-out branch
+    that divides by zero; the warning it raises says nothing about the nodes
+    returned, so it is silenced.
+    """
+    from scipy.special import roots_jacobi as scipy_roots_jacobi
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return scipy_roots_jacobi(n, a, b)
 
 
 def rl_derivative_quad(

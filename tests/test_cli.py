@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fraczee
 from fraczee.cli import main
 from fraczee.dataset import builtin_table
 
@@ -44,6 +48,21 @@ def test_derive_with_point_and_quadrature(capsys):
     assert lines[1].startswith("value: 1.128379167")
     deviation = float(lines[3].split(":")[1])
     assert deviation < 1e-6
+
+
+def test_derive_zero_value_reports_absolute_deviation(capsys):
+    # D^0.3 x^-0.7 = Gamma(0.3)/Gamma(0) x^-1 = 0: a relative deviation from
+    # the exact zero would divide by the 1e-300 floor.  The Jacobi weight has
+    # a + b = -1 here, where scipy's node routine divides by zero internally
+    code, out, err = run(capsys, "derive", "x^-0.7", "--axis", "x", "--order", "0.3", "--at", "x=1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["0", "value: 0"]
+    label, deviation = lines[3].split(": ")
+    assert label == "quadrature absolute deviation"
+    assert float(deviation) == float(f"{abs(float(lines[2].split(': ')[1])):.3g}")
+    assert float(deviation) < 1e-9
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize(
@@ -355,3 +374,36 @@ def test_missing_data_file_exit_4(capsys, tmp_path):
     code, _, err = run(capsys, "fit", "--data", str(tmp_path / "nope.csv"))
     assert code == 4
     assert "i/o error" in err
+
+
+# ----------------------------------------------------------------- imports
+
+_IMPORT_PROBE = """
+import json, sys
+import fraczee, fraczee.cli
+from fraczee import FitConfig, builtin_table, fit, select_records
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+fit(select_records(builtin_table(), FitConfig()))
+assert fraczee.cli.main(["spectrum"]) == 0
+before = scipy_modules()
+assert fraczee.cli.main(["derive", "x^-0.7", "--axis", "x", "--order", "0.3", "--at", "x=1"]) == 0
+print(json.dumps([before, scipy_modules()]))
+"""
+
+
+def test_scipy_is_loaded_only_for_quadrature_nodes():
+    # the fit's Brent is in-repo; only the Gauss-Jacobi nodes come from scipy
+    src = str(Path(fraczee.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert before == []
+    assert "scipy.special" in after
+    assert not [m for m in after if m.startswith(("scipy.optimize", "scipy.integrate"))]
+    assert "Warning" not in proc.stderr

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from fraczee.dataset import ParticleRecord, builtin_table
 from fraczee.fitting import (
@@ -12,6 +13,7 @@ from fraczee.fitting import (
     FitError,
     _Problem,
     fit,
+    minimize_scalar,
     loss_rms_mev,
     objective,
     predict,
@@ -268,6 +270,85 @@ def test_scan_losses_match_scalar_profile_loss(table):
     finite = np.isfinite(scalar)
     assert finite.any()
     np.testing.assert_allclose(batched[finite], scalar[finite], rtol=1e-11, atol=0.0)
+
+
+# ------------------------------------------------ Brent against scipy
+
+
+def _same_as_scipy(func, lo, hi, xatol, maxiter):
+    """Run the in-repo bounded Brent and scipy's on ``func`` and require the
+    same bits in every field the fit reads."""
+    got = minimize_scalar(func, lo, hi, xatol=xatol, maxiter=maxiter)
+    # scipy's iterates are numpy scalars, which warn where the port's floats
+    # silently give inf - inf = nan
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = scipy.optimize.minimize_scalar(
+            func, bounds=(lo, hi), method="bounded", options={"xatol": xatol, "maxiter": maxiter}
+        )
+    assert (got.x, got.nfev, got.success) == (float(want.x), int(want.nfev), bool(want.success))
+    assert got.fun == float(want.fun) or (math.isnan(got.fun) and math.isnan(want.fun))
+    return got
+
+
+@pytest.mark.parametrize(
+    "func, lo, hi",
+    [
+        pytest.param(lambda x: (x - 0.3) ** 2, 0.0, 1.0, id="parabola"),
+        pytest.param(lambda x: abs(x - 1.0 / 3.0), -1.0, 1.0, id="kink"),
+        pytest.param(lambda x: 0.6 - x if x < 0.6 else 10.0 * (x - 0.6), 0.0, 1.0, id="skewed-kink"),
+        pytest.param(lambda x: x, 0.0, 1.0, id="minimum-at-bound"),
+        pytest.param(lambda x: 1.0, -2.0, 3.0, id="constant"),
+        pytest.param(lambda x: math.cos(5.0 * x), 0.0, 2.0, id="cosine"),
+        pytest.param(lambda x: math.inf if x > 0.1 else -x, -1.0, 1.0, id="inf-above"),
+        pytest.param(lambda x: math.nan if x > -0.5 else x * x, -1.0, 1.0, id="nan-flag"),
+    ],
+)
+@pytest.mark.parametrize("maxiter", [1, 5, 500])
+def test_brent_matches_scipy_on_plain_functions(func, lo, hi, maxiter):
+    _same_as_scipy(func, lo, hi, 1e-12, maxiter)
+
+
+def _brent_tables():
+    default = select_records(builtin_table(), FitConfig())
+    yield "default", default
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        p = FitParams(rng.uniform(0.05, 0.9), -100.0, 500.0, 200.0)
+        yield f"noisy-{seed}", noisy_records(p, seed=seed, sigma=0.02)
+    # Gamma(1 + 201*alpha) overflows for alpha above about 0.70
+    yield "L200", default + [ParticleRecord("heavy", 200, 0, 50000.0, "", "baryon")]
+
+
+@pytest.mark.parametrize("maxiter", [5, FitConfig().max_evals - len(_ALPHA_GRID)])
+@pytest.mark.parametrize("name, records", [pytest.param(*t, id=t[0]) for t in _brent_tables()])
+def test_brent_matches_scipy_on_the_fit_refines(name, records, maxiter):
+    # every refine the fit would run: each scan minimum, offset from its grid
+    # point, between the neighbouring grid points; on the L200 table also the
+    # brackets around the overflow edge, which hold infinite losses
+    prob = _Problem(records)
+    scan = prob.scan_losses(_ALPHA_GRID).tolist()
+    last = len(scan) - 1
+    centers = [
+        i for i, v in enumerate(scan)
+        if math.isfinite(v) and v <= min(scan[max(i - 1, 0)], scan[min(i + 1, last)])
+    ]
+    edge = [i for i in range(last) if math.isfinite(scan[i]) and not math.isfinite(scan[i + 1])]
+    assert bool(edge) == (name == "L200")
+    centers += [j for i in edge for j in (i, i + 1)]
+    seen = []
+    for i in centers:
+        a_i = float(_ALPHA_GRID[i])
+
+        def loss(t):
+            v = prob.profile_loss(a_i + float(t))[0]
+            seen.append(v)
+            return v
+
+        lo = float(_ALPHA_GRID[max(i - 1, 0)]) - a_i
+        hi = float(_ALPHA_GRID[min(i + 1, last)]) - a_i
+        res = _same_as_scipy(loss, lo, hi, 1e-12, maxiter)
+        assert res.nfev <= maxiter
+    assert any(math.isinf(v) for v in seen) == (name == "L200")
 
 
 def test_profile_loss_is_infinite_where_gamma_returns_inf():

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from fraczee.monomial import PolyExpr, parse_expr, rl_derive, term
-from fraczee.rlquad import leibniz_series, rl_derivative_quad
+from fraczee.rlquad import leibniz_series, rl_derivative_quad, roots_jacobi
 from fraczee.specfun import gamma
 
 
@@ -26,6 +28,23 @@ def test_quad_error_tightens_with_nodes():
     err16 = abs(rl_derivative_quad(lambda s: s**2.3, 0.3, 1.0, 16) - want)
     err128 = abs(rl_derivative_quad(lambda s: s**2.3, 0.3, 1.0, 128) - want)
     assert err128 < err16
+
+
+@pytest.mark.parametrize("n, a, b", [(64, -0.5, 0.0), (16, -0.3, 2.3), (64, -0.3, -0.7), (96, -0.112, -0.776)])
+def test_roots_jacobi_is_scipys_bit_for_bit(n, a, b):
+    # the outer finite difference multiplies node roundoff by 1e5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = scipy.special.roots_jacobi(n, a, b)
+    got = roots_jacobi(n, a, b)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_quad_weight_with_a_plus_b_minus_one_warns_nothing():
+    # left_exponent == order - 1 gives Jacobi a + b = -1, where scipy divides
+    # by zero in a branch it then masks out; Tier-1 turns that warning into
+    # an error.  D^0.3 s^-0.7 is exactly 0.
+    got = rl_derivative_quad(lambda s: s**-0.7, 0.3, 1.0, left_exponent=-0.7)
+    assert abs(got) < 1e-9
 
 
 def test_quad_rejects_bad_order():
