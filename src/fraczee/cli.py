@@ -5,10 +5,14 @@ Subcommands: derive, verify, spectrum, fit, predict, report.
 Exit codes: 0 success, 1 verification/fit failure, 2 usage or parse
 error, 3 domain violation, 4 I/O failure.
 
-A plain ``key = value`` config file (``--config``) supplies defaults for
-any long option; explicit flags win.  The environment variable
-``FRACZEE_SEED`` overrides the built-in default seed (but not an
-explicit ``--seed`` or a config entry).
+Every option is resolved once, before the command runs, with the
+precedence flag > ``--config`` file > ``FRACZEE_SEED`` (seed only) >
+built-in default.  The config file holds ``key = value`` lines for any
+long option of the chosen subcommand (``l-min`` or ``l_min``); keys the
+subcommand does not have are ignored.  Config and environment values are
+converted by the option's own type before the command runs, so a bad
+value exits 2 with nothing printed.  The required options ``--axis``,
+``--order`` and ``--out-dir`` must be given as flags.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from pathlib import Path
 from .checks import SUITES
 from .dataset import DatasetError, builtin_table, load_records
 from .fitting import (
-    DEFAULT_EXCLUDE,
     DEFAULT_SEED,
     FitConfig,
     FitError,
@@ -33,7 +36,7 @@ from .fitting import (
     select_records,
 )
 from .monomial import DomainError, ExprSyntaxError, parse_expr, rl_derive
-from .rlquad import rl_derivative_quad
+from .rlquad import DEFAULT_NODES, rl_derivative_quad
 from .specfun import GammaPoleError
 # ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.cli.mass``
 # by attribute name, so the name stays.
@@ -74,45 +77,42 @@ def _read_config(path: str | None) -> dict[str, str]:
     return out
 
 
-def _resolve(args, name: str, cfg: dict[str, str], cast, default):
-    explicit = getattr(args, name, None)
-    if explicit is not None:
-        return explicit
-    if name in cfg:
-        return cast(cfg[name])
-    return default
+def _option_defaults(command: argparse.ArgumentParser, cfg: dict[str, str]) -> dict:
+    """``FRACZEE_SEED`` and the config entries that name an optional long option
+    of ``command``, each converted by that option's type."""
+    raw = {k: (f"config entry {k!r}", v) for k, v in cfg.items()}
+    if "FRACZEE_SEED" in os.environ:
+        raw.setdefault("seed", ("FRACZEE_SEED", os.environ["FRACZEE_SEED"]))
+    out = {}
+    for action in command._actions:
+        if action.dest not in raw or action.required or action.default is argparse.SUPPRESS:
+            continue
+        source, text = raw[action.dest]
+        try:
+            out[action.dest] = action.type(text) if action.type else text
+        except ValueError as exc:
+            raise ValueError(f"{source} = {text!r}: {exc}") from None
+    return out
 
 
-def _resolve_seed(args, cfg: dict[str, str]) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("FRACZEE_SEED")
-    if env is not None:
-        return int(env)
-    return DEFAULT_SEED
+def _params_from_args(args) -> FitParams:
+    pf = args.params_file
+    if not pf:
+        return FitParams(args.alpha, args.m0, args.a0, args.b0)
+    doc = json.loads(Path(pf).read_text())
+    if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
+        raise ValueError(f"{pf}: expected a JSON object whose 'params' is an object")
+    keys = ("alpha", "m0_mev", "a0_mev", "b0_mev")
+    values = [doc["params"][key] for key in keys]  # a missing key stays a KeyError
+    for key, v in zip(keys, values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"{pf}: params.{key} = {json.dumps(v)} is not a real number")
+        _finite(f"{pf}: params.{key}", lambda: float(v))
+    return FitParams(*values)
 
 
-def _params_from_args(args, cfg) -> FitParams:
-    pf = _resolve(args, "params_file", cfg, str, None)
-    if pf:
-        doc = json.loads(Path(pf).read_text())
-        p = doc["params"]
-        return FitParams(p["alpha"], p["m0_mev"], p["a0_mev"], p["b0_mev"])
-    return FitParams(
-        _resolve(args, "alpha", cfg, float, REFERENCE_PARAMS.alpha),
-        _resolve(args, "m0", cfg, float, REFERENCE_PARAMS.m0),
-        _resolve(args, "a0", cfg, float, REFERENCE_PARAMS.a0),
-        _resolve(args, "b0", cfg, float, REFERENCE_PARAMS.b0),
-    )
-
-
-def _records_from_args(args, cfg):
-    data = _resolve(args, "data", cfg, str, "builtin")
-    if data == "builtin":
-        return builtin_table()
-    return load_records(data)
+def _records_from_args(args):
+    return builtin_table() if args.data == "builtin" else load_records(args.data)
 
 
 # ----------------------------------------------------------------------
@@ -138,7 +138,7 @@ def _parse_point(text: str) -> dict[str, float]:
 
 def _finite(what: str, compute) -> float:
     """``compute()``, with an overflow or a non-finite result turned into a
-    usage error, so that no number for the point is printed."""
+    usage error, so that no number for it is printed."""
     try:
         value = compute()
     except OverflowError:
@@ -148,7 +148,7 @@ def _finite(what: str, compute) -> float:
     return value
 
 
-def cmd_derive(args, cfg) -> int:
+def cmd_derive(args) -> int:
     point = None if args.at is None else _parse_point(args.at)
     expr = parse_expr(args.expr)
     result = rl_derive(expr, args.axis, args.order)
@@ -165,13 +165,12 @@ def cmd_derive(args, cfg) -> int:
             slice_point[args.axis] = s
             return expr.evaluate(slice_point)
 
-        nodes = _resolve(args, "nodes", cfg, int, 64)
         # absorb the expression's terminal behavior into the weight so the
         # cross-check stays sharp for singular inputs like x^-0.776
         left = min((t.exponent(args.axis) for t in expr.terms), default=0.0)
         q = _finite(
             f"the quadrature at {args.at}",
-            lambda: rl_derivative_quad(f, args.order, x0, nodes, left_exponent=left),
+            lambda: rl_derivative_quad(f, args.order, x0, args.nodes, left_exponent=left),
         )
         lines.append(f"quadrature: {q:.10g}")
         if value == 0.0:
@@ -189,13 +188,11 @@ def cmd_derive(args, cfg) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_verify(args, cfg) -> int:
-    seed = _resolve_seed(args, cfg)
-    nodes = _resolve(args, "nodes", cfg, int, 64)
+def cmd_verify(args) -> int:
     chosen = SUITES if args.suite == "all" else (args.suite,)
-    doc = {"suites": {}, "seed": seed, "passed": True}
+    doc = {"suites": {}, "seed": args.seed, "passed": True}
     for suite in chosen:
-        reports = SUITES[suite](seed, nodes)
+        reports = SUITES[suite](args.seed, args.nodes)
         ok = all(r.passed for r in reports)
         doc["suites"][suite] = {
             "passed": ok,
@@ -204,9 +201,8 @@ def cmd_verify(args, cfg) -> int:
         doc["passed"] = doc["passed"] and ok
     text = json.dumps(doc, indent=2, sort_keys=False)
     print(text)
-    out = _resolve(args, "out", cfg, str, None)
-    if out:
-        Path(out).write_text(text + "\n")
+    if args.out:
+        Path(args.out).write_text(text + "\n")
     return _EXIT_OK if doc["passed"] else _EXIT_VERIFY
 
 
@@ -219,33 +215,25 @@ def _multiplets(l_min: int, l_max: int) -> list[Multiplet]:
     return [Multiplet(L, M) for L in range(l_min, l_max + 1) for M in range(0, L + 1)]
 
 
-def cmd_spectrum(args, cfg) -> int:
+def cmd_spectrum(args) -> int:
     """Level table for ``spectrum`` and ``predict``; they differ only in the default L range."""
-    p = _params_from_args(args, cfg)
-    l_min = _resolve(args, "l_min", cfg, int, 1)
-    l_max = _resolve(args, "l_max", cfg, int, args.default_l_max)
-    levels = spectrum(p, _multiplets(l_min, l_max))
+    levels = spectrum(_params_from_args(args), _multiplets(args.l_min, args.l_max))
     print("L\tM\tE_th_mev")
     for m, e in levels:
         print(f"{m.L}\t{m.M}\t{_fmt_mev(e)}")
     return _EXIT_OK
 
 
-def _fit_config(args, cfg) -> FitConfig:
-    groups_s = _resolve(args, "groups", cfg, str, "baryon")
-    groups = tuple(g.strip() for g in groups_s.split(",") if g.strip())
-    l_min = _resolve(args, "l_min", cfg, int, 3)
-    l_max = _resolve(args, "l_max", cfg, int, 9)
-    exclude_s = _resolve(args, "exclude", cfg, str, ",".join(DEFAULT_EXCLUDE))
-    exclude = tuple(s.strip() for s in exclude_s.split(",") if s.strip())
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+def _fit_config(args) -> FitConfig:
     return FitConfig(
-        include_groups=groups,
-        l_range=(l_min, l_max),
-        exclude_names=exclude,
-        starts=_resolve(args, "starts", cfg, int, 32),
-        seed=_resolve_seed(args, cfg),
-        max_evals=_resolve(args, "max_evals", cfg, int, 2500),
-        tol=_resolve(args, "tol", cfg, float, 1e-8),
+        include_groups=_names(args.groups),
+        l_range=(args.l_min, args.l_max),
+        exclude_names=_names(args.exclude),
+        starts=args.starts, seed=args.seed, max_evals=args.max_evals, tol=args.tol,
     )
 
 
@@ -273,9 +261,9 @@ def _fit_json(result) -> str:
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
-def cmd_fit(args, cfg) -> int:
-    records = _records_from_args(args, cfg)
-    fit_cfg = _fit_config(args, cfg)
+def cmd_fit(args) -> int:
+    records = _records_from_args(args)
+    fit_cfg = _fit_config(args)
     selected = select_records(records, fit_cfg)
     result = fit(selected, fit_cfg)
     p = result.params
@@ -300,21 +288,20 @@ def cmd_fit(args, cfg) -> int:
                   exclude_names=()),
     )
     if full_band:
-        print(f"rms over L-band incl. excluded rows: {objective(p, full_band):.4f} %")
+        rms = _finite("the rms over the L-band", lambda: objective(p, full_band))
+        print(f"rms over L-band incl. excluded rows: {rms:.4f} %")
     if all_baryons:
-        print(f"rms over all baryon rows: {objective(p, all_baryons):.4f} %")
-    out = _resolve(args, "out", cfg, str, None)
-    if out:
-        Path(out).write_text(_fit_json(result) + "\n")
+        rms = _finite("the rms over all baryon rows", lambda: objective(p, all_baryons))
+        print(f"rms over all baryon rows: {rms:.4f} %")
+    if args.out:
+        Path(args.out).write_text(_fit_json(result) + "\n")
     return _EXIT_OK
 
 
-def cmd_report(args, cfg) -> int:
-    p = _params_from_args(args, cfg)
-    records = _records_from_args(args, cfg)
-    l_min = _resolve(args, "l_min", cfg, int, 1)
-    l_max = _resolve(args, "l_max", cfg, int, 9)
-    levels, theory = _levels(p, records, _multiplets(l_min, l_max))
+def cmd_report(args) -> int:
+    p = _params_from_args(args)
+    records = _records_from_args(args)
+    levels, theory = _levels(p, records, _multiplets(args.l_min, args.l_max))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -354,50 +341,55 @@ def _build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("--axis", required=True, choices=("x", "y", "z", "t"))
     p_derive.add_argument("--order", required=True, type=float)
     p_derive.add_argument("--at", help="evaluation point, e.g. 'x=1,y=2'")
-    p_derive.add_argument("--nodes", type=int, help="quadrature nodes for the cross-check")
+    p_derive.add_argument("--nodes", type=int, default=DEFAULT_NODES,
+                          help="quadrature nodes for the cross-check (default %(default)s)")
     p_derive.set_defaults(func=cmd_derive)
 
     p_verify = sub.add_parser("verify", help="run operator identity suites")
     p_verify.add_argument("suite", choices=(*SUITES, "all"))
-    p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--nodes", type=int)
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_verify.add_argument("--nodes", type=int, default=DEFAULT_NODES)
     p_verify.add_argument("--out", help="also write the JSON report here")
     p_verify.set_defaults(func=cmd_verify)
 
-    def add_level_options(p):
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--m0", type=float)
-        p.add_argument("--a0", type=float)
-        p.add_argument("--b0", type=float)
+    def add_level_options(p, l_max: int = 9):
+        for name in ("alpha", "m0", "a0", "b0"):
+            p.add_argument(f"--{name}", type=float, default=getattr(REFERENCE_PARAMS, name))
         p.add_argument("--params-file", help="JSON report from 'fit --out'")
-        p.add_argument("--l-min", type=int)
-        p.add_argument("--l-max", type=int)
+        p.add_argument("--l-min", type=int, default=1)
+        p.add_argument("--l-max", type=int, default=l_max)
 
     p_spec = sub.add_parser("spectrum", help="level table for given parameters")
     add_level_options(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum, default_l_max=9)
+    p_spec.set_defaults(func=cmd_spectrum)
 
+    fit_cfg = FitConfig()
     p_fit = sub.add_parser("fit", help="fit the level formula to particle records")
-    p_fit.add_argument("--data", help="'builtin' or a CSV/JSON file")
-    p_fit.add_argument("--groups", help="comma-separated groups (default baryon)")
-    p_fit.add_argument("--l-min", type=int)
-    p_fit.add_argument("--l-max", type=int)
-    p_fit.add_argument("--exclude", help="comma-separated names to drop ('' for none)")
-    p_fit.add_argument("--starts", type=int, help="alpha-scan minima refined by Brent (default 32)")
-    p_fit.add_argument("--seed", type=int, help="validated only: the fit draws no random numbers")
-    p_fit.add_argument("--max-evals", type=int,
-                       help="profile-loss evaluations allowed, scan included (default 2500)")
-    p_fit.add_argument("--tol", type=float, help="validated (must be > 0) but unused by the fit")
+    p_fit.add_argument("--data", default="builtin", help="'builtin' or a CSV/JSON file")
+    p_fit.add_argument("--groups", default=",".join(fit_cfg.include_groups),
+                       help="comma-separated groups (default %(default)s)")
+    p_fit.add_argument("--l-min", type=int, default=fit_cfg.l_range[0])
+    p_fit.add_argument("--l-max", type=int, default=fit_cfg.l_range[1])
+    p_fit.add_argument("--exclude", default=",".join(fit_cfg.exclude_names),
+                       help="comma-separated names to drop ('' for none; default %(default)s)")
+    p_fit.add_argument("--starts", type=int, default=fit_cfg.starts,
+                       help="alpha-scan minima refined by Brent (default %(default)s)")
+    p_fit.add_argument("--seed", type=int, default=fit_cfg.seed,
+                       help="validated only: the fit draws no random numbers")
+    p_fit.add_argument("--max-evals", type=int, default=fit_cfg.max_evals,
+                       help="profile-loss evaluations allowed, scan included (default %(default)s)")
+    p_fit.add_argument("--tol", type=float, default=fit_cfg.tol,
+                       help="validated (must be > 0) but unused by the fit")
     p_fit.add_argument("--out", help="write the JSON fit report here")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="predicted levels (default meson band L=1,2)")
-    add_level_options(p_pred)
-    p_pred.set_defaults(func=cmd_spectrum, default_l_max=2)
+    add_level_options(p_pred, 2)
+    p_pred.set_defaults(func=cmd_spectrum)
 
     p_rep = sub.add_parser("report", help="write table.csv and plot.tsv for given parameters")
     add_level_options(p_rep)
-    p_rep.add_argument("--data")
+    p_rep.add_argument("--data", default="builtin", help="'builtin' or a CSV/JSON file")
     p_rep.add_argument("--out-dir", required=True)
     p_rep.set_defaults(func=cmd_report)
 
@@ -408,8 +400,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _read_config(args.config)
-        return args.func(args, cfg)
+        command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+        defaults = _option_defaults(command, _read_config(args.config))
+        if defaults:
+            # parse again over the new defaults, so that flags still win
+            command.set_defaults(**defaults)
+            args = parser.parse_args(argv)
+        return args.func(args)
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -26,8 +26,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .monomial import AXES, DROP_TOL, PolyExpr, PowerTerm, _exps_tuple, rl_derive, term
-from .rlquad import rl_derivative_quad
+from .monomial import (
+    _AXIS_INDEX, AXES, DROP_TOL, PolyExpr, PowerTerm, _exps_tuple, rl_derive, term,
+)
+from .rlquad import DEFAULT_NODES, rl_derivative_quad
 from .specfun import frac_binomial, gamma
 
 __all__ = [
@@ -71,7 +73,6 @@ __all__ = [
 ]
 
 _ZERO4 = (0.0, 0.0, 0.0, 0.0)
-_AXIS_INDEX = {a: i for i, a in enumerate(AXES)}
 
 
 @dataclass(frozen=True)
@@ -425,25 +426,27 @@ def check_constant_field(Bz: PolyExpr, alpha: float, tol: float = 1e-12) -> Chec
     return CheckReport("constant-field", all(v < tol for v in r.values()), tol, r)
 
 
-def _connection_terms(A_i: PolyExpr, axis: str, alpha: float, K: int, omega: bool):
-    out: list[OperatorTerm] = []
-    for k in range(1, K + 1):
-        dk = rl_derive(A_i, axis, k - alpha)
-        if dk.is_zero():
-            continue
-        c_k = frac_binomial(alpha, k)
-        if omega:
-            c_k = -c_k * (-1.0) ** k
-        for t in dk.terms:
-            if omega:
-                out.append(
-                    op_term(c_k * t.coeff, inner=dict(zip(AXES, t.exps)), orders={axis: alpha - k})
-                )
-            else:
-                out.append(
-                    op_term(c_k * t.coeff, pre=dict(zip(AXES, t.exps)), orders={axis: alpha - k})
-                )
-    return out
+def _connection(A: GaugeField, K: int, multiplier: str) -> tuple[OperatorExpr, ...]:
+    """Per axis, ``sum_{k=1..K} c_k (D_i^(k-a) A_i) D_i^(a-k)`` with the derived
+    field as the ``pre`` or ``inner`` multiplier of each operator term."""
+    if K < 1:
+        raise ValueError("series order K must be >= 1")
+    a = A.alpha
+    out = []
+    for A_i, axis in zip(A.components, AXES):
+        terms: list[OperatorTerm] = []
+        for k in range(1, K + 1):
+            dk = rl_derive(A_i, axis, k - a)
+            if dk.is_zero():
+                continue
+            c_k = frac_binomial(a, k)
+            if multiplier == "inner":
+                c_k = -c_k * (-1.0) ** k
+            for t in dk.terms:
+                field_exps = {multiplier: dict(zip(AXES, t.exps))}
+                terms.append(op_term(c_k * t.coeff, orders={axis: a - k}, **field_exps))
+        out.append(OperatorExpr.from_terms(terms))
+    return tuple(out)
 
 
 def gamma_connection(A: GaugeField, K: int = 1) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
@@ -453,13 +456,7 @@ def gamma_connection(A: GaugeField, K: int = 1) -> tuple[OperatorExpr, OperatorE
     the derived field acting as a multiplier in front of the derivative.
     For the constant-field potential the series collapses at k = 1.
     """
-    if K < 1:
-        raise ValueError("series order K must be >= 1")
-    a = A.alpha
-    return tuple(
-        OperatorExpr.from_terms(_connection_terms(A.components[i], AXES[i], a, K, omega=False))
-        for i in range(3)
-    )
+    return _connection(A, K, "pre")
 
 
 def omega_connection(A: GaugeField, K: int = 1) -> tuple[OperatorExpr, OperatorExpr, OperatorExpr]:
@@ -468,13 +465,7 @@ def omega_connection(A: GaugeField, K: int = 1) -> tuple[OperatorExpr, OperatorE
     Here the derived field multiplies the operand before the derivative,
     which the operator term records as an inner multiplier.
     """
-    if K < 1:
-        raise ValueError("series order K must be >= 1")
-    a = A.alpha
-    return tuple(
-        OperatorExpr.from_terms(_connection_terms(A.components[i], AXES[i], a, K, omega=True))
-        for i in range(3)
-    )
+    return _connection(A, K, "inner")
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +631,7 @@ def check_semigroup(
     return CheckReport("semigroup", res < tol, tol, {"max_coeff": res})
 
 
-def check_quadrature(nodes: int = 64, tol: float = 1e-6) -> CheckReport:
+def check_quadrature(nodes: int = DEFAULT_NODES, tol: float = 1e-6) -> CheckReport:
     """Gauss-Jacobi quadrature of D^a s^nu against the power rule
     Gamma(1+nu)/Gamma(1+nu-a) x^(nu-a), worst relative error on a fixed grid."""
     worst = 0.0

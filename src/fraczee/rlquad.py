@@ -24,7 +24,10 @@ import numpy as np
 from .monomial import PolyExpr, rl_derive
 from .specfun import frac_binomial, gamma
 
-__all__ = ["rl_derivative_quad", "leibniz_series"]
+__all__ = ["DEFAULT_NODES", "rl_derivative_quad", "leibniz_series"]
+
+#: Gauss-Jacobi node count of the quadrature cross-check
+DEFAULT_NODES = 64
 
 #: relative step for the outer central difference
 _FD_REL_STEP = 1e-5
@@ -48,7 +51,7 @@ def rl_derivative_quad(
     f: Callable[[float], float],
     alpha: float,
     x: float,
-    nodes: int = 64,
+    nodes: int = DEFAULT_NODES,
     left_exponent: float = 0.0,
 ) -> float:
     """Left Riemann-Liouville derivative of order ``alpha`` at ``x > 0``.

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fraczee
+from fraczee import cli
 from fraczee.cli import main
 from fraczee.dataset import builtin_table
 
@@ -258,6 +260,35 @@ def test_spectrum_accepts_params_file(capsys, tmp_path):
     assert abs(n_mass - 959.41) < 10.0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param("[0.112, -17171.6, 10971.8, 8064.6]", id="array"),
+        pytest.param('{"params": [0.112, -17171.6, 10971.8, 8064.6]}', id="params-array"),
+        pytest.param('{"params": 3}', id="params-number"),
+        pytest.param('{"params": {"alpha": "x", "m0_mev": 1, "a0_mev": 1, "b0_mev": 1}}',
+                     id="alpha-string"),
+        pytest.param('{"params": {"alpha": 0.1, "m0_mev": null, "a0_mev": 1, "b0_mev": 1}}',
+                     id="m0-null"),
+        pytest.param('{"params": {"alpha": 0.1, "m0_mev": 1, "a0_mev": true, "b0_mev": 1}}',
+                     id="a0-bool"),
+        pytest.param('{"params": {"alpha": 0.1, "m0_mev": 1, "a0_mev": 1, "b0_mev": NaN}}',
+                     id="b0-nan"),
+        pytest.param('{"params": {"alpha": 0.1, "m0_mev": 1, "a0_mev": 1, "b0_mev": -Infinity}}',
+                     id="b0-inf"),
+        pytest.param('{"params": {"alpha": 0.1, "m0_mev": 1%s, "a0_mev": 1, "b0_mev": 1}}'
+                     % ("0" * 400), id="m0-huge-int"),
+    ],
+)
+def test_params_file_rejects_bad_values(capsys, tmp_path, doc):
+    path = tmp_path / "params.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "spectrum", "--params-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_fit_cli_custom_data(capsys, tmp_path):
     from fraczee.dataset import records_to_csv
     from fraczee.fitting import FitConfig, select_records
@@ -282,6 +313,21 @@ def test_fit_cli_overflowing_row_ends_cleanly(capsys, tmp_path):
     data.write_text(records_to_csv(rows))
     code, _, err = run(capsys, "fit", "--data", str(data), "--l-max", "250")
     assert code in (0, 1)
+    assert "Traceback" not in err
+
+
+def test_fit_cli_breakdown_overflow_exits_2(capsys, tmp_path):
+    # the L = 2000 row is outside the fit band, so the fit succeeds, but its
+    # level overflows in the "all baryon rows" breakdown at the fitted alpha
+    from fraczee.dataset import ParticleRecord, records_to_csv
+
+    data = tmp_path / "data.csv"
+    rows = builtin_table() + [ParticleRecord("heavy", 2000, 0, 50000.0, "", "baryon")]
+    data.write_text(records_to_csv(rows))
+    code, out, err = run(capsys, "fit", "--data", str(data))
+    assert code == 2
+    assert "alpha = " in out and "rms over all baryon rows" not in out
+    assert err.startswith("error: ") and "not finite" in err
     assert "Traceback" not in err
 
 
@@ -368,6 +414,150 @@ def test_env_seed_overrides_builtin_default(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "quad")
     assert code == 0
     assert json.loads(out)["seed"] == 1234
+
+
+@pytest.mark.parametrize(
+    "flag, config, env, want",
+    [
+        (None, None, None, 1729),
+        (None, None, "1234", 1234),
+        (None, "99", None, 99),
+        (None, "99", "1234", 99),
+        ("5", None, "1234", 5),
+        ("5", "99", None, 5),
+        ("5", "99", "1234", 5),
+    ],
+)
+def test_verify_seed_precedence(capsys, tmp_path, monkeypatch, flag, config, env, want):
+    # flag > config file > FRACZEE_SEED > built-in default
+    argv = []
+    if config is not None:
+        cfg = tmp_path / "fraczee.conf"
+        cfg.write_text(f"seed = {config}\n")
+        argv += ["--config", str(cfg)]
+    if env is None:
+        monkeypatch.delenv("FRACZEE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("FRACZEE_SEED", env)
+    argv += ["verify", "quad"] + (["--seed", flag] if flag else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["seed"] == want
+
+
+def _last_level_L(out: str) -> int:
+    return int(out.strip().splitlines()[-1].split("\t")[0])
+
+
+@pytest.mark.parametrize("config, predict_l_max, spectrum_l_max, fit_band", [
+    (None, 2, 9, "L=(3, 9)"),
+    ("l-min = 4\nl_max = 6\n", 6, 6, "L=(4, 6)"),
+])
+def test_per_command_defaults(capsys, tmp_path, config, predict_l_max, spectrum_l_max,
+                              fit_band):
+    argv = []
+    if config is not None:
+        cfg = tmp_path / "fraczee.conf"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)]
+    code, out, _ = run(capsys, *argv, "predict")
+    assert code == 0 and _last_level_L(out) == predict_l_max
+    code, out, _ = run(capsys, *argv, "spectrum")
+    assert code == 0 and _last_level_L(out) == spectrum_l_max
+    code, out, _ = run(capsys, *argv, "fit", "--starts", "2")
+    assert code == 0 and fit_band in out.splitlines()[0]
+
+
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        ("nodes = abc", ("derive", "x", "--axis", "x", "--order", "0.5")),
+        ("nodes = abc", ("derive", "x", "--axis", "x", "--order", "0.5", "--at", "x=1")),
+        ("seed = 1.5", ("verify", "quad")),
+        ("alpha = fast", ("spectrum",)),
+        ("l-max = nine", ("predict",)),
+        ("tol = small", ("fit",)),
+        ("tol = 0", ("fit",)),
+    ],
+)
+def test_bad_config_value_exits_2_before_output(capsys, tmp_path, entry, argv):
+    cfg = tmp_path / "fraczee.conf"
+    cfg.write_text(entry + "\n")
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FRACZEE_SEED", "many")
+    code, out, err = run(capsys, "verify", "quad")
+    assert (code, out) == (2, "")
+    assert "FRACZEE_SEED" in err
+
+
+def test_unknown_config_keys_are_ignored(capsys, tmp_path):
+    cfg = tmp_path / "fraczee.conf"
+    # 'colour' is no option at all; 'groups' and 'out-dir' belong to other commands
+    cfg.write_text("colour = blue\ngroups = 12\nout-dir = /nonexistent\nseed = x\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "spectrum", "--l-min", "3", "--l-max", "3")
+    assert code == 0
+    assert out.splitlines()[1].split("\t") == ["3", "0", "959.41"]
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+# the positional arguments and required options of each subcommand
+_REQUIRED = {
+    "derive": ["x", "--axis", "x", "--order", "0.5"],
+    "verify": ["quad"],
+    "spectrum": [],
+    "fit": [],
+    "predict": [],
+    "report": ["--out-dir", "rep"],
+}
+
+
+def test_every_optional_long_option_reads_the_config(tmp_path, monkeypatch):
+    seen = []
+    build = cli._build_parser
+
+    def capture(args):
+        seen.append(args)
+        return 0
+
+    def capturing_parser():
+        parser = build()
+        for command in _subcommands(parser).values():
+            command.set_defaults(func=capture)
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", capturing_parser)
+    monkeypatch.delenv("FRACZEE_SEED", raising=False)
+    commands = _subcommands(build())
+    assert set(commands) == set(_REQUIRED)
+    walked = 0
+    for name, command in commands.items():
+        for action in command._actions:
+            longs = [o for o in action.option_strings if o.startswith("--")]
+            if not longs or action.required or action.default is argparse.SUPPRESS:
+                continue
+            typ = action.type or str
+            text, flag_text = {int: ("7", "8"), float: ("0.25", "0.5"), str: ("cfg", "flag")}[typ]
+            assert typ(text) != action.default, (name, action.dest)
+            cfg = tmp_path / "fraczee.conf"
+            cfg.write_text(f"{longs[0][2:]} = {text}\n")
+            argv = ["--config", str(cfg), name, *_REQUIRED[name]]
+            assert cli.main(argv) == 0
+            assert getattr(seen.pop(), action.dest) == typ(text), (name, action.dest)
+            # an explicit flag still beats the config entry
+            assert cli.main(argv + [longs[0], flag_text]) == 0
+            assert getattr(seen.pop(), action.dest) == typ(flag_text), (name, action.dest)
+            walked += 1
+    # 2 derive + 3 verify + 7 spectrum + 10 fit + 7 predict + 8 report options
+    assert walked == 37
 
 
 def test_missing_data_file_exit_4(capsys, tmp_path):
