@@ -35,7 +35,7 @@ from .fitting import (
     objective,
     select_records,
 )
-from .monomial import DomainError, ExprSyntaxError, parse_expr, rl_derive
+from .monomial import AXES, DomainError, ExprSyntaxError, parse_expr, rl_derive
 from .rlquad import DEFAULT_NODES, rl_derivative_quad
 from .specfun import GammaPoleError
 # ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.cli.mass``
@@ -129,10 +129,13 @@ def _parse_point(text: str) -> dict[str, float]:
         if "=" not in piece:
             raise ValueError(f"bad point component {piece!r}, expected axis=value")
         axis, value = piece.split("=", 1)
+        axis = axis.strip()
+        if axis not in AXES:
+            raise ValueError(f"point component {piece!r} names no axis; axes are {', '.join(AXES)}")
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"point component {piece!r} is not finite")
-        point[axis.strip()] = v
+        point[axis] = v
     return point
 
 
@@ -212,6 +215,8 @@ def cmd_verify(args) -> int:
 
 
 def _multiplets(l_min: int, l_max: int) -> list[Multiplet]:
+    if min(l_min, l_max) < 0:
+        raise ValueError(f"L is nonnegative, got --l-min {l_min} --l-max {l_max}")
     return [Multiplet(L, M) for L in range(l_min, l_max + 1) for M in range(0, L + 1)]
 
 
@@ -277,22 +282,17 @@ def cmd_fit(args) -> int:
     print(f"rms   = {result.rms_percent:.4f} %  (loss {result.loss_rms_mev:.4f} MeV, "
           f"{result.evals} evaluations, converged={result.converged})")
     # subset breakdown at the fitted parameters
-    full_band = select_records(
-        records,
-        FitConfig(include_groups=fit_cfg.include_groups, l_range=fit_cfg.l_range,
-                  exclude_names=()),
-    )
-    all_baryons = select_records(
-        records,
-        FitConfig(include_groups=fit_cfg.include_groups, l_range=None,
-                  exclude_names=()),
-    )
-    if full_band:
-        rms = _finite("the rms over the L-band", lambda: objective(p, full_band))
-        print(f"rms over L-band incl. excluded rows: {rms:.4f} %")
-    if all_baryons:
-        rms = _finite("the rms over all baryon rows", lambda: objective(p, all_baryons))
-        print(f"rms over all baryon rows: {rms:.4f} %")
+    for l_range, label, what in (
+        (fit_cfg.l_range, "rms over L-band incl. excluded rows", "the rms over the L-band"),
+        (None, "rms over all baryon rows", "the rms over all baryon rows"),
+    ):
+        subset = select_records(
+            records,
+            FitConfig(include_groups=fit_cfg.include_groups, l_range=l_range, exclude_names=()),
+        )
+        if subset:
+            rms = _finite(what, lambda: objective(p, subset))
+            print(f"{label}: {rms:.4f} %")
     if args.out:
         Path(args.out).write_text(_fit_json(result) + "\n")
     return _EXIT_OK
@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_derive = sub.add_parser("derive", help="symbolic fractional derivative of an expression")
     p_derive.add_argument("expr", help="e.g. '0.5*x^0.5*z^1.2 - 2*y'")
-    p_derive.add_argument("--axis", required=True, choices=("x", "y", "z", "t"))
+    p_derive.add_argument("--axis", required=True, choices=AXES)
     p_derive.add_argument("--order", required=True, type=float)
     p_derive.add_argument("--at", help="evaluation point, e.g. 'x=1,y=2'")
     p_derive.add_argument("--nodes", type=int, default=DEFAULT_NODES,
@@ -406,6 +406,8 @@ def main(argv: list[str] | None = None) -> int:
             # parse again over the new defaults, so that flags still win
             command.set_defaults(**defaults)
             args = parser.parse_args(argv)
+        if getattr(args, "nodes", 1) < 1:
+            raise ValueError(f"need at least one quadrature node, got --nodes {args.nodes}")
         return args.func(args)
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -157,30 +157,25 @@ def load_records(path: str | Path, format: str | None = None) -> list[ParticleRe
     p = Path(path)
     fmt = format or ("json" if p.suffix.lower() == ".json" else "csv")
     text = p.read_text()
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
+    if not text.strip():
+        return []
     if fmt == "json":
-        if not text.strip():
-            return []
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"{p}: invalid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise DatasetError(f"{p}: expected a JSON array of records")
-        return _validate(
-            _record_from_mapping(obj, f"{p} entry {i}") for i, obj in enumerate(data)
-        )
-    if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
-    if not text.strip():
-        return []
-    reader = csv.DictReader(io.StringIO(text))
-    missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
-    if missing:
-        raise DatasetError(f"{p}: missing CSV columns {sorted(missing)}")
-    records = []
-    for i, row in enumerate(reader, start=2):
-        records.append(_record_from_mapping(row, f"{p} line {i}"))
-    return _validate(records)
+        rows = ((f"{p} entry {i}", obj) for i, obj in enumerate(data))
+    else:
+        reader = csv.DictReader(io.StringIO(text))
+        missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
+        if missing:
+            raise DatasetError(f"{p}: missing CSV columns {sorted(missing)}")
+        rows = ((f"{p} line {i}", row) for i, row in enumerate(reader, start=2))
+    return _validate(_record_from_mapping(obj, where) for where, obj in rows)
 
 
 def records_to_csv(records: Iterable[ParticleRecord]) -> str:

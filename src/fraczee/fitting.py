@@ -21,13 +21,14 @@ lowest ``starts`` local minima are refined by bounded Brent between the
 neighbouring grid points (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5; :func:`minimize_scalar` follows scipy's
 ``method="bounded"`` operation for operation, so it returns the same
-bits).  The scan is one batched evaluation: the array Gamma kernel gives
-the Casimirs at all grid alphas at once, and the 199 least-squares
-problems are solved by one stacked QR.  The refine and the
-returned (m0, a0, b0) use the scalar Casimirs of :func:`spectrum.spectrum`,
-so the fitted parameters do not depend on the array kernel's roundoff.
-That function is the one level evaluator: every level this module reports
-comes from it.  An alpha where a Casimir overflows gets an infinite loss.
+bits).  Both stages take each distinct L and |M| Casimir once per alpha
+and scatter it to the records' design matrix [1, C_L2, C_Lz].  The scan
+is one batched evaluation: the array Gamma kernel gives the Casimirs at
+all grid alphas at once, and one stacked QR solves the 199 least-squares
+problems.  The refine and the returned (m0, a0, b0) use the scalar
+Casimirs of :func:`spectrum.spectrum`, the one level evaluator, so the
+fitted parameters do not depend on the array kernel's roundoff.  An
+alpha where a Casimir overflows gets an infinite loss.
 No random numbers are drawn; results are bit-reproducible.
 """
 
@@ -45,8 +46,9 @@ from .dataset import ParticleRecord
 from .spectrum import (  # noqa: F401
     FitParams,
     Multiplet,
-    _casimir_columns,
+    casimir_L2,
     casimir_L2_array,
+    casimir_Lz,
     casimir_Lz_array,
     mass,
     spectrum,
@@ -251,18 +253,22 @@ class _Problem:
 
     :meth:`scan_losses` evaluates the loss at many alphas at once through the
     array Gamma kernel (the grid scan); :meth:`profile_loss` evaluates one
-    alpha through the scalar Casimirs of :func:`spectrum` (the Brent refine
-    and the final parameters).
+    alpha through the scalar Casimirs (the Brent refine and the final
+    parameters).  Both take the Casimirs at ``l_values`` and ``m_values``
+    only and scatter them to the records with :meth:`_design`.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
-        self.records = list(records)
-        # the Casimirs depend only on L and |M|: each distinct value is
-        # evaluated once per alpha and scattered to the records
         self.l_values, self.l_index = np.unique([r.L for r in records], return_inverse=True)
         self.m_values, self.m_index = np.unique([abs(r.M) for r in records], return_inverse=True)
         self.e_exp = np.array([r.mass_mev for r in records], dtype=float)
         self.evals = 0
+
+    def _design(self, c_l2, c_lz) -> np.ndarray:
+        """[1, C_L2, C_Lz] per record from Casimirs at l_values / m_values (last axis)."""
+        c_l2 = np.asarray(c_l2)[..., self.l_index]
+        c_lz = np.asarray(c_lz)[..., self.m_index]
+        return np.stack([np.ones_like(c_l2), c_l2, c_lz], axis=-1)
 
     def _lstsq_loss(self, A: np.ndarray) -> tuple[float, np.ndarray]:
         # minimum-norm least squares, so a rank-deficient A is solved too
@@ -275,10 +281,13 @@ class _Problem:
         ``(inf, None)`` where a Casimir overflows for some record."""
         self.evals += 1
         try:
-            c_l2, c_lz = _casimir_columns(alpha, self.records)
+            # Python ints: a numpy L would turn OverflowError into a nan
+            A = self._design(
+                [casimir_L2(alpha, L) for L in self.l_values.tolist()],
+                [casimir_Lz(alpha, m) for m in self.m_values.tolist()],
+            )
         except OverflowError:
             return math.inf, None
-        A = np.column_stack([np.ones_like(self.e_exp), c_l2, c_lz])
         # the scalar Gamma raises on most overflows but returns inf on some
         # (just above x = 142.2), which lstsq would reject
         if not np.isfinite(A).all():
@@ -292,10 +301,9 @@ class _Problem:
         alphas = np.asarray(alphas, dtype=float)
         self.evals += len(alphas)
         a = alphas[:, None]
-        c_l2 = casimir_L2_array(a, self.l_values)[:, self.l_index]
-        c_lz = casimir_Lz_array(a, self.m_values)[:, self.m_index]
-        feasible = np.isfinite(c_l2).all(axis=1) & np.isfinite(c_lz).all(axis=1)
-        A = np.stack([np.ones_like(c_l2), c_l2, c_lz], axis=-1)[feasible]
+        A = self._design(casimir_L2_array(a, self.l_values), casimir_Lz_array(a, self.m_values))
+        feasible = np.isfinite(A).all(axis=(1, 2))
+        A = A[feasible]
         q, r = np.linalg.qr(A)
         diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
         full = diag.min(axis=1) > _RANK_RTOL * diag.max(axis=1)

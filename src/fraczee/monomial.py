@@ -234,6 +234,7 @@ def rl_derive(e: PolyExpr, axis: str, order: float, drop_tol: float = DROP_TOL) 
     Raises:
         DomainError: input exponent <= -1 on the axis, or the result
             would leave the admissible class with a nonzero coefficient.
+        ValueError: a Gamma overflows, or a coefficient is not finite.
     """
     if axis not in _AXIS_INDEX:
         raise ValueError(f"unknown axis {axis!r}; axes are {AXES}")
@@ -258,7 +259,13 @@ def rl_derive(e: PolyExpr, axis: str, order: float, drop_tol: float = DROP_TOL) 
                 f"order {order} on axis {axis!r} drives exponent {v} below -1 "
                 f"in term {PolyExpr((t,)).render()}"
             )
-        coeff = t.coeff * gamma(1.0 + v) * rgamma(arg)
+        try:
+            coeff = t.coeff * gamma(1.0 + v) * rgamma(arg)
+        except OverflowError:
+            coeff = math.inf
+        if not math.isfinite(coeff):
+            raise ValueError(f"the order {order} derivative on axis {axis!r} of "
+                             f"{PolyExpr((t,)).render()} is not finite")
         exps = list(t.exps)
         exps[i] = v - order
         out.append(PowerTerm(coeff, tuple(exps)))
@@ -301,15 +308,18 @@ class _Scanner:
             raise ExprSyntaxError(f"non-finite literal {m.group(0)!r}", m.start())
         return value
 
-    def signed_number(self) -> float:
+    def sign(self) -> float:
+        """Consume a run of signs, maybe empty: -1.0 if it has an odd number of '-'."""
         sign = 1.0
-        while self.peek() in "+-":
+        while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        return sign * self.number()
+        return sign
 
 
 def _parse_product(sc: _Scanner) -> PowerTerm:
+    sc.skip_ws()
+    start = sc.pos
     coeff = 1.0
     exps = [0.0, 0.0, 0.0, 0.0]
     expect_factor = True
@@ -321,7 +331,7 @@ def _parse_product(sc: _Scanner) -> PowerTerm:
                 e = 1.0
                 if sc.peek() == "^":
                     sc.take()
-                    e = sc.signed_number()
+                    e = sc.sign() * sc.number()
                 exps[_AXIS_INDEX[ch]] += e
             elif ch.isdigit() or ch == ".":
                 coeff *= sc.number()
@@ -333,6 +343,8 @@ def _parse_product(sc: _Scanner) -> PowerTerm:
             expect_factor = True
         else:
             break
+    if not (math.isfinite(coeff) and all(math.isfinite(e) for e in exps)):
+        raise ExprSyntaxError("product with a non-finite coefficient or exponent", start)
     return PowerTerm(coeff, tuple(exps))
 
 
@@ -345,20 +357,13 @@ def parse_expr(src: str, drop_tol: float = DROP_TOL) -> PolyExpr:
     terms: list[PowerTerm] = []
     if sc.peek() == "":
         raise ExprSyntaxError("empty expression", 0)
-    sign = 1.0
-    while sc.peek() in "+-":
-        if sc.take() == "-":
-            sign = -sign
     while True:
+        sign = sc.sign()
         t = _parse_product(sc)
         terms.append(t.with_coeff(sign * t.coeff))
         ch = sc.peek()
         if ch == "":
             break
-        if ch not in "+-":
+        if ch not in ("+", "-"):
             raise ExprSyntaxError(f"unexpected character {ch!r}", sc.pos)
-        sign = 1.0
-        while sc.peek() in "+-":
-            if sc.take() == "-":
-                sign = -sign
     return PolyExpr.from_terms(terms, drop_tol)

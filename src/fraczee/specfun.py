@@ -9,6 +9,12 @@ exact cancellations instead of roundoff-sized residues.
 ``gamma_array`` and ``rgamma_array`` are the same kernel applied
 elementwise to numpy arrays, for callers that evaluate many arguments at
 once (the fit's alpha scan).  They never raise: overflow gives ``inf``.
+
+One Lanczos series and one factorial table serve both entry points.  The
+entry points stay two: numpy's ``pow``/``exp`` differ from libm's by an ulp
+on about 5% of arguments, so either serving the other would move printed
+numbers, and the scalar path keeps Python floats, which raise
+``OverflowError`` where numpy scalars only warn.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ _LANCZOS_COEFFS = (
 )
 
 
-#: (n-1)! as a float for n = 1..171, the integer arguments with a finite Gamma
+#: Gamma(n) = (n-1)! as a float at index n - 1, for the n = 1..171 with a finite Gamma
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(171)])
 
 
@@ -62,14 +68,16 @@ def _sinpi(x: float) -> float:
     return math.sin(math.pi * r)
 
 
-def _lanczos_positive(x: float) -> float:
-    # valid for x >= 0.5
+def _lanczos(x, exp):
+    """Gamma(x >= 0.5) of a float with ``math.exp`` or of an array with ``np.exp``.
+    Where Gamma overflows a float raises ``OverflowError``; an array gives the
+    ``inf`` of ``t ** (z + 0.5)``, or ``nan`` where it meets an underflowed ``exp(-t)``."""
     z = x - 1.0
     s = _LANCZOS_COEFFS[0]
     for i in range(1, len(_LANCZOS_COEFFS)):
         s += _LANCZOS_COEFFS[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * s
+    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * exp(-t) * s
 
 
 def gamma(x: float) -> float:
@@ -87,10 +95,10 @@ def gamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         raise GammaPoleError(f"gamma pole at x = {x!r}")
     if x == math.floor(x) and x <= 171.0:
-        return float(math.factorial(int(x) - 1))
+        return _FACTORIALS.item(int(x) - 1)
     if x < 0.5:
-        return math.pi / (_sinpi(x) * _lanczos_positive(1.0 - x))
-    return _lanczos_positive(x)
+        return math.pi / (_sinpi(x) * _lanczos(1.0 - x, math.exp))
+    return _lanczos(x, math.exp)
 
 
 def rgamma(x: float) -> float:
@@ -104,11 +112,11 @@ def rgamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         return 0.0
     if x == math.floor(x) and x <= 171.0:
-        return 1.0 / float(math.factorial(int(x) - 1))
+        return 1.0 / _FACTORIALS.item(int(x) - 1)
     if x >= 0.5:
-        return 1.0 / _lanczos_positive(x)
+        return 1.0 / _lanczos(x, math.exp)
     # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
-    return _sinpi(x) * _lanczos_positive(1.0 - x) / math.pi
+    return _sinpi(x) * _lanczos(1.0 - x, math.exp) / math.pi
 
 
 def _sinpi_array(x: np.ndarray) -> np.ndarray:
@@ -116,19 +124,6 @@ def _sinpi_array(x: np.ndarray) -> np.ndarray:
     r = np.where(r > 1.0, r - 2.0, np.where(r < -1.0, r + 2.0, r))
     r = np.where(r > 0.5, 1.0 - r, np.where(r < -0.5, -1.0 - r, r))
     return np.sin(np.pi * r)
-
-
-def _lanczos_array(x: np.ndarray) -> np.ndarray:
-    # valid for x >= 0.5; the scalar kernel's operations in the same order,
-    # except that overflow gives inf instead of raising: t ** (z+0.5) is the
-    # first to overflow, and a nan is that inf times an underflowed exp(-t)
-    z = x - 1.0
-    s = np.full_like(z, _LANCZOS_COEFFS[0])
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        s += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    g = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * s
-    return np.where(np.isnan(g), np.inf, g)
 
 
 def _kernel_array(x, reciprocal: bool) -> np.ndarray:
@@ -139,7 +134,8 @@ def _kernel_array(x, reciprocal: bool) -> np.ndarray:
         factorial = integer & (x >= 1.0) & (x <= 171.0)
         exact = _FACTORIALS[np.where(factorial, x, 1.0).astype(np.intp) - 1]
         reflect = x < 0.5
-        lanczos = _lanczos_array(np.where(reflect, 1.0 - x, x))
+        lanczos = _lanczos(np.where(reflect, 1.0 - x, x), np.exp)
+        lanczos = np.where(np.isnan(lanczos), np.inf, lanczos)
         sinpi = _sinpi_array(x)
         if reciprocal:
             # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -111,14 +111,6 @@ def casimir_Lz_array(alpha, M) -> np.ndarray:
         return gamma_array(1.0 + m * alpha) * rgamma_array(1.0 + (m - 1) * alpha)
 
 
-def _casimir_columns(alpha: float, rows: Sequence) -> tuple[list[float], list[float]]:
-    """:func:`casimir_L2` and plus-branch :func:`casimir_Lz` for every row (any
-    object with ``L`` and ``M``), evaluating each distinct L and |M| once."""
-    c_l2 = {L: casimir_L2(alpha, L) for L in dict.fromkeys(r.L for r in rows)}
-    c_lz = {m: casimir_Lz(alpha, m) for m in dict.fromkeys(abs(r.M) for r in rows)}
-    return [c_l2[r.L] for r in rows], [c_lz[abs(r.M)] for r in rows]
-
-
 def mass(p: FitParams, mult: Multiplet) -> float:
     """Level energy in MeV for one multiplet."""
     return spectrum(p, [mult])[0][1]
@@ -128,10 +120,11 @@ def spectrum(p: FitParams, mults: Iterable[Multiplet]) -> list[tuple[Multiplet, 
     """Masses for a list of multiplets, preserving input order; ``ValueError``
     where a level is not finite (the parameters or a Casimir overflow)."""
     mults = list(mults)
-    c_l2, c_lz = _casimir_columns(p.alpha, mults)
+    c_l2 = {L: casimir_L2(p.alpha, L) for L in dict.fromkeys(m.L for m in mults)}
+    c_lz = {m: casimir_Lz(p.alpha, m) for m in dict.fromkeys(abs(m.M) for m in mults)}
     out = []
-    for m, l2, lz in zip(mults, c_l2, c_lz):
-        e = p.m0 + p.a0 * l2 + p.b0 * (m.sign * lz)
+    for m in mults:
+        e = p.m0 + p.a0 * c_l2[m.L] + p.b0 * (m.sign * c_lz[abs(m.M)])
         if not math.isfinite(e):
             raise ValueError(f"the level of L={m.L}, M={m.M} is not finite at {p}")
         out.append((m, e))

@@ -25,6 +25,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_child(code, *args):
+    """Run ``python -c code *args`` on this checkout's package, bounded in time."""
+    src = str(Path(fraczee.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 # ------------------------------------------------------------------ derive
 
 
@@ -99,6 +108,42 @@ def test_derive_domain_error_exit_3(capsys):
     assert "domain error" in err
 
 
+_DERIVE_PROBE = """
+import json, sys
+from fraczee.cli import main
+print(json.dumps([main(["derive", e, "--axis", "x", "--order", "0.5"]) for e in sys.argv[1:]]))
+"""
+
+
+def test_derive_trailing_sign_or_caret_is_a_parse_error():
+    # a sign run that does not stop at the end of the input never returns:
+    # the child process's timeout bounds such a hang
+    exprs = ["x +", "x^", "-", "x^-", "2*x + -"]
+    proc = run_child(_DERIVE_PROBE, *exprs)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [2] * len(exprs)
+    assert proc.stdout.splitlines()[:-1] == []
+    assert proc.stderr.count("parse error: ") == len(exprs)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "expr, prefix",
+    [
+        # finite literals whose product or exponent sum is not finite
+        ("1e308*x*1e308", "parse error: "),
+        ("x^1e308*x^1e308", "parse error: "),
+        # a power-rule Gamma that raises OverflowError, and one that returns inf
+        ("x^200.5", "error: "),
+        ("x^141.3", "error: "),
+    ],
+)
+def test_derive_non_finite_coefficient_exits_2(capsys, expr, prefix):
+    code, out, err = run(capsys, "derive", expr, "--axis", "x", "--order", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -143,6 +188,15 @@ def test_verify_report_shape_is_pinned(capsys, seed):
         assert got == shape, name
         assert suites[name]["passed"] is True
     assert sum(len(s) for s in VERIFY_SHAPE.values()) == 43
+
+
+@pytest.mark.parametrize("seed", ["1729", "2024"])
+def test_verify_all_output_is_pinned(capsys, seed):
+    # every residual to the last printed digit: the quadrature's 1/h outer
+    # difference turns a 1-ulp change anywhere below it into a new number
+    code, out, _ = run(capsys, "verify", "all", "--seed", seed)
+    assert code == 0
+    assert out == (FIXTURES / f"verify_all_seed{seed}.json").read_text()
 
 
 def test_verify_quad_fails_with_too_few_nodes(capsys):
@@ -489,6 +543,40 @@ def test_bad_config_value_exits_2_before_output(capsys, tmp_path, entry, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("derive", "x", "--axis", "x", "--order", "0.5", "--at", "x=1"), "nodes", "0"),
+        (("derive", "x", "--axis", "x", "--order", "0.5"), "nodes", "-3"),
+        (("verify", "quad"), "nodes", "0"),
+        (("verify", "all"), "nodes", "-1"),
+        (("spectrum", "--l-max", "0"), "l-min", "-2"),
+        (("spectrum",), "l-max", "-1"),
+        (("predict",), "l-min", "-2"),
+        (("report", "--out-dir", "rep"), "l-min", "-2"),
+        (("derive", "x", "--axis", "x", "--order", "0.5"), "at", "x=1,q=2"),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_out_of_range_option_exits_2_before_output(
+    capsys, tmp_path, monkeypatch, argv, option, value, source
+):
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        code, out, err = run(capsys, *argv, f"--{option}", value)
+    else:
+        (tmp_path / "fraczee.conf").write_text(f"{option} = {value}\n")
+        code, out, err = run(capsys, "--config", "fraczee.conf", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_empty_level_band_stays_valid(capsys):
+    code, out, _ = run(capsys, "spectrum", "--l-min", "1", "--l-max", "0")
+    assert (code, out) == (0, "L\tM\tE_th_mev\n")
+
+
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("FRACZEE_SEED", "many")
     code, out, err = run(capsys, "verify", "quad")
@@ -586,11 +674,7 @@ print(json.dumps([before, scipy_modules()]))
 
 def test_scipy_is_loaded_only_for_quadrature_nodes():
     # the fit's Brent is in-repo; only the Gauss-Jacobi nodes come from scipy
-    src = str(Path(fraczee.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env, timeout=60
-    )
+    proc = run_child(_IMPORT_PROBE)
     assert proc.returncode == 0, proc.stderr
     before, after = json.loads(proc.stdout.splitlines()[-1])
     assert before == []

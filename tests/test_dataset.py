@@ -100,6 +100,23 @@ def test_csv_error_reports_line(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_first_bad_row_in_file_order_is_reported(tmp_path, suffix):
+    # a duplicate on the second row comes before an invalid fourth row
+    rows = [("foo", 3, 1, 1000.0), ("foo", 4, 1, 1100.0), ("bar", 3, 2, 900.0),
+            ("baz", 3, 9, 900.0)]
+    records = [dict(name=n, L=L, M=M, mass_mev=m, status="", group="baryon")
+               for n, L, M, m in rows]
+    path = tmp_path / f"rows{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps(records))
+    else:
+        path.write_text("name,L,M,mass_mev,status,group\n"
+                        + "".join(f"{n},{L},{M},{m},,baryon\n" for n, L, M, m in rows))
+    with pytest.raises(DatasetError, match="duplicate particle name 'foo'"):
+        load_records(path)
+
+
 def test_missing_columns_rejected(tmp_path):
     path = tmp_path / "cols.csv"
     path.write_text("name,L,M\nfoo,3,1\n")

@@ -1,5 +1,7 @@
 import importlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from fraczee.specfun import gamma
 from fraczee.spectrum import REFERENCE_PARAMS, FitParams, Multiplet, mass
 
 from reference_values import E_TH
+
+FIT_PINS = Path(__file__).parent / "fixtures" / "fit_full_precision.json"
 
 
 def synthetic_records(p: FitParams, l_lo=3, l_hi=9):
@@ -125,6 +129,26 @@ def test_objective_evaluates_each_distinct_casimir_once(monkeypatch):
     assert len(records) == 53
     assert calls.count("casimir_L2") == len({r.L for r in records}) == 13
     assert calls.count("casimir_Lz") == len({abs(r.M) for r in records}) == 12
+
+
+def test_profile_loss_evaluates_each_distinct_casimir_once(monkeypatch):
+    fitting_module = importlib.import_module("fraczee.fitting")
+    calls = []
+    for name in ("casimir_L2", "casimir_Lz"):
+        def counted(alpha, n, _fn=getattr(fitting_module, name), _name=name):
+            assert type(n) is int
+            calls.append(_name)
+            return _fn(alpha, n)
+        monkeypatch.setattr(fitting_module, name, counted)
+    records = select_records(builtin_table(), FitConfig())
+    prob = _Problem(records)
+    for alpha in (0.112, 0.5):
+        calls.clear()
+        loss, _ = prob.profile_loss(alpha)
+        assert math.isfinite(loss)
+        # 7 distinct L and 9 distinct |M| over the 42 rows, not 2 x 42
+        assert calls.count("casimir_L2") == len({r.L for r in records}) == 7
+        assert calls.count("casimir_Lz") == len({abs(r.M) for r in records}) == 9
 
 
 def test_objective_homogeneity():
@@ -239,6 +263,29 @@ def test_fit_is_global_optimum_over_alpha(table):
         assert len(minima) >= 2
     res = fit(records, FitConfig())
     assert res.loss_rms_mev <= curve.min() * (1.0 + 1e-9)
+
+
+def _pinned_tables():
+    yield "default", select_records(builtin_table(), FitConfig())
+    for seed in (11, 12, 13):
+        rng = np.random.default_rng(seed)
+        p = FitParams(rng.uniform(0.05, 0.9), -100.0, 500.0, 200.0)
+        yield f"noisy-{seed}", noisy_records(p, seed=seed, sigma=0.02)
+
+
+def fit_pin(records) -> dict:
+    """The fitted figures of the default config, every float as ``float.hex``."""
+    res = fit(records)
+    figures = dict(zip(("alpha", "m0", "a0", "b0"), res.params.astuple()))
+    figures["loss_rms_mev"] = res.loss_rms_mev
+    return {**{k: v.hex() for k, v in figures.items()}, "evals": res.evals}
+
+
+@pytest.mark.parametrize("name, records", [pytest.param(*t, id=t[0]) for t in _pinned_tables()])
+def test_fit_is_pinned_to_the_bit(name, records):
+    # b0 of the default fit sits 0.0007 MeV from a rounding boundary of
+    # `fit --out`, so the loss path must not move one bit of any figure
+    assert fit_pin(records) == json.loads(FIT_PINS.read_text())[name]
 
 
 def _scan_table(table):

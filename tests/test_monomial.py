@@ -66,6 +66,28 @@ def test_parse_rejects_unknown_symbol():
         parse_expr("x + w")
 
 
+# a sign run must stop at the end of the input, where peek() returns ""
+@pytest.mark.parametrize(
+    "src, offset", [("x +", 3), ("x^", 2), ("-", 1), ("x^-", 3), ("2*x + -", 7)]
+)
+def test_parse_rejects_a_trailing_sign_or_caret(src, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(src)
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "src, offset",
+    [("1e308*x*1e308", 0), ("x^1e308*x^1e308", 0), ("y - 2*x^1e308*x^1e308", 4),
+     ("x + -  1e200*1e200*y", 7)],
+)
+def test_parse_rejects_a_non_finite_product(src, offset):
+    # each literal is finite; their product or exponent sum is not
+    with pytest.raises(ExprSyntaxError, match="non-finite") as err:
+        parse_expr(src)
+    assert err.value.offset == offset
+
+
 # ---------------------------------------------------------------- rl_derive
 
 
@@ -113,6 +135,21 @@ def test_domain_violation_reported_with_term():
 def test_input_exponent_below_minus_one_rejected():
     with pytest.raises(DomainError):
         rl_derive(poly(term(1.0, x=-1.2)), "x", 0.5)
+
+
+@pytest.mark.parametrize(
+    "src, order",
+    [
+        ("x^200.5", 0.5),  # Gamma(201.5) raises OverflowError
+        ("x^141.3", 0.5),  # Gamma(142.3) returns inf without raising
+        ("x^170", -0.5),  # Gamma(171) is finite, 1/Gamma(171.5) is not
+        ("1e308*x^3", 0.5),  # every Gamma is finite, the coefficient is not
+    ],
+)
+def test_overflowing_coefficient_is_a_value_error(src, order):
+    with pytest.raises(ValueError, match="not finite") as err:
+        rl_derive(parse_expr(src), "x", order)
+    assert not isinstance(err.value, DomainError)
 
 
 def test_negative_order_is_integration():

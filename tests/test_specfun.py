@@ -173,6 +173,14 @@ def test_array_kernel_overflow_is_not_an_error():
         assert abs(rgamma_array(-200.5)) == math.inf
 
 
+@pytest.mark.parametrize("x", [5.0, 1.0, 171.0, 1.448, 40.5, -2.5, 0.25])
+def test_scalar_kernel_returns_python_floats(x):
+    # integer (factorial table), Lanczos and reflected arguments: a numpy
+    # scalar would warn where the scalar path must raise OverflowError
+    assert type(gamma(x)) is float
+    assert type(rgamma(x)) is float
+
+
 def test_array_gamma_matches_oracle():
     # the 1000 arguments of acceptance criterion 7
     xs = np.random.default_rng(777).uniform(0.1, 40.0, size=1000)
