@@ -13,11 +13,15 @@ subcommand does not have are ignored.  Config and environment values are
 converted by the option's own type before the command runs, so a bad
 value exits 2 with nothing printed.  The required options ``--axis``,
 ``--order`` and ``--out-dir`` must be given as flags.
+
+``main`` builds its parser once per process and reuses it; a ``--config``
+file or ``FRACZEE_SEED`` affects only the call it is given to.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -396,16 +400,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
         defaults = _option_defaults(command, _read_config(args.config))
         if defaults:
-            # parse again over the new defaults, so that flags still win
+            # parse again over the new defaults, so that flags still win, then
+            # give the shared parser its own defaults back for the next call
+            table = dict(command._defaults)
+            previous = [(a, a.default) for a in command._actions if a.dest in defaults]
             command.set_defaults(**defaults)
-            args = parser.parse_args(argv)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                command._defaults = table
+                for action, default in previous:
+                    action.default = default
         if getattr(args, "nodes", 1) < 1:
             raise ValueError(f"need at least one quadrature node, got --nodes {args.nodes}")
         return args.func(args)

@@ -366,4 +366,8 @@ def parse_expr(src: str, drop_tol: float = DROP_TOL) -> PolyExpr:
             break
         if ch not in ("+", "-"):
             raise ExprSyntaxError(f"unexpected character {ch!r}", sc.pos)
-    return PolyExpr.from_terms(terms, drop_tol)
+    expr = PolyExpr.from_terms(terms, drop_tol)
+    # finite like terms can still sum past the float range
+    if not all(math.isfinite(t.coeff) for t in expr.terms):
+        raise ExprSyntaxError("like terms sum to a non-finite coefficient", 0)
+    return expr

@@ -13,8 +13,9 @@ once (the fit's alpha scan).  They never raise: overflow gives ``inf``.
 One Lanczos series and one factorial table serve both entry points.  The
 entry points stay two: numpy's ``pow``/``exp`` differ from libm's by an ulp
 on about 5% of arguments, so either serving the other would move printed
-numbers, and the scalar path keeps Python floats, which raise
-``OverflowError`` where numpy scalars only warn.
+numbers, and the scalar path converts its argument to a Python float on
+entry, so that a numpy scalar raises ``OverflowError`` where it would only
+warn.
 """
 
 from __future__ import annotations
@@ -92,6 +93,8 @@ def gamma(x: float) -> float:
     """
     if not math.isfinite(x):
         raise ValueError(f"gamma requires a finite argument, got {x!r}")
+    if type(x) is not float:
+        x = float(x)
     if _is_nonpositive_integer(x):
         raise GammaPoleError(f"gamma pole at x = {x!r}")
     if x == math.floor(x) and x <= 171.0:
@@ -109,6 +112,8 @@ def rgamma(x: float) -> float:
     """
     if not math.isfinite(x):
         raise ValueError(f"rgamma requires a finite argument, got {x!r}")
+    if type(x) is not float:
+        x = float(x)
     if _is_nonpositive_integer(x):
         return 0.0
     if x == math.floor(x) and x <= 171.0:

@@ -1,3 +1,4 @@
+import functools
 import sys
 import time
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fraczee import FitConfig, builtin_table, fit, select_records
+from fraczee import FitConfig, builtin_table, cli, fit, select_records
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +19,11 @@ def default_fit():
     result = fit(selected, cfg)
     elapsed = time.perf_counter() - t0
     return cfg, selected, result, elapsed
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Give ``cli.main`` an empty parser cache for one test: its next call
+    builds a new parser through ``cli._build_parser`` (as that name stands
+    then), and later calls reuse it.  The process's cache is back afterwards."""
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))

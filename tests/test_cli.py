@@ -12,6 +12,7 @@ import fraczee
 from fraczee import cli
 from fraczee.cli import main
 from fraczee.dataset import builtin_table
+from fraczee.fitting import DEFAULT_SEED
 
 from reference_values import DE_PERCENT
 
@@ -142,6 +143,13 @@ def test_derive_non_finite_coefficient_exits_2(capsys, expr, prefix):
     code, out, err = run(capsys, "derive", expr, "--axis", "x", "--order", "0.5")
     assert (code, out) == (2, "")
     assert err.startswith(prefix) and "Traceback" not in err
+
+
+def test_derive_like_terms_summing_to_inf_exit_2(capsys):
+    # order 0 returns the parsed expression, so the parser must catch it
+    code, out, err = run(capsys, "derive", "1e308*x + 1e308*x", "--axis", "x", "--order", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and "Traceback" not in err
 
 
 # ------------------------------------------------------------------ verify
@@ -608,7 +616,7 @@ _REQUIRED = {
 }
 
 
-def test_every_optional_long_option_reads_the_config(tmp_path, monkeypatch):
+def test_every_optional_long_option_reads_the_config(tmp_path, monkeypatch, fresh_parser):
     seen = []
     build = cli._build_parser
 
@@ -622,6 +630,8 @@ def test_every_optional_long_option_reads_the_config(tmp_path, monkeypatch):
             command.set_defaults(func=capture)
         return parser
 
+    # the empty cache builds the capturing parser on the first call below,
+    # and all 74 calls share it
     monkeypatch.setattr(cli, "_build_parser", capturing_parser)
     monkeypatch.delenv("FRACZEE_SEED", raising=False)
     commands = _subcommands(build())
@@ -646,6 +656,103 @@ def test_every_optional_long_option_reads_the_config(tmp_path, monkeypatch):
             walked += 1
     # 2 derive + 3 verify + 7 spectrum + 10 fit + 7 predict + 8 report options
     assert walked == 37
+
+
+def test_main_builds_one_parser_per_process(capsys, tmp_path, monkeypatch, fresh_parser):
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    cfg = tmp_path / "fraczee.conf"
+    cfg.write_text("l-max = 2\n")
+    for argv in (
+        ["spectrum"],
+        ["--config", str(cfg), "predict"],
+        ["derive", "x", "--axis", "x", "--order", "0.5"],
+        ["spectrum", "--l-min", "-1"],
+        ["spectrum"],
+    ):
+        run(capsys, *argv)
+    assert len(built) == 1
+
+
+def test_config_does_not_reach_the_next_call(capsys, tmp_path, fresh_parser):
+    cfg = tmp_path / "fraczee.conf"
+    cfg.write_text("l-max = 3\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "spectrum")
+    assert code == 0 and out.splitlines()[-1].split("\t")[:2] == ["3", "3"]
+    code, out, _ = run(capsys, "spectrum")
+    child = run_child("import sys\nfrom fraczee.cli import main\nsys.exit(main(sys.argv[1:]))",
+                      "spectrum")
+    assert (code, child.returncode) == (0, 0)
+    assert out == child.stdout
+    assert out.splitlines()[-1].split("\t")[:2] == ["9", "9"]
+
+
+def test_env_seed_does_not_reach_the_next_call(capsys, monkeypatch, fresh_parser):
+    monkeypatch.setenv("FRACZEE_SEED", "1234")
+    code, out, _ = run(capsys, "verify", "quad")
+    assert (code, json.loads(out)["seed"]) == (0, 1234)
+    monkeypatch.delenv("FRACZEE_SEED")
+    code, out, _ = run(capsys, "verify", "quad")
+    assert (code, json.loads(out)["seed"]) == (0, DEFAULT_SEED)
+
+
+def _defaults(parser):
+    """Each subcommand's option defaults and ``set_defaults`` table."""
+    return {
+        name: ({a.dest: a.default for a in command._actions}, dict(command._defaults))
+        for name, command in _subcommands(parser).items()
+    }
+
+
+@pytest.mark.parametrize(
+    "config, argv, code",
+    [
+        ("l-min = -1\nl-max = 3", ["spectrum"], 2),
+        ("seed = 5\nnodes = 0", ["verify", "quad"], 2),
+        ("l-min = 3\ndata = nope.csv", ["fit"], 4),
+        ("params-file = nope.json\nl-max = 2", ["predict"], 4),
+    ],
+)
+def test_failed_config_call_leaves_the_defaults_restored(
+    capsys, tmp_path, monkeypatch, fresh_parser, config, argv, code
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("FRACZEE_SEED", "99")
+    before = _defaults(cli._parser())
+    assert before == _defaults(cli._build_parser())
+    (tmp_path / "fraczee.conf").write_text(config + "\n")
+    assert run(capsys, "--config", "fraczee.conf", *argv)[0] == code
+    assert _defaults(cli._parser()) == before
+
+
+# every --help text, and one argparse usage error
+_HELP_ARGVS = [["--help"], *([name, "--help"] for name in _REQUIRED), ["spectrum", "--l-min", "two"]]
+
+
+def test_help_and_usage_error_read_the_same_on_a_later_call(
+    capsys, tmp_path, monkeypatch, fresh_parser
+):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def texts():
+        got = []
+        for argv in _HELP_ARGVS:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            got.append((exc.value.code, captured.out, captured.err))
+        return got
+
+    first = texts()
+    assert [code for code, _, _ in first] == [0] * (len(_HELP_ARGVS) - 1) + [2]
+    assert "invalid int value: 'two'" in first[-1][2]
+    # config calls that set options whose help text shows the default
+    cfg = tmp_path / "fraczee.conf"
+    cfg.write_text("groups = cfg\nexclude = cfg\nstarts = 7\nmax-evals = 9\nnodes = 7\n")
+    assert run(capsys, "--config", str(cfg), "fit", "--data", str(tmp_path / "nope.csv"))[0] == 4
+    assert run(capsys, "--config", str(cfg), "derive", "x", "--axis", "x", "--order", "0.5")[0] == 0
+    assert texts() == first
 
 
 def test_missing_data_file_exit_4(capsys, tmp_path):

@@ -79,10 +79,10 @@ def test_parse_rejects_a_trailing_sign_or_caret(src, offset):
 @pytest.mark.parametrize(
     "src, offset",
     [("1e308*x*1e308", 0), ("x^1e308*x^1e308", 0), ("y - 2*x^1e308*x^1e308", 4),
-     ("x + -  1e200*1e200*y", 7)],
+     ("x + -  1e200*1e200*y", 7), ("1e308*x + 1e308*x", 0)],
 )
 def test_parse_rejects_a_non_finite_product(src, offset):
-    # each literal is finite; their product or exponent sum is not
+    # each literal is finite; their product, exponent sum or merged sum is not
     with pytest.raises(ExprSyntaxError, match="non-finite") as err:
         parse_expr(src)
     assert err.value.offset == offset

@@ -13,6 +13,7 @@ from fraczee.specfun import (
     rgamma,
     rgamma_array,
 )
+from fraczee.spectrum import casimir_L2
 
 from oracles import spouge_gamma
 from reference_values import GAMMA_1_448
@@ -179,6 +180,31 @@ def test_scalar_kernel_returns_python_floats(x):
     # scalar would warn where the scalar path must raise OverflowError
     assert type(gamma(x)) is float
     assert type(rgamma(x)) is float
+
+
+@pytest.mark.parametrize(
+    "x", [np.int64(5), np.int64(171), np.float64(1.448), np.float64(40.5), np.float64(-2.5)]
+)
+def test_numpy_scalar_gives_the_python_float_result(x):
+    assert type(gamma(x)) is float and gamma(x) == gamma(float(x))
+    assert type(rgamma(x)) is float and rgamma(x) == rgamma(float(x))
+
+
+@pytest.mark.parametrize("x", [np.int64(200), np.float64(171.5), np.float64(200.5), np.float64(1e6)])
+def test_numpy_scalar_overflow_raises_like_a_python_float(x):
+    # computed in numpy these would warn and give inf or nan
+    with pytest.raises(OverflowError):
+        gamma(x)
+    with pytest.raises(OverflowError):
+        rgamma(x)
+
+
+def test_casimir_of_a_numpy_integer_raises_like_a_python_int():
+    with pytest.raises(OverflowError):
+        casimir_L2(0.9, 200)
+    with pytest.raises(OverflowError):
+        casimir_L2(0.9, np.int64(200))
+    assert casimir_L2(0.9, np.int64(7)) == casimir_L2(0.9, 7)
 
 
 def test_array_gamma_matches_oracle():
