@@ -1,0 +1,199 @@
+"""Golden corpus: pinned ``derive`` outputs and Gamma bits.
+
+These are characterization ("golden master") tests (M. Feathers, *Working
+Effectively with Legacy Code*, 2004, ch. 13).  ``fixtures/golden.json`` holds
+
+- for about 200 seeded ``derive`` cases over all four axes, orders in
+  (-1.5, 2.5), pole and near-pole orders, exponents down to -0.9 and
+  like terms that differ near the 1e-9 merge resolution: the exit code,
+  stdout and stderr of ``fraczee derive`` with and without ``--at``, and
+  the ``float.hex`` of the coefficient and exponents of every result term
+  (or the exception name);
+- the ``float.hex`` of ``gamma``, ``rgamma``, ``gamma_array`` and
+  ``rgamma_array`` on a fixed argument set (poles, reflection, the
+  factorial short-cut, the overflow edge near 142.2), or the exception
+  name where a scalar call raises.
+
+``derive`` prints 11 significant digits, so the term bits are what catch an
+ulp-level change.  A pinned cell may change only as a named bug fix.  After
+such a fix, regenerate the fixture from the same case generator with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fraczee import cli
+from fraczee.monomial import AXES, parse_expr, rl_derive
+from fraczee.specfun import gamma, gamma_array, rgamma, rgamma_array
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden.json"
+
+_SEED = 2026
+_N_CASES = 200
+
+#: Gamma arguments: poles, near-poles, reflection, the factorial short-cut
+#: (integers up to 171), the overflow edge near 142.2 and non-finite input
+GAMMA_ARGS = (
+    0.0, -1.0, -2.0, -5.0, -170.0, -1.0 + 1e-9, -1e-10, 1e-10, 1e-300,
+    0.1, 0.25, 0.4999, 0.5, -0.3, -0.5, -1.5, -2.5, -3.7, -10.5, -100.25,
+    -141.3, -150.5, -170.5, -171.5, -180.2,
+    1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 100.0, 170.0, 171.0, 172.0,
+    1.448, 1.5, 2.3, 7.7, 50.25, 100.5, 141.9, 142.0, 142.2, 142.22, 142.25,
+    142.3, 142.37, 142.4, 143.0, 150.5, 171.5, 200.5,
+    float("inf"), float("-inf"), float("nan"),
+)
+
+
+def _exponent(rng: random.Random) -> float:
+    u = rng.random()
+    if u < 0.3:
+        return float(rng.randint(0, 3))
+    if u < 0.5:
+        return rng.choice((-0.9, -0.5, 0.5, 1.5, 2.5))
+    return round(rng.uniform(-0.9, 3.0), 3)
+
+
+def _coeff(rng: random.Random) -> str:
+    return rng.choice(("1", "3", "0.25", "2.5", "1.5e-3", "7e2", str(round(rng.uniform(0.1, 9), 3))))
+
+
+def _product(coeff: str, exps: dict[str, float]) -> str:
+    factors = [coeff] + [a if e == 1.0 else f"{a}^{e!r}" for a, e in exps.items()]
+    return "*".join(factors)
+
+
+def _case(rng: random.Random, i: int) -> dict[str, str]:
+    """One ``derive`` case; ``i % 10`` picks a family (0 pole, 1 near-like
+    exponents, 2 near-pole order), the rest are random sums."""
+    axis = AXES[i % len(AXES)]
+    others = [a for a in AXES if a != axis]
+    u = rng.random()
+    if u < 0.2:
+        order = rng.choice((-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0))
+    else:
+        # a third of the orders fall in (0, 1), where --at runs the quadrature
+        order = round(rng.uniform(0.0, 1.0) if u < 0.5 else rng.uniform(-1.5, 2.5), 3)
+    products = []
+    family = i % 10
+    if family in (0, 2):
+        # 1 + v - order = -k annihilates the term (exactly, or within 1e-9)
+        v, k = rng.choice(((-0.5, 0), (-0.5, 1), (0.25, 0), (0.25, 1), (0.3, 1), (0.5, 0), (1.0, 0)))
+        order = 1.0 + v + k
+        if family == 2:
+            order += rng.choice((3e-10, -3e-10, 5e-9, -5e-9))
+        products.append(_product(_coeff(rng), {axis: v, rng.choice(others): _exponent(rng)}))
+    elif family == 1:
+        # like terms whose exponents differ at, below and above the merge grid
+        v = _exponent(rng)
+        d = rng.choice((3e-9, -3e-9, 2e-10, 4e-8))
+        products.append(_product(_coeff(rng), {axis: v}))
+        products.append(_product(_coeff(rng), {axis: v + d}))
+    for _ in range(rng.randint(0 if products else 1, 2)):
+        exps = {axis: _exponent(rng)} if rng.random() < 0.8 else {}
+        if exps and exps[axis] - order < -1.0 and rng.random() < 0.8:
+            # most terms stay admissible, so most cases print a derivative
+            exps[axis] = round(order - 1.0 + rng.uniform(0.05, 2.0), 3)
+        for a in rng.sample(others, rng.randint(0, 2)):
+            exps[a] = _exponent(rng)
+        products.append(_product(_coeff(rng), exps))
+    expr = products[0]
+    for p in products[1:]:
+        expr += rng.choice((" + ", " - ")) + p
+    # the point supplies every axis; the derivative axis stays positive
+    point = {a: round(rng.uniform(0.2, 3.0), 3) for a in AXES}
+    for a in others:
+        if rng.random() < 0.15:
+            point[a] = -point[a]
+    at = ",".join(f"{a}={v!r}" for a, v in point.items())
+    return {"expr": expr, "axis": axis, "order": repr(order), "at": at}
+
+
+def cases() -> list[dict[str, str]]:
+    rng = random.Random(_SEED)
+    return [_case(rng, i) for i in range(_N_CASES)]
+
+
+def _run_cli(argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _terms(case: dict[str, str]):
+    try:
+        result = rl_derive(parse_expr(case["expr"]), case["axis"], float(case["order"]))
+    except ValueError as exc:
+        return type(exc).__name__
+    return [[t.coeff.hex(), *(e.hex() for e in t.exps)] for t in result.terms]
+
+
+def outcome(case: dict[str, str]) -> dict:
+    """Everything pinned for one case: both CLI runs and the result's bits."""
+    argv = ["derive", case["expr"], "--axis", case["axis"], "--order", case["order"]]
+    return {
+        "plain": _run_cli(argv),
+        "with_at": _run_cli(argv + ["--at", case["at"]]),
+        "terms": _terms(case),
+    }
+
+
+def _scalar(f, x: float) -> str:
+    try:
+        return f(x).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def gamma_bits() -> dict[str, list[str]]:
+    xs = np.array(GAMMA_ARGS)
+    return {
+        "gamma": [_scalar(gamma, x) for x in GAMMA_ARGS],
+        "rgamma": [_scalar(rgamma, x) for x in GAMMA_ARGS],
+        "gamma_array": [v.hex() for v in gamma_array(xs).tolist()],
+        "rgamma_array": [v.hex() for v in rgamma_array(xs).tolist()],
+    }
+
+
+def build_corpus() -> dict:
+    return {
+        "derive": [{**case, **outcome(case)} for case in cases()],
+        "gamma": {"args": [x.hex() for x in GAMMA_ARGS], **gamma_bits()},
+    }
+
+
+CORPUS = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"derive": [], "gamma": {}}
+_INPUT_KEYS = ("expr", "axis", "order", "at")
+
+
+def test_corpus_inputs_come_from_the_generator():
+    assert [{k: c[k] for k in _INPUT_KEYS} for c in CORPUS["derive"]] == cases()
+    assert CORPUS["gamma"]["args"] == [x.hex() for x in GAMMA_ARGS]
+
+
+@pytest.mark.parametrize(
+    "pinned", CORPUS["derive"], ids=[f"derive-{i:03d}" for i in range(len(CORPUS["derive"]))]
+)
+def test_derive_matches_golden(pinned):
+    case = {k: pinned[k] for k in _INPUT_KEYS}
+    assert outcome(case) == {k: pinned[k] for k in ("plain", "with_at", "terms")}
+
+
+@pytest.mark.parametrize("name", ["gamma", "rgamma", "gamma_array", "rgamma_array"])
+def test_gamma_bits_match_golden(name):
+    assert gamma_bits()[name] == CORPUS["gamma"][name]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(build_corpus(), indent=1) + "\n")
+    print(f"wrote {GOLDEN}")
