@@ -131,13 +131,25 @@ def _validate(records: Iterable[ParticleRecord]) -> list[ParticleRecord]:
     return out
 
 
+def _number(obj: dict, key: str, where: str, kind: type):
+    """``obj[key]`` converted by ``kind``; a JSON boolean, or a fractional or
+    non-finite number where an integer is due, is rejected, not truncated."""
+    value = obj[key]
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise DatasetError(f"{where}: {key} = {json.dumps(value)} is not "
+                           f"{'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
 def _record_from_mapping(obj: dict, where: str) -> ParticleRecord:
     try:
         return ParticleRecord(
             name=str(obj["name"]),
-            L=int(obj["L"]),
-            M=int(obj["M"]),
-            mass_mev=float(obj["mass_mev"]),
+            L=_number(obj, "L", where, int),
+            M=_number(obj, "M", where, int),
+            mass_mev=_number(obj, "mass_mev", where, float),
             status=str(obj.get("status", "")),
             group=str(obj["group"]),
         )
@@ -147,21 +159,19 @@ def _record_from_mapping(obj: dict, where: str) -> ParticleRecord:
         raise DatasetError(f"{where}: {exc}") from exc
 
 
-def load_records(path: str | Path, format: str | None = None) -> list[ParticleRecord]:
-    """Load particle records from CSV (with header) or a JSON array.
+def load_records(path: str | Path) -> list[ParticleRecord]:
+    """Load particle records from a JSON array (``.json`` suffix) or else CSV
+    with a header.
 
-    The format is inferred from the suffix unless given explicitly.
-    Duplicate names and invariant violations (M > L, nonpositive mass)
-    are rejected with the offending line identified.
+    Duplicate names, invariant violations (M > L, nonpositive mass) and
+    JSON values of the wrong type (a boolean, a fractional L or M) are
+    rejected with the offending line or entry identified.
     """
     p = Path(path)
-    fmt = format or ("json" if p.suffix.lower() == ".json" else "csv")
     text = p.read_text()
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r} (expected 'csv' or 'json')")
     if not text.strip():
         return []
-    if fmt == "json":
+    if p.suffix.lower() == ".json":
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -194,22 +194,17 @@ def minimize_scalar(
 @dataclass(frozen=True)
 class FitConfig:
     """Record selection and fit budget: ``starts`` scan minima are refined within
-    ``max_evals`` profile-loss evaluations, scan included; ``seed`` and ``tol``
-    do not affect the fit."""
+    ``max_evals`` profile-loss evaluations, scan included."""
 
     include_groups: tuple[str, ...] = ("baryon",)
     l_range: tuple[int, int] | None = (3, 9)
     exclude_names: tuple[str, ...] = DEFAULT_EXCLUDE
     starts: int = 32
-    seed: int = DEFAULT_SEED
     max_evals: int = 2500
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
 

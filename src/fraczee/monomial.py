@@ -95,7 +95,7 @@ def term(coeff: float, **exponents: float) -> PowerTerm:
     return PowerTerm(float(coeff), _exps_tuple(exponents))
 
 
-def _merge(terms: Iterable[PowerTerm], drop_tol: float) -> tuple[PowerTerm, ...]:
+def _merge(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
     # group on exponents snapped to 9 decimals so that roundoff-sized
     # disagreements between computation paths still cancel; the first term
     # seen keeps its raw exponents as the cluster representative
@@ -104,7 +104,7 @@ def _merge(terms: Iterable[PowerTerm], drop_tol: float) -> tuple[PowerTerm, ...]
         key = tuple(round(e, 9) for e in t.exps)
         g = groups.get(key)
         groups[key] = t if g is None else g.with_coeff(g.coeff + t.coeff)
-    kept = (t for t in groups.values() if abs(t.coeff) > drop_tol)
+    kept = (t for t in groups.values() if abs(t.coeff) > DROP_TOL)
     return tuple(sorted(kept, key=lambda t: t.exps))
 
 
@@ -118,14 +118,14 @@ class PolyExpr:
     """Normalized finite sum of :class:`PowerTerm`.
 
     Construction merges terms with equal exponent vectors and drops
-    coefficients below ``drop_tol``; instances are immutable.
+    coefficients below ``DROP_TOL``; instances are immutable.
     """
 
     terms: tuple[PowerTerm, ...]
 
     @staticmethod
-    def from_terms(terms: Iterable[PowerTerm], drop_tol: float = DROP_TOL) -> "PolyExpr":
-        return PolyExpr(_merge(terms, drop_tol))
+    def from_terms(terms: Iterable[PowerTerm]) -> "PolyExpr":
+        return PolyExpr(_merge(terms))
 
     @staticmethod
     def zero() -> "PolyExpr":
@@ -221,7 +221,7 @@ class PolyExpr:
         return "".join(out)
 
 
-def rl_derive(e: PolyExpr, axis: str, order: float, drop_tol: float = DROP_TOL) -> PolyExpr:
+def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
     """Riemann-Liouville derivative (integral for order < 0) along one axis.
 
     Each term ``c x^v`` maps to ``c Gamma(1+v) rgamma(1+v-order) x^(v-order)``.
@@ -269,7 +269,7 @@ def rl_derive(e: PolyExpr, axis: str, order: float, drop_tol: float = DROP_TOL) 
         exps = list(t.exps)
         exps[i] = v - order
         out.append(PowerTerm(coeff, tuple(exps)))
-    return PolyExpr.from_terms(out, drop_tol)
+    return PolyExpr.from_terms(out)
 
 
 # ----------------------------------------------------------------------
@@ -348,7 +348,7 @@ def _parse_product(sc: _Scanner) -> PowerTerm:
     return PowerTerm(coeff, tuple(exps))
 
 
-def parse_expr(src: str, drop_tol: float = DROP_TOL) -> PolyExpr:
+def parse_expr(src: str) -> PolyExpr:
     """Parse ``"0.5*x^0.5*z^1.2 - 2*y"``-style input into a PolyExpr.
 
     Raises :class:`ExprSyntaxError` (with byte offset) on malformed input.
@@ -366,7 +366,7 @@ def parse_expr(src: str, drop_tol: float = DROP_TOL) -> PolyExpr:
             break
         if ch not in ("+", "-"):
             raise ExprSyntaxError(f"unexpected character {ch!r}", sc.pos)
-    expr = PolyExpr.from_terms(terms, drop_tol)
+    expr = PolyExpr.from_terms(terms)
     # finite like terms can still sum past the float range
     if not all(math.isfinite(t.coeff) for t in expr.terms):
         raise ExprSyntaxError("like terms sum to a non-finite coefficient", 0)

@@ -98,9 +98,6 @@ class PhasedPoly:
     def max_abs_coeff(self) -> float:
         return max(self.re.max_abs_coeff(), self.im.max_abs_coeff())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs_coeff() <= tol
-
 
 def _orders_tuple(orders: Mapping[str, float | Sequence[float]] | None):
     out: list[tuple[float, ...]] = [(), (), (), ()]
@@ -122,8 +119,6 @@ class OperatorTerm:
     pre: tuple[float, float, float, float] = _ZERO4
     inner: tuple[float, float, float, float] = _ZERO4
     orders: tuple[tuple[float, ...], ...] = ((), (), (), ())
-    #: exponent of the (hbar / m c) unit prefactor, kept for rendering only
-    hbar_mc_power: float = 0.0
 
     def apply_to(self, f: PolyExpr) -> PolyExpr:
         """Image of the operand before the i^iphase phase factor."""
@@ -133,25 +128,6 @@ class OperatorTerm:
                 g = rl_derive(g, axis, q)
         return g.mul_term(PowerTerm(self.coeff, self.pre))
 
-    def render(self) -> str:
-        bits = []
-        phase = {0: "", 1: "i", 2: "-", 3: "-i"}[self.iphase % 4]
-        if phase:
-            bits.append(phase if phase != "-" else "-1")
-        bits.append("%.6g" % self.coeff)
-        if self.hbar_mc_power:
-            bits.append("(hbar/mc)^%.6g" % self.hbar_mc_power)
-        pre = PolyExpr((PowerTerm(1.0, self.pre),)).render()
-        if pre != "1":
-            bits.append(pre)
-        for i, axis in enumerate(AXES):
-            for q in self.orders[i]:
-                bits.append(f"D{axis}^%.6g" % q)
-        inner = PolyExpr((PowerTerm(1.0, self.inner),)).render()
-        if inner != "1":
-            bits.append(f"[{inner}·]")
-        return "*".join(b for b in bits if b)
-
 
 def op_term(
     coeff: float,
@@ -159,7 +135,6 @@ def op_term(
     pre: Mapping[str, float] | None = None,
     inner: Mapping[str, float] | None = None,
     orders: Mapping[str, float | Sequence[float]] | None = None,
-    hbar_mc_power: float = 0.0,
 ) -> OperatorTerm:
     return OperatorTerm(
         float(coeff),
@@ -167,7 +142,6 @@ def op_term(
         _exps_tuple(pre),
         _exps_tuple(inner),
         _orders_tuple(orders),
-        hbar_mc_power,
     )
 
 
@@ -203,7 +177,6 @@ class OperatorExpr:
                     t.pre,
                     t.inner,
                     t.orders,
-                    t.hbar_mc_power,
                 )
                 for t in self.terms
             )
@@ -230,10 +203,10 @@ class OperatorExpr:
         b = self.apply(g.im)  # operand carries a factor i
         return PhasedPoly(a.re - b.im, a.im + b.re)
 
-    def canonical(self, tol: float = DROP_TOL) -> "OperatorExpr":
+    def canonical(self) -> "OperatorExpr":
         """Merge equal terms; fold phases 2, 3 into the sign; move inner
         multipliers past derivative-free axes into the prefactor."""
-        normalized: dict[tuple, tuple[float, float]] = {}
+        normalized: dict[tuple, float] = {}
         for t in self.terms:
             coeff = t.coeff
             p = t.iphase % 4
@@ -246,20 +219,16 @@ class OperatorExpr:
                     pre[i] += inner[i]
                     inner[i] = 0.0
             key = (p, tuple(pre), tuple(inner), t.orders)
-            c0, _ = normalized.get(key, (0.0, 0.0))
-            normalized[key] = (c0 + coeff, t.hbar_mc_power)
+            normalized[key] = normalized.get(key, 0.0) + coeff
         kept = [
-            OperatorTerm(c, p, pre, inner, orders, hmc)
-            for (p, pre, inner, orders), (c, hmc) in sorted(normalized.items())
-            if abs(c) > tol
+            OperatorTerm(c, p, pre, inner, orders)
+            for (p, pre, inner, orders), c in sorted(normalized.items())
+            if abs(c) > DROP_TOL
         ]
         return OperatorExpr(tuple(kept))
 
-    def is_zero(self, tol: float = DROP_TOL) -> bool:
-        return not self.canonical(tol).terms
-
-    def render(self) -> str:
-        return " + ".join(t.render() for t in self.terms) if self.terms else "0"
+    def is_zero(self) -> bool:
+        return not self.canonical().terms
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr, f: PolyExpr) -> PhasedPoly:
@@ -298,8 +267,8 @@ def _k_component(axes_pair: tuple[str, str], beta: float, m: float) -> OperatorE
     c = m ** (1.0 - beta)
     return OperatorExpr(
         (
-            op_term(c, 1, pre={u: 1.0}, orders={v: beta}, hbar_mc_power=beta),
-            op_term(-c, 1, pre={v: 1.0}, orders={u: beta}, hbar_mc_power=beta),
+            op_term(c, 1, pre={u: 1.0}, orders={v: beta}),
+            op_term(-c, 1, pre={v: 1.0}, orders={u: beta}),
         )
     )
 
@@ -352,7 +321,7 @@ def build_Sz(alpha: float, m: float = 1.0) -> OperatorExpr:
 def build_p(axis: str, beta: float, m: float = 1.0) -> OperatorExpr:
     """Fractional translation generator p_axis(beta) = i D_axis^beta."""
     c = m ** (1.0 - beta)
-    return OperatorExpr((op_term(c, 1, orders={axis: beta}, hbar_mc_power=beta),))
+    return OperatorExpr((op_term(c, 1, orders={axis: beta}),))
 
 
 # ----------------------------------------------------------------------
@@ -416,14 +385,22 @@ class CheckReport:
         }
 
 
-def check_constant_field(Bz: PolyExpr, alpha: float, tol: float = 1e-12) -> CheckReport:
+def _report(
+    name: str, tol: float, residuals: dict[str, float], details: dict | None = None
+) -> CheckReport:
+    """The report of a check that passes when every residual is below ``tol``."""
+    passed = all(v < tol for v in residuals.values())
+    return CheckReport(name, passed, tol, residuals, details or {})
+
+
+def check_constant_field(Bz: PolyExpr, alpha: float) -> CheckReport:
     """Fractional constancy: D_x^a D_y^a Bz = D_y^a D_x^a Bz = D_z^a Bz = 0."""
     r = {
         "dx_dy": rl_derive(rl_derive(Bz, "y", alpha), "x", alpha).max_abs_coeff(),
         "dy_dx": rl_derive(rl_derive(Bz, "x", alpha), "y", alpha).max_abs_coeff(),
         "dz": rl_derive(Bz, "z", alpha).max_abs_coeff(),
     }
-    return CheckReport("constant-field", all(v < tol for v in r.values()), tol, r)
+    return _report("constant-field", 1e-12, r)
 
 
 def _connection(A: GaugeField, K: int, multiplier: str) -> tuple[OperatorExpr, ...]:
@@ -473,7 +450,7 @@ def omega_connection(A: GaugeField, K: int = 1) -> tuple[OperatorExpr, OperatorE
 # ----------------------------------------------------------------------
 
 
-def check_curl_coefficient(B: float, alpha: float, tol: float = 1e-12) -> CheckReport:
+def check_curl_coefficient(B: float, alpha: float) -> CheckReport:
     """curl of the constant-field potential against its closed form.
 
     Expected: B_z = (B/2) Gamma(2a)/Gamma(a) (x^(1-a) y^(a-1)
@@ -493,7 +470,7 @@ def check_curl_coefficient(B: float, alpha: float, tol: float = 1e-12) -> CheckR
         "by": by.max_abs_coeff(),
         "bz_vs_closed_form": (bz - expected).max_abs_coeff(),
     }
-    return CheckReport("curl-coefficient", all(v < tol for v in r.values()), tol, r)
+    return _report("curl-coefficient", 1e-12, r)
 
 
 def _op_residual(a: OperatorExpr, b: OperatorExpr) -> float:
@@ -501,9 +478,7 @@ def _op_residual(a: OperatorExpr, b: OperatorExpr) -> float:
     return max((abs(t.coeff) for t in diff.terms), default=0.0)
 
 
-def check_connection_reduction(
-    B: float, alpha: float, K_max: int = 5, tol: float = 1e-12
-) -> CheckReport:
+def check_connection_reduction(B: float, alpha: float, K_max: int = 5) -> CheckReport:
     """Series truncation and the Gamma-hat = Omega-hat equality."""
     A = gauge_field_A(B, alpha)
     g1 = gamma_connection(A, 1)
@@ -514,13 +489,10 @@ def check_connection_reduction(
     o1 = omega_connection(A, K_max)
     for i, axis in enumerate(("x", "y", "z")):
         r[f"gamma_minus_omega_{axis}"] = _op_residual(g1[i], o1[i])
-    passed = all(abs(v) < tol for v in r.values())
-    return CheckReport("connection-reduction", passed, tol, r)
+    return _report("connection-reduction", 1e-12, r)
 
 
-def check_zeeman_reduction(
-    B: float, alpha: float, f: PolyExpr, tol: float = 1e-10
-) -> CheckReport:
+def check_zeeman_reduction(B: float, alpha: float, f: PolyExpr) -> CheckReport:
     """Interaction collapse: (nabla_a Gamma-hat + Omega-hat nabla_a) f equals
     i a Gamma(2-a) B z^(a-1) Lz-hat(2a-1) f."""
     a = alpha
@@ -540,36 +512,34 @@ def check_zeeman_reduction(
         )
     )
     res = (lhs - rhs_op.apply(f)).max_abs_coeff()
-    return CheckReport("zeeman-reduction", res < tol, tol, {"max_coeff": res})
+    return _report("zeeman-reduction", 1e-10, {"max_coeff": res})
 
 
-def check_commutation(alpha: float, f: PolyExpr, tol: float = 1e-10) -> CheckReport:
+def check_commutation(alpha: float, f: PolyExpr) -> CheckReport:
     """[J_z(2a-1), H^a] f should vanish."""
     res = commutator(build_Jz(alpha), build_H(alpha), f).max_abs_coeff()
-    return CheckReport("Jz-H-commutation", res < tol, tol, {"max_coeff": res})
+    return _report("Jz-H-commutation", 1e-10, {"max_coeff": res})
 
 
-def check_commutation_worst(
-    alpha: float, fs: Sequence[PolyExpr], tol: float = 1e-10
-) -> CheckReport:
+def check_commutation_worst(alpha: float, fs: Sequence[PolyExpr]) -> CheckReport:
     """:func:`check_commutation` over many operands; reports the worst."""
-    worst = max(check_commutation(alpha, f, tol).residuals["max_coeff"] for f in fs)
-    return CheckReport("Jz-H-commutation", worst < tol, tol, {"worst_max_coeff": worst},
-                       {"alpha": alpha, "monomials": len(fs)})
+    worst = max(check_commutation(alpha, f).residuals["max_coeff"] for f in fs)
+    return _report("Jz-H-commutation", 1e-10, {"worst_max_coeff": worst},
+                   {"alpha": alpha, "monomials": len(fs)})
 
 
-def check_noncommutation(alpha: float, f: PolyExpr, tol: float = 1e-6) -> CheckReport:
-    """[K_z(1), H^a] f must NOT vanish: passes when the residual exceeds tol.
+def check_noncommutation(alpha: float, f: PolyExpr) -> CheckReport:
+    """[K_z(1), H^a] f must NOT vanish: passes when the residual exceeds 1e-6.
 
     The classical L_z = K_z(1) commutes with H^1 only, so this check fails
     at alpha = 1.
     """
     res = commutator(build_Kz(1.0), build_H(alpha), f).max_abs_coeff()
-    return CheckReport("Lz-H-noncommutation", res > tol, tol, {"max_coeff": res},
+    return CheckReport("Lz-H-noncommutation", res > 1e-6, 1e-6, {"max_coeff": res},
                        {"alpha": alpha, "pass_requires": "residual above tolerance"})
 
 
-def check_kkk(alpha: float, beta: float, f: PolyExpr, tol: float = 1e-10) -> CheckReport:
+def check_kkk(alpha: float, beta: float, f: PolyExpr) -> CheckReport:
     """Deformed commutator: [i K_z(b), H^a] = a (D_x^(2a-1) D_y^b - D_x^b D_y^(2a-1))."""
     iKz = build_Kz(beta).scaled(1.0, iphase_shift=1)
     lhs = commutator(iKz, build_H(alpha), f)
@@ -580,10 +550,10 @@ def check_kkk(alpha: float, beta: float, f: PolyExpr, tol: float = 1e-10) -> Che
         )
     )
     res = (lhs - rhs_op.apply(f)).max_abs_coeff()
-    return CheckReport("kz-h-commutator", res < tol, tol, {"max_coeff": res})
+    return _report("kz-h-commutator", 1e-10, {"max_coeff": res})
 
 
-def verify_J_algebra(alpha: float, f: PolyExpr, tol: float = 1e-10) -> CheckReport:
+def verify_J_algebra(alpha: float, f: PolyExpr) -> CheckReport:
     """Cyclic commutation relations of the total angular momentum:
     [J_x, J_y] = (2a-1) J_z p_z^(2(a-1)) and cyclic permutations."""
     Jx, Jy, Jz = build_Jx(alpha), build_Jy(alpha), build_Jz(alpha)
@@ -597,41 +567,38 @@ def verify_J_algebra(alpha: float, f: PolyExpr, tol: float = 1e-10) -> CheckRepo
         lhs = commutator(A_, B_, f)
         rhs = C_.apply_phased(build_p(ax, 2.0 * (alpha - 1.0)).apply(f)).scaled(factor)
         r[name] = (lhs - rhs).max_abs_coeff()
-    return CheckReport("J-algebra", all(v < tol for v in r.values()), tol, r)
+    return _report("J-algebra", 1e-10, r)
 
 
-def check_Sz_vanishes(tol: float = 1e-12) -> CheckReport:
+def check_Sz_vanishes() -> CheckReport:
     """The internal spin S_z vanishes at alpha = 1 (no term survives)."""
-    sz1 = build_Sz(1.0)
-    return CheckReport("Sz-vanishes-at-alpha-1", sz1.is_zero(tol), tol,
-                       {"terms": float(len(sz1.canonical().terms))})
+    terms = float(len(build_Sz(1.0).canonical().terms))
+    return _report("Sz-vanishes-at-alpha-1", 1e-12, {"terms": terms})
 
 
-def check_spin_decomposition(alpha: float, tol: float = 1e-12) -> CheckReport:
+def check_spin_decomposition(alpha: float) -> CheckReport:
     """J_z(2a-1) = K_z(1) + S_z(a): orbital plus internal spin."""
     res = _op_residual(build_Kz(2 * alpha - 1) - build_Kz(1.0), build_Sz(alpha))
-    return CheckReport("Jz-decomposition", res < tol, tol, {"max_coeff": res}, {"alpha": alpha})
+    return _report("Jz-decomposition", 1e-12, {"max_coeff": res}, {"alpha": alpha})
 
 
-def check_classical_Lz(tol: float = 1e-12) -> CheckReport:
+def check_classical_Lz() -> CheckReport:
     """K_z(1) equals the classical rotation generator L_z(1)."""
     res = _op_residual(build_Kz(1.0), build_Lz(1.0))
-    return CheckReport("Kz1-is-classical-Lz", res < tol, tol, {"max_coeff": res})
+    return _report("Kz1-is-classical-Lz", 1e-12, {"max_coeff": res})
 
 
-def check_semigroup(
-    f: PolyExpr, axis: str, orders: Sequence[float], tol: float = 1e-10
-) -> CheckReport:
+def check_semigroup(f: PolyExpr, axis: str, orders: Sequence[float]) -> CheckReport:
     """Composed single derivatives against the direct summed order."""
     g = f
     for q in orders:
         g = rl_derive(g, axis, q)
     direct = rl_derive(f, axis, math.fsum(orders))
     res = (g - direct).max_abs_coeff()
-    return CheckReport("semigroup", res < tol, tol, {"max_coeff": res})
+    return _report("semigroup", 1e-10, {"max_coeff": res})
 
 
-def check_quadrature(nodes: int = DEFAULT_NODES, tol: float = 1e-6) -> CheckReport:
+def check_quadrature(nodes: int = DEFAULT_NODES) -> CheckReport:
     """Gauss-Jacobi quadrature of D^a s^nu against the power rule
     Gamma(1+nu)/Gamma(1+nu-a) x^(nu-a), worst relative error on a fixed grid."""
     worst = 0.0
@@ -645,4 +612,5 @@ def check_quadrature(nodes: int = DEFAULT_NODES, tol: float = 1e-6) -> CheckRepo
         "grid": "nu in {0,0.5,1,2.3} x alpha in {0.112,0.3,0.5,0.9} x x in {0.5,1,2}",
         "nodes": nodes,
     }
-    return CheckReport("quad-vs-power-rule", worst <= tol, tol, {"worst_rel_error": worst}, details)
+    return CheckReport("quad-vs-power-rule", worst <= 1e-6, 1e-6, {"worst_rel_error": worst},
+                       details)

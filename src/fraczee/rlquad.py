@@ -69,7 +69,8 @@ def rl_derivative_quad(
 
     Raises:
         ValueError: order outside (0, 1), nonpositive x, left_exponent
-            <= -1, x so large that the quadrature nodes overflow, or a
+            <= -1, x so large that the quadrature nodes overflow, x so
+            small that the finite-difference step underflows to 0, or a
             non-finite sample of ``f``.
     """
     if not 0.0 < alpha < 1.0:
@@ -81,6 +82,8 @@ def rl_derivative_quad(
     if not left_exponent > -1.0:
         raise ValueError("terminal behavior must be integrable (left_exponent > -1)")
     h = x * _FD_REL_STEP
+    if h == 0.0:
+        raise ValueError(f"the finite-difference step at x = {x!r} underflows to 0")
     # the node map below forms xx * (t + 1) with t + 1 < 2
     if not np.isfinite(2.0 * (x + h)):
         raise ValueError(f"quadrature nodes at x = {x!r} are not finite")

@@ -97,6 +97,14 @@ def test_derive_rejects_non_finite_point(capsys, expr, at):
     assert "Warning" not in err and "Traceback" not in err
 
 
+def test_derive_point_too_small_for_the_step_exits_2(capsys):
+    # the finite-difference step x * 1e-5 underflows to 0 at x = 1e-320
+    code, _, err = run(capsys, "derive", "x^0.5", "--axis", "x", "--order", "0.5",
+                       "--at", "x=1e-320")
+    assert code == 2
+    assert err.startswith("error: ") and "underflows" in err and "Traceback" not in err
+
+
 def test_derive_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "derive", "x +* y", "--axis", "x", "--order", "1")
     assert code == 2
@@ -307,6 +315,16 @@ def test_fit_cli_rejects_bad_tol(capsys, tol):
     code, _, err = run(capsys, "fit", f"--tol={tol}")
     assert code == 2
     assert "tol" in err and "Traceback" not in err
+
+
+def test_fit_rejects_json_record_with_boolean_L(capsys, tmp_path):
+    rows = json.loads(fraczee.dataset.records_to_json(builtin_table()))
+    rows[7]["L"] = True
+    data = tmp_path / "table.json"
+    data.write_text(json.dumps(rows))
+    code, out, err = run(capsys, "fit", "--data", str(data))
+    assert (code, out) == (2, "")
+    assert err.startswith("data error: ") and "entry 7: L = true is not an integer" in err
 
 
 def test_spectrum_accepts_params_file(capsys, tmp_path):
@@ -563,6 +581,10 @@ def test_bad_config_value_exits_2_before_output(capsys, tmp_path, entry, argv):
         (("predict",), "l-min", "-2"),
         (("report", "--out-dir", "rep"), "l-min", "-2"),
         (("derive", "x", "--axis", "x", "--order", "0.5"), "at", "x=1,q=2"),
+        # above the 4096-node bound; these commands would not run a quadrature
+        (("derive", "x", "--axis", "x", "--order", "0.5"), "nodes", "100000000"),
+        (("verify", "connection"), "nodes", "4097"),
+        (("fit",), "tol", "0"),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -124,6 +124,28 @@ def test_missing_columns_rejected(tmp_path):
         load_records(path)
 
 
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("L", True, "an integer"), ("L", 1.7, "an integer"), ("M", False, "an integer"),
+     ("M", 0.5, "an integer"), ("L", 1e400, "an integer"), ("mass_mev", True, "a number")],
+)
+def test_json_wrong_number_type_is_rejected_with_its_entry(tmp_path, key, value, kind):
+    # int() and float() would make these L = 1, M = 0 or 1.0 MeV, or raise OverflowError
+    rows = [dict(name="ok", L=3, M=1, mass_mev=1000.0, group="baryon"),
+            dict(name="bad", L=3, M=1, mass_mev=1000.0, group="baryon")]
+    rows[1][key] = value
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(DatasetError, match=rf"rows\.json entry 1: {key} = .* is not {kind}"):
+        load_records(path)
+
+
+def test_json_integral_float_L_is_accepted(tmp_path):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([dict(name="ok", L=3.0, M=1, mass_mev=1000, group="baryon")]))
+    assert load_records(path)[0].L == 3
+
+
 def test_json_must_be_array(tmp_path):
     path = tmp_path / "obj.json"
     path.write_text(json.dumps({"name": "foo"}))

@@ -182,7 +182,7 @@ def test_objective_permutation_invariant():
 def test_fit_recovers_synthetic_params_exactly():
     truth = FitParams(0.25, -100.0, 500.0, 200.0)
     records = synthetic_records(truth)
-    cfg = FitConfig(starts=6, max_evals=4000, tol=1e-6, seed=3)
+    cfg = FitConfig(starts=6, max_evals=4000)
     res = fit(records, cfg)
     assert res.converged
     assert objective(res.params, records) < 1e-6
@@ -225,7 +225,7 @@ def test_fit_figures_equal_the_public_functions_bit_for_bit(default_fit):
 
 
 def test_fit_optimality_certificate(default_fit):
-    cfg, selected, result, _ = default_fit
+    _, selected, result, _ = default_fit
     base = loss_rms_mev(result.params, selected)
     a, m0, a0, b0 = result.params.astuple()
     for i in range(4):
@@ -233,7 +233,7 @@ def test_fit_optimality_certificate(default_fit):
             vals = [a, m0, a0, b0]
             vals[i] *= 1.0 + s * 1e-3
             perturbed = loss_rms_mev(FitParams(*vals), selected)
-            assert perturbed >= base - cfg.tol
+            assert perturbed >= base - 1e-8
 
 
 def test_fit_mass_agreement_with_reference_table(default_fit):
@@ -424,12 +424,6 @@ def test_fit_error_names_the_scan_cost():
     n = len(_ALPHA_GRID)
     with pytest.raises(FitError, match=f"converged within 100 .* scan alone takes {n}"):
         fit(records, FitConfig(max_evals=100))
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_fit_config_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        FitConfig(tol=tol)
 
 
 def test_fit_raises_when_every_alpha_overflows():

@@ -287,5 +287,3 @@ def test_product_rule_with_x(nu, alpha):
 def test_drop_tol_removes_dust():
     e = PolyExpr.from_terms([term(1.0, x=1), term(1e-15, y=1)])
     assert len(e.terms) == 1
-    keep = PolyExpr.from_terms([term(1.0, x=1), term(1e-15, y=1)], drop_tol=0.0)
-    assert len(keep.terms) == 2

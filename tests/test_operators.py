@@ -14,7 +14,6 @@ from fraczee.operators import (
     build_Kz,
     build_Lz,
     build_Sz,
-    build_p,
     check_classical_Lz,
     check_commutation,
     check_commutation_worst,
@@ -130,13 +129,6 @@ def test_Jz_decomposition_is_exact():
         assert not diff.terms
         # the classical rotation generator is the same operator as K_z(1)
         assert (build_Jz(alpha) - build_Lz(1.0) - build_Sz(alpha)).is_zero()
-
-
-def test_hbar_mc_unit_power_is_recorded():
-    op = build_Kz(0.6)
-    assert all(t.hbar_mc_power == 0.6 for t in op.terms)
-    assert "(hbar/mc)^0.6" in op.terms[0].render()
-    assert all(t.hbar_mc_power == -0.8 for t in build_p("z", -0.8).terms)
 
 
 def test_Lz_commutes_with_classical_H():

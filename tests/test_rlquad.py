@@ -54,6 +54,9 @@ def test_quad_rejects_bad_order():
         rl_derivative_quad(lambda s: s, 0.5, -1.0)
     with pytest.raises(ValueError, match="nodes .* not finite"):
         rl_derivative_quad(lambda s: s, 0.5, 1e308)
+    # x * 1e-5 underflows to 0 below about 2.5e-319: no finite difference
+    with pytest.raises(ValueError, match="step .* underflows"):
+        rl_derivative_quad(lambda s: s**0.5, 0.5, 1e-320)
 
 
 def test_quad_rejects_nonfinite_sample():
