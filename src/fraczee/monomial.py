@@ -51,7 +51,7 @@ class DomainError(ValueError):
 
 
 class ExprSyntaxError(ValueError):
-    """Raised by the parser; carries the byte offset of the failure."""
+    """Raised by the parser; carries the failing token's character offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -276,96 +276,80 @@ def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
 # expression parser: signed sums of products  c * x^e * y^e ...
 # ----------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-
-
-class _Scanner:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
-    def number(self) -> float:
-        self.skip_ws()
-        m = _NUMBER_RE.match(self.src, self.pos)
-        if not m:
-            raise ExprSyntaxError("expected a number", self.pos)
-        self.pos = m.end()
-        value = float(m.group(0))
-        if not math.isfinite(value):
-            raise ExprSyntaxError(f"non-finite literal {m.group(0)!r}", m.start())
-        return value
-
-    def sign(self) -> float:
-        """Consume a run of signs, maybe empty: -1.0 if it has an odd number of '-'."""
-        sign = 1.0
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        return sign
-
-
-def _parse_product(sc: _Scanner) -> PowerTerm:
-    sc.skip_ws()
-    start = sc.pos
-    coeff = 1.0
-    exps = [0.0, 0.0, 0.0, 0.0]
-    expect_factor = True
-    while True:
-        ch = sc.peek()
-        if expect_factor:
-            if ch in _AXIS_INDEX:
-                sc.take()
-                e = 1.0
-                if sc.peek() == "^":
-                    sc.take()
-                    e = sc.sign() * sc.number()
-                exps[_AXIS_INDEX[ch]] += e
-            elif ch.isdigit() or ch == ".":
-                coeff *= sc.number()
-            else:
-                raise ExprSyntaxError("expected a factor", sc.pos)
-            expect_factor = False
-        elif ch == "*":
-            sc.take()
-            expect_factor = True
-        else:
-            break
-    if not (math.isfinite(coeff) and all(math.isfinite(e) for e in exps)):
-        raise ExprSyntaxError("product with a non-finite coefficient or exponent", start)
-    return PowerTerm(coeff, tuple(exps))
+#: the whitespace before one token, then the token: a number, or any
+#: other single character
+_TOKEN_RE = re.compile(r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(\S))")
 
 
 def parse_expr(src: str) -> PolyExpr:
     """Parse ``"0.5*x^0.5*z^1.2 - 2*y"``-style input into a PolyExpr.
 
-    Raises :class:`ExprSyntaxError` (with byte offset) on malformed input.
+    Raises :class:`ExprSyntaxError` (with character offset) on malformed input.
     """
-    sc = _Scanner(src)
-    terms: list[PowerTerm] = []
-    if sc.peek() == "":
+    # (text, offset, is a number), closed by an empty end token
+    toks = []
+    at = 0
+    for space, num, ch in _TOKEN_RE.findall(src):
+        at += len(space)
+        toks.append((num or ch, at, bool(num)))
+        at += len(num or ch)
+    if not toks:
         raise ExprSyntaxError("empty expression", 0)
+    toks.append(("", len(src), False))
+    i = 0
+
+    def sign() -> float:
+        """Consume a run of signs, maybe empty: -1.0 if it has an odd number of '-'."""
+        nonlocal i
+        s = 1.0
+        while toks[i][0] in ("+", "-"):
+            if toks[i][0] == "-":
+                s = -s
+            i += 1
+        return s
+
+    def number() -> float:
+        nonlocal i
+        text, at, is_number = toks[i]
+        if not is_number:
+            raise ExprSyntaxError("expected a number", at)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ExprSyntaxError(f"non-finite literal {text!r}", at)
+        i += 1
+        return value
+
+    terms: list[PowerTerm] = []
     while True:
-        sign = sc.sign()
-        t = _parse_product(sc)
-        terms.append(t.with_coeff(sign * t.coeff))
-        ch = sc.peek()
-        if ch == "":
+        s = sign()
+        start = toks[i][1]
+        coeff = 1.0
+        exps = [0.0, 0.0, 0.0, 0.0]
+        while True:
+            text, at, is_number = toks[i]
+            if text in _AXIS_INDEX:
+                i += 1
+                e = 1.0
+                if toks[i][0] == "^":
+                    i += 1
+                    e = sign() * number()
+                exps[_AXIS_INDEX[text]] += e
+            elif is_number or text == "." or text.isdigit():
+                # '.' or a digit that starts no number ('²'): "expected a number"
+                coeff *= number()
+            else:
+                raise ExprSyntaxError("expected a factor", at)
+            if toks[i][0] != "*":
+                break
+            i += 1
+        if not (math.isfinite(coeff) and all(math.isfinite(e) for e in exps)):
+            raise ExprSyntaxError("product with a non-finite coefficient or exponent", start)
+        terms.append(PowerTerm(s * coeff, tuple(exps)))
+        text, at, _ = toks[i]
+        if not text:
             break
-        if ch not in ("+", "-"):
-            raise ExprSyntaxError(f"unexpected character {ch!r}", sc.pos)
+        if text not in ("+", "-"):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", at)
     expr = PolyExpr.from_terms(terms)
     # finite like terms can still sum past the float range
     if not all(math.isfinite(t.coeff) for t in expr.terms):

@@ -105,6 +105,25 @@ def test_derive_point_too_small_for_the_step_exits_2(capsys):
     assert err.startswith("error: ") and "underflows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("x", ["3e-319", "1e-312"])
+def test_derive_subnormal_point_exits_2(capsys, x):
+    # a nonzero but subnormal step keeps a few bits: 4.5% off at 3e-319
+    code, out, err = run(capsys, "derive", "x^0.5", "--axis", "x", "--order", "0.5",
+                         "--at", f"x={x}")
+    assert code == 2
+    assert "value:" not in out
+    assert err.startswith("error: ") and "subnormal" in err and "Traceback" not in err
+
+
+def test_derive_smallest_normal_points_keep_the_cross_check(capsys):
+    for x in ("1e-307", "2.2250738585072014e-308"):
+        code, out, _ = run(capsys, "derive", "x^0.5", "--axis", "x", "--order", "0.5",
+                           "--at", f"x={x}")
+        assert code == 0
+        label, deviation = out.splitlines()[3].split(": ")
+        assert label == "quadrature relative deviation" and float(deviation) < 1e-9
+
+
 def test_derive_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "derive", "x +* y", "--axis", "x", "--order", "1")
     assert code == 2

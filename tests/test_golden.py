@@ -12,7 +12,12 @@ Effectively with Legacy Code*, 2004, ch. 13).  ``fixtures/golden.json`` holds
 - the ``float.hex`` of ``gamma``, ``rgamma``, ``gamma_array`` and
   ``rgamma_array`` on a fixed argument set (poles, reflection, the
   factorial short-cut, the overflow edge near 142.2), or the exception
-  name where a scalar call raises.
+  name where a scalar call raises;
+- the outcome of ``casimir_L2`` and ``casimir_Lz`` on a grid of nine alphas
+  and L (or |M|) = 0..200: the ``float.hex`` of the value, ``inf``, or the
+  exception name; one space-separated row per alpha keeps the fixture
+  small.  Where ``casimir_L2_array`` or ``casimir_Lz_array`` give other
+  bits than the scalar kernel, those cells are pinned as well.
 
 ``derive`` prints 11 significant digits, so the term bits are what catch an
 ulp-level change.  A pinned cell may change only as a named bug fix.  After
@@ -35,6 +40,7 @@ import pytest
 from fraczee import cli
 from fraczee.monomial import AXES, parse_expr, rl_derive
 from fraczee.specfun import gamma, gamma_array, rgamma, rgamma_array
+from fraczee.spectrum import casimir_L2, casimir_L2_array, casimir_Lz, casimir_Lz_array
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -52,6 +58,15 @@ GAMMA_ARGS = (
     142.3, 142.37, 142.4, 143.0, 150.5, 171.5, 200.5,
     float("inf"), float("-inf"), float("nan"),
 )
+
+#: the Casimir grid: alphas across the fit's range [0.01, 1] with the
+#: reference 0.112, 0.703 (where L = 200 overflows to inf) and 1 (where the
+#: value should be L(L+1) and overflows from L = 170); L (or |M|) runs over
+#: 0..CASIMIR_L_MAX
+CASIMIR_ALPHAS = (0.01, 0.05, 0.112, 0.25, 0.5, 0.703, 0.75, 0.9, 1.0)
+CASIMIR_L_MAX = 200
+CASIMIR_KERNELS = {"casimir_L2": (casimir_L2, casimir_L2_array),
+                   "casimir_Lz": (casimir_Lz, casimir_Lz_array)}
 
 
 def _exponent(rng: random.Random) -> float:
@@ -165,20 +180,43 @@ def gamma_bits() -> dict[str, list[str]]:
     }
 
 
+def casimir_row(name: str, alpha: float) -> tuple[str, dict[str, str]]:
+    """One alpha's scalar outcomes as a space-separated row, and the cells
+    (L -> bits) where the array kernel differs from them."""
+    scalar, array = CASIMIR_KERNELS[name]
+    Ls = range(CASIMIR_L_MAX + 1)
+    cells = [_scalar(lambda L: scalar(alpha, L), L) for L in Ls]
+    from_array = [v.hex() for v in array(alpha, np.array(Ls)).tolist()]
+    return " ".join(cells), {str(L): v for L, v, c in zip(Ls, from_array, cells) if v != c}
+
+
+def casimir_grid() -> dict:
+    grid = {"alphas": [a.hex() for a in CASIMIR_ALPHAS], "l_max": CASIMIR_L_MAX}
+    for name in CASIMIR_KERNELS:
+        rows = [casimir_row(name, a) for a in CASIMIR_ALPHAS]
+        grid[name] = [row for row, _ in rows]
+        grid[f"{name}_array"] = [diff for _, diff in rows]
+    return grid
+
+
 def build_corpus() -> dict:
     return {
         "derive": [{**case, **outcome(case)} for case in cases()],
         "gamma": {"args": [x.hex() for x in GAMMA_ARGS], **gamma_bits()},
+        "casimir": casimir_grid(),
     }
 
 
-CORPUS = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"derive": [], "gamma": {}}
+CORPUS = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
+          else {"derive": [], "gamma": {}, "casimir": {}})
 _INPUT_KEYS = ("expr", "axis", "order", "at")
 
 
 def test_corpus_inputs_come_from_the_generator():
     assert [{k: c[k] for k in _INPUT_KEYS} for c in CORPUS["derive"]] == cases()
     assert CORPUS["gamma"]["args"] == [x.hex() for x in GAMMA_ARGS]
+    assert CORPUS["casimir"]["alphas"] == [a.hex() for a in CASIMIR_ALPHAS]
+    assert CORPUS["casimir"]["l_max"] == CASIMIR_L_MAX
 
 
 @pytest.mark.parametrize(
@@ -192,6 +230,23 @@ def test_derive_matches_golden(pinned):
 @pytest.mark.parametrize("name", ["gamma", "rgamma", "gamma_array", "rgamma_array"])
 def test_gamma_bits_match_golden(name):
     assert gamma_bits()[name] == CORPUS["gamma"][name]
+
+
+@pytest.mark.parametrize("name", list(CASIMIR_KERNELS))
+@pytest.mark.parametrize("i", range(len(CASIMIR_ALPHAS)), ids=[f"alpha={a}" for a in CASIMIR_ALPHAS])
+def test_casimir_grid_matches_golden(name, i):
+    row, array_diff = casimir_row(name, CASIMIR_ALPHAS[i])
+    assert row.split() == CORPUS["casimir"][name][i].split()
+    assert array_diff == CORPUS["casimir"][f"{name}_array"][i]
+
+
+def test_casimir_grid_holds_the_known_edges():
+    # the overflow, the inf and the inexact integer case that a total kernel
+    # would change, each only as a named bug fix
+    L2 = dict(zip(CASIMIR_ALPHAS, CORPUS["casimir"]["casimir_L2"]))
+    assert L2[1.0].split()[170] == "OverflowError"
+    assert L2[0.703].split()[200] == "inf"
+    assert float.fromhex(L2[1.0].split()[150]) == 22649.999999999996
 
 
 if __name__ == "__main__":

@@ -88,6 +88,34 @@ def test_parse_rejects_a_non_finite_product(src, offset):
     assert err.value.offset == offset
 
 
+# lexical rules: whitespace is str.isspace, digits are Unicode decimal digits
+# as float() reads them, and a run of signs may stand before any exponent
+@pytest.mark.parametrize(
+    "src, want",
+    [("٣*x", poly(term(3.0, x=1))), ("１.５*y", poly(term(1.5, y=1))),
+     ("x　+　y", poly(term(1.0, x=1), term(1.0, y=1))),
+     ("x\x1c-\x1cy", poly(term(1.0, x=1), term(-1.0, y=1))),
+     ("x ^ - - 2", poly(term(1.0, x=2))), ("+-+x", poly(term(-1.0, x=1))),
+     ("x^.5e1", poly(term(1.0, x=5)))],
+)
+def test_parse_lexemes(src, want):
+    assert parse_expr(src) == want
+
+
+@pytest.mark.parametrize(
+    "src, message, offset",
+    [("²*x", "expected a number", 0), ("x^²", "expected a number", 2),
+     (".", "expected a number", 0), ("2e", "unexpected character 'e'", 1),
+     ("1.2.3", "unexpected character '.'", 3), ("x2", "unexpected character '2'", 1),
+     ("x**2", "expected a factor", 2), (" \t ", "empty expression", 0)],
+)
+def test_parse_lexeme_errors(src, message, offset):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(src)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
 # ---------------------------------------------------------------- rl_derive
 
 

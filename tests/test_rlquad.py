@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.special
@@ -57,6 +59,15 @@ def test_quad_rejects_bad_order():
     # x * 1e-5 underflows to 0 below about 2.5e-319: no finite difference
     with pytest.raises(ValueError, match="step .* underflows"):
         rl_derivative_quad(lambda s: s**0.5, 0.5, 1e-320)
+
+
+def test_quad_rejects_a_subnormal_point():
+    # a nonzero subnormal step keeps only a few bits of the finite difference
+    for x in (3e-319, 1e-312, np.nextafter(sys.float_info.min, 0.0)):
+        with pytest.raises(ValueError, match="subnormal"):
+            rl_derivative_quad(lambda s: s**0.5, 0.5, x, left_exponent=0.5)
+    got = rl_derivative_quad(lambda s: s**0.5, 0.5, sys.float_info.min, left_exponent=0.5)
+    assert got == pytest.approx(gamma(1.5), rel=1e-9)
 
 
 def test_quad_rejects_nonfinite_sample():
