@@ -163,11 +163,13 @@ def cmd_derive(args) -> int:
     point = None if args.at is None else _parse_point(args.at)
     expr = parse_expr(args.expr)
     result = rl_derive(expr, args.axis, args.order)
-    print(result.render())
+    # every line is built before the first is printed, so a failure prints nothing
+    lines = [result.render()]
     if point is None:
+        print(lines[0])
         return _EXIT_OK
     value = _finite(f"the derivative at {args.at}", lambda: result.evaluate(point))
-    lines = [f"value: {value:.10g}"]
+    lines.append(f"value: {value:.10g}")
     x0 = point.get(args.axis, 0.0)
     if 0.0 < args.order < 1.0 and x0 > 0.0:
         slice_point = dict(point)

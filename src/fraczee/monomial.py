@@ -98,19 +98,25 @@ def term(coeff: float, **exponents: float) -> PowerTerm:
 def _merge(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
     # group on exponents snapped to 9 decimals so that roundoff-sized
     # disagreements between computation paths still cancel; the first term
-    # seen keeps its raw exponents as the cluster representative
+    # seen keeps its raw exponents as the cluster representative.  An
+    # integer-valued exponent (float or int) is its own snap: round gives it
+    # back, or for -0.0 a zero that compares and hashes equal
+    terms = tuple(terms)
+    if len(terms) == 1:
+        return terms if abs(terms[0].coeff) > DROP_TOL else ()
     groups: dict[tuple[float, ...], PowerTerm] = {}
     for t in terms:
-        key = tuple(round(e, 9) for e in t.exps)
+        a, b, c, d = t.exps
+        key = (
+            round(a, 9) if a % 1.0 else a,
+            round(b, 9) if b % 1.0 else b,
+            round(c, 9) if c % 1.0 else c,
+            round(d, 9) if d % 1.0 else d,
+        )
         g = groups.get(key)
         groups[key] = t if g is None else g.with_coeff(g.coeff + t.coeff)
     kept = (t for t in groups.values() if abs(t.coeff) > DROP_TOL)
     return tuple(sorted(kept, key=lambda t: t.exps))
-
-
-def _fmt(v: float, sig: int) -> str:
-    s = f"%.{sig}g" % v
-    return s
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,14 @@ class PolyExpr:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
     def scaled(self, s: float) -> "PolyExpr":
-        return PolyExpr.from_terms(t.with_coeff(t.coeff * s) for t in self.terms)
+        # the exponents stay, so the terms stay distinct and sorted: no merge,
+        # only the drop of coefficients at or below DROP_TOL (and of NaNs)
+        out = []
+        for t in self.terms:
+            c = t.coeff * s
+            if abs(c) > DROP_TOL:
+                out.append(PowerTerm(c, t.exps))
+        return PolyExpr(tuple(out))
 
     def __add__(self, other: "PolyExpr") -> "PolyExpr":
         return PolyExpr.from_terms(self.terms + other.terms)
@@ -210,9 +223,9 @@ class PolyExpr:
             for axis, e in zip(AXES, t.exps):
                 if e == 0.0:
                     continue
-                parts.append(axis if e == 1.0 else f"{axis}^{_fmt(e, 10)}")
+                parts.append(axis if e == 1.0 else "%s^%.10g" % (axis, e))
             if not parts or mag != 1.0:
-                parts.insert(0, _fmt(mag, 11))
+                parts.insert(0, "%.11g" % mag)
             body = "*".join(parts) if parts else "1"
             if i == 0:
                 out.append(body if sign == "+" else f"-{body}")
@@ -252,7 +265,8 @@ def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
                 f"admissible class: {PolyExpr((t,)).render()}"
             )
         arg = 1.0 + v - order
-        if abs(arg - round(arg)) <= 1e-9 and round(arg) <= 0.0:
+        n = round(arg)
+        if abs(arg - n) <= 1e-9 and n <= 0.0:
             continue
         if v - order < -1.0 - 1e-9:
             raise DomainError(

@@ -74,9 +74,16 @@ def _lanczos(x, exp):
     Where Gamma overflows a float raises ``OverflowError``; an array gives the
     ``inf`` of ``t ** (z + 0.5)``, or ``nan`` where it meets an underflowed ``exp(-t)``."""
     z = x - 1.0
-    s = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        s += _LANCZOS_COEFFS[i] / (z + i)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _LANCZOS_COEFFS
+    s = c0
+    s += c1 / (z + 1.0)
+    s += c2 / (z + 2.0)
+    s += c3 / (z + 3.0)
+    s += c4 / (z + 4.0)
+    s += c5 / (z + 5.0)
+    s += c6 / (z + 6.0)
+    s += c7 / (z + 7.0)
+    s += c8 / (z + 8.0)
     t = z + _LANCZOS_G + 0.5
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * exp(-t) * s
 

@@ -47,3 +47,8 @@ def classical_derivative(e: PolyExpr, axis: str) -> PolyExpr:
         exps[i] = v - 1.0
         out.append(PowerTerm(t.coeff * v, tuple(exps)))
     return PolyExpr.from_terms(out)
+
+
+def merge_key(exps) -> tuple:
+    """The 1e-9 grid cell in which ``PolyExpr`` merges exponent vectors."""
+    return tuple(round(e, 9) for e in exps)

@@ -31,7 +31,7 @@ def _benchmark_modules() -> tuple[str, ...]:
     raise AssertionError("perfbench/run.py defines no MODULES")
 
 
-def test_benchmark_tracer_installs_and_restores():
+def _layers_tracer_and_modules():
     sys.path.insert(0, str(PERFBENCH))
     try:
         layers = importlib.import_module("layers")
@@ -41,6 +41,11 @@ def test_benchmark_tracer_installs_and_restores():
     fz = SimpleNamespace(
         **{m: importlib.import_module(f"fraczee.{m}") for m in _benchmark_modules()}
     )
+    return layers, tracer, fz
+
+
+def test_benchmark_tracer_installs_and_restores():
+    layers, tracer, fz = _layers_tracer_and_modules()
     before = {(m, name): getattr(getattr(fz, m), name) for m, name in LEVEL_WRAP_POINTS}
     try:
         layers.install(tracer, fz)
@@ -48,3 +53,22 @@ def test_benchmark_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert all(getattr(getattr(fz, m), name) is fn for (m, name), fn in before.items())
+
+
+def test_traced_algebra_calls_reach_the_layer_counters():
+    # a hot-path alias bound at import (such as ``_gamma = gamma``) would
+    # bypass the wrappers and silently zero these per-layer metrics
+    layers, tracer, fz = _layers_tracer_and_modules()
+    try:
+        layers.install(tracer, fz)
+        m = fz.monomial
+        expr = m.parse_expr("x^0.5 + 2*y")
+        before = dict(tracer.calls)
+        m.rl_derive(expr, "x", 0.5)
+        for name in ("specfun.gamma", "specfun.rgamma"):
+            assert tracer.calls[name] > before.get(name, 0), name
+        before = tracer.calls["monomial.from_terms"]
+        expr + expr
+        assert tracer.calls["monomial.from_terms"] > before
+    finally:
+        tracer.restore()

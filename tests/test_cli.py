@@ -124,6 +124,23 @@ def test_derive_smallest_normal_points_keep_the_cross_check(capsys):
         assert label == "quadrature relative deviation" and float(deviation) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "expr, axis, at, want",
+    [
+        # the point does not supply an axis of the derivative
+        pytest.param("x", "x", "y=1", 2, id="missing axis"),
+        # a zero coordinate under a negative exponent
+        pytest.param("x^-0.5", "y", "x=0,y=1", 3, id="domain error"),
+        # the quadrature nodes overflow
+        pytest.param("x^0.5", "x", "x=1e308", 2, id="quadrature overflow"),
+    ],
+)
+def test_derive_at_failure_prints_nothing(capsys, expr, axis, at, want):
+    code, out, err = run(capsys, "derive", expr, "--axis", axis, "--order", "0.5", "--at", at)
+    assert (code, out) == (want, "")
+    assert err and "Traceback" not in err
+
+
 def test_derive_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "derive", "x +* y", "--axis", "x", "--order", "1")
     assert code == 2

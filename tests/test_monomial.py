@@ -1,17 +1,21 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fraczee.monomial import (
+    DROP_TOL,
     DomainError,
     ExprSyntaxError,
     PolyExpr,
+    PowerTerm,
     parse_expr,
     rl_derive,
     term,
 )
 from fraczee.specfun import gamma
 
-from oracles import classical_derivative
+from oracles import classical_derivative, merge_key
 
 
 def poly(*terms_):
@@ -315,3 +319,74 @@ def test_product_rule_with_x(nu, alpha):
 def test_drop_tol_removes_dust():
     e = PolyExpr.from_terms([term(1.0, x=1), term(1e-15, y=1)])
     assert len(e.terms) == 1
+
+
+# ---------------------------------------------------------------- merging
+
+_EXPONENTS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-3000, 3000).map(lambda k: k / 1000.0),
+    # within 1e-12 of a point k * 1e-9 of the merge grid
+    st.builds(
+        lambda k, d: k * 1e-9 + d, st.integers(-3 * 10**9, 3 * 10**9), st.floats(-1e-12, 1e-12)
+    ),
+    st.floats(-1e17, 1e17, allow_nan=False),
+)
+_COEFFS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e-13, -1e-12, 1e-12, 2e-12, math.nan]),
+)
+
+
+@st.composite
+def term_lists(draw):
+    """0-6 terms whose exponents come from a pool of 1-6 values: each drawn
+    value, maybe with a twin 1e-10 away (mostly the same merge key) or one
+    grid step away (a neighbouring key)."""
+    pool = []
+    for e in draw(st.lists(_EXPONENTS, min_size=1, max_size=3)):
+        pool.append(e)
+        if draw(st.booleans()):
+            pool.append(e + draw(st.sampled_from([1e-10, -1e-10, 1e-9, -1e-9])))
+    return [
+        PowerTerm(draw(_COEFFS), tuple(draw(st.sampled_from(pool)) for _ in range(4)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+
+
+def bits(terms):
+    return [(t.coeff.hex(), repr(t.exps)) for t in terms]
+
+
+def reference_merge(terms):
+    """Group on ``merge_key``: the first term of a group keeps its exponents,
+    coefficients add in input order, then the drop and the sort."""
+    groups = {}
+    for t in terms:
+        key = merge_key(t.exps)
+        if key in groups:
+            rep, c = groups[key]
+            groups[key] = (rep, c + t.coeff)
+        else:
+            groups[key] = (t, t.coeff)
+    kept = [rep.with_coeff(c) for rep, c in groups.values() if abs(c) > DROP_TOL]
+    return sorted(kept, key=lambda t: t.exps)
+
+
+@settings(max_examples=300)
+@given(term_lists(), st.integers(0, 6), st.sampled_from([0.0, 1e-13, -1.0, 2.5, 1e12]))
+def test_merge_partitions_on_the_snapped_key(terms, cut, s):
+    e = PolyExpr.from_terms(terms)
+    assert bits(e.terms) == bits(reference_merge(terms))
+    # scaling keeps the exponents, so it must equal a fresh merge
+    assert bits(e.scaled(s).terms) == bits(
+        PolyExpr.from_terms([t.with_coeff(t.coeff * s) for t in e.terms]).terms
+    )
+    negated = [t.with_coeff(t.coeff * -1.0) for t in e.terms]
+    assert bits((-e).terms) == bits(PolyExpr.from_terms(negated).terms)
+    a, b = PolyExpr.from_terms(terms[:cut]), PolyExpr.from_terms(terms[cut:])
+    assert bits((a - b).terms) == bits(
+        PolyExpr.from_terms(a.terms + tuple(t.with_coeff(t.coeff * -1.0) for t in b.terms)).terms
+    )
