@@ -12,7 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -120,43 +123,37 @@ def builtin_table() -> list[ParticleRecord]:
     return [ParticleRecord(*row) for row in _TABLE]
 
 
-def _validate(records: Iterable[ParticleRecord]) -> list[ParticleRecord]:
-    out: list[ParticleRecord] = []
-    seen: set[str] = set()
-    for r in records:
-        if r.name in seen:
-            raise DatasetError(f"duplicate particle name {r.name!r}")
-        seen.add(r.name)
-        out.append(r)
-    return out
-
-
-def _number(obj: dict, key: str, where: str, kind: type):
+def _number(obj: dict, key: str, kind: type):
     """``obj[key]`` converted by ``kind``; a JSON boolean, or a fractional or
     non-finite number where an integer is due, is rejected, not truncated."""
     value = obj[key]
     if isinstance(value, bool) or (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
-        raise DatasetError(f"{where}: {key} = {json.dumps(value)} is not "
+        raise DatasetError(f"{key} = {json.dumps(value)} is not "
                            f"{'an integer' if kind is int else 'a number'}")
     return kind(value)
 
 
 def _record_from_mapping(obj: dict, where: str) -> ParticleRecord:
+    """The record of one row or entry; its errors are prefixed by ``where``."""
     try:
         return ParticleRecord(
             name=str(obj["name"]),
-            L=_number(obj, "L", where, int),
-            M=_number(obj, "M", where, int),
-            mass_mev=_number(obj, "mass_mev", where, float),
+            L=_number(obj, "L", int),
+            M=_number(obj, "M", int),
+            mass_mev=_number(obj, "mass_mev", float),
             status=str(obj.get("status", "")),
             group=str(obj["group"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DatasetError):
-            raise
         raise DatasetError(f"{where}: {exc}") from exc
+
+
+# the cell types for which _record_from_mapping converts L and M
+# (_INTEGRAL) or mass_mev (_REAL) by a plain int() or float()
+_INTEGRAL = {int, str}
+_REAL = {int, float, str}
 
 
 def load_records(path: str | Path) -> list[ParticleRecord]:
@@ -165,7 +162,8 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
 
     Duplicate names, invariant violations (M > L, nonpositive mass) and
     JSON values of the wrong type (a boolean, a fractional L or M) are
-    rejected with the offending line or entry identified.
+    rejected with the offending line (the physical line of the file on
+    which the CSV row ends) or entry (counted from 0) identified.
     """
     p = Path(path)
     text = p.read_text()
@@ -178,14 +176,55 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
             raise DatasetError(f"{p}: invalid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise DatasetError(f"{p}: expected a JSON array of records")
-        rows = ((f"{p} entry {i}", obj) for i, obj in enumerate(data))
+        rows = data
+        fields = itemgetter(*_CSV_COLUMNS)
+
+        def mapping(obj):
+            return obj
+
+        def where(i):
+            return f"{p} entry {i}"
     else:
-        reader = csv.DictReader(io.StringIO(text))
-        missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader)
+        missing = set(_CSV_COLUMNS).difference(header)
         if missing:
             raise DatasetError(f"{p}: missing CSV columns {sorted(missing)}")
-        rows = ((f"{p} line {i}", row) for i, row in enumerate(reader, start=2))
-    return _validate(_record_from_mapping(obj, where) for where, obj in rows)
+        rows = filter(None, reader)  # csv.DictReader skips blank rows
+        column = {key: j for j, key in enumerate(header)}  # the last one wins
+        fields = itemgetter(*(column[key] for key in _CSV_COLUMNS))
+
+        def mapping(row):
+            # csv.DictReader's mapping: a short row is padded with None (and
+            # extra cells go under the key None, which no field reads)
+            return dict(zip(header, row + [None] * (len(header) - len(row))))
+
+        def where(i):
+            return f"{p} line {reader.line_num}"
+
+    records: list[ParticleRecord] = []
+    seen: set[str] = set()
+    for i, obj in enumerate(rows):
+        # a row whose cells convert as they are is built directly; any other
+        # row (a short CSV row, a JSON boolean, fractional float, missing key
+        # or non-object) and any row that fails goes through the checked
+        # path, which builds the same record or raises the error naming it
+        record = None
+        try:
+            name, L, M, mass, status, group = fields(obj)
+            if (type(name) is type(status) is type(group) is str
+                    and type(L) in _INTEGRAL and type(M) in _INTEGRAL
+                    and type(mass) in _REAL):
+                record = ParticleRecord(name, int(L), int(M), float(mass), status, group)
+        except (LookupError, TypeError, ValueError, OverflowError):
+            pass
+        if record is None:
+            record = _record_from_mapping(mapping(obj), where(i))
+        if record.name in seen:
+            raise DatasetError(f"{where(i)}: duplicate particle name {record.name!r}")
+        seen.add(record.name)
+        records.append(record)
+    return records
 
 
 def records_to_csv(records: Iterable[ParticleRecord]) -> str:
@@ -197,16 +236,27 @@ def records_to_csv(records: Iterable[ParticleRecord]) -> str:
     return buf.getvalue()
 
 
+# one record as json.dumps(records, indent=2) lays it out
+_JSON_ROW = (
+    '  {\n    "name": %s,\n    "L": %r,\n    "M": %r,\n    "mass_mev": %r,\n'
+    '    "status": %s,\n    "group": %s\n  }'
+)
+
+
 def records_to_json(records: Iterable[ParticleRecord]) -> str:
-    rows = [
-        {
-            "name": r.name,
-            "L": r.L,
-            "M": r.M,
-            "mass_mev": r.mass_mev,
-            "status": r.status,
-            "group": r.group,
-        }
-        for r in records
-    ]
-    return json.dumps(rows, indent=2) + "\n"
+    """``json.dumps([...], indent=2) + "\\n"`` of the records' fields, byte for
+    byte.  Exact str, int and finite float fields fill one row template;
+    any other row (a bool, a subclass, inf or nan) is left to ``json.dumps``."""
+    rows = []
+    for r in records:
+        name, L, M, mass, status, group = r.name, r.L, r.M, r.mass_mev, r.status, r.group
+        if (type(name) is type(status) is type(group) is str
+                and type(L) is int and type(M) is int
+                and (type(mass) is int or (type(mass) is float and math.isfinite(mass)))):
+            rows.append(_JSON_ROW % (_json_str(name), L, M, mass,
+                                     _json_str(status), _json_str(group)))
+        else:
+            doc = {"name": name, "L": L, "M": M, "mass_mev": mass,
+                   "status": status, "group": group}
+            rows.append("  " + json.dumps(doc, indent=2).replace("\n", "\n  "))
+    return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"

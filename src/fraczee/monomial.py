@@ -149,7 +149,10 @@ class PolyExpr:
 
     def scaled(self, s: float) -> "PolyExpr":
         # the exponents stay, so the terms stay distinct and sorted: no merge,
-        # only the drop of coefficients at or below DROP_TOL (and of NaNs)
+        # only the drop of coefficients at or below DROP_TOL (and of NaNs).
+        # A NaN factor is refused: the drop would turn it into the zero sum
+        if s != s:
+            raise ValueError("cannot scale an expression by NaN")
         out = []
         for t in self.terms:
             c = t.coeff * s

@@ -3,12 +3,21 @@
 The Gamma oracle is a Spouge-series evaluation at 40-digit working
 precision, coded separately from the package's Lanczos implementation
 (different series, different constants, arbitrary-precision arithmetic).
+``oracle_load_records`` is the record loader as it stood before its hot
+loop was rewritten: ``csv.DictReader`` rows, one conversion helper per
+field and a separate duplicate-name pass.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+from pathlib import Path
+
 import mpmath
 
+from fraczee.dataset import DatasetError, ParticleRecord
 from fraczee.monomial import AXES, PolyExpr, PowerTerm
 
 mpmath.mp.dps = 40
@@ -52,3 +61,65 @@ def classical_derivative(e: PolyExpr, axis: str) -> PolyExpr:
 def merge_key(exps) -> tuple:
     """The 1e-9 grid cell in which ``PolyExpr`` merges exponent vectors."""
     return tuple(round(e, 9) for e in exps)
+
+
+def _validate(records):
+    out, seen = [], set()
+    for r in records:
+        if r.name in seen:
+            raise DatasetError(f"duplicate particle name {r.name!r}")
+        seen.add(r.name)
+        out.append(r)
+    return out
+
+
+def _number(obj: dict, key: str, where: str, kind: type):
+    value = obj[key]
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise DatasetError(f"{where}: {key} = {json.dumps(value)} is not "
+                           f"{'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
+def _record_from_mapping(obj: dict, where: str) -> ParticleRecord:
+    try:
+        return ParticleRecord(
+            name=str(obj["name"]),
+            L=_number(obj, "L", where, int),
+            M=_number(obj, "M", where, int),
+            mass_mev=_number(obj, "mass_mev", where, float),
+            status=str(obj.get("status", "")),
+            group=str(obj["group"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, DatasetError):
+            raise
+        raise DatasetError(f"{where}: {exc}") from exc
+
+
+def oracle_load_records(path) -> list[ParticleRecord]:
+    """``fraczee.dataset.load_records`` before the rewrite.  Its errors name
+    a CSV row by its count of non-blank rows, and an invariant violation or
+    a duplicate name carries no location."""
+    p = Path(path)
+    text = p.read_text()
+    if not text.strip():
+        return []
+    if p.suffix.lower() == ".json":
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{p}: invalid JSON: {exc}") from exc
+        if not isinstance(data, list):
+            raise DatasetError(f"{p}: expected a JSON array of records")
+        rows = ((f"{p} entry {i}", obj) for i, obj in enumerate(data))
+    else:
+        reader = csv.DictReader(io.StringIO(text))
+        columns = {"name", "L", "M", "mass_mev", "status", "group"}
+        missing = columns - set(reader.fieldnames or ())
+        if missing:
+            raise DatasetError(f"{p}: missing CSV columns {sorted(missing)}")
+        rows = ((f"{p} line {i}", row) for i, row in enumerate(reader, start=2))
+    return _validate(_record_from_mapping(obj, where) for where, obj in rows)

@@ -1,9 +1,15 @@
+import csv
+import io
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraczee.dataset import (
+    GROUPS,
     DatasetError,
     ParticleRecord,
     builtin_table,
@@ -11,8 +17,11 @@ from fraczee.dataset import (
     records_to_csv,
     records_to_json,
 )
+from oracles import oracle_load_records
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_table.csv"
+JSON_FIXTURE = Path(__file__).parent / "fixtures" / "reference_table.json"
+COLUMNS = ("name", "L", "M", "mass_mev", "status", "group")
 
 
 def test_row_count():
@@ -46,6 +55,10 @@ def test_group_counts():
 
 def test_builtin_byte_matches_fixture():
     assert records_to_csv(builtin_table()) == FIXTURE.read_text()
+
+
+def test_builtin_json_byte_matches_fixture():
+    assert records_to_json(builtin_table()) == JSON_FIXTURE.read_text()
 
 
 def test_csv_round_trip(tmp_path):
@@ -100,6 +113,37 @@ def test_csv_error_reports_line(tmp_path):
         load_records(path)
 
 
+def test_csv_error_names_the_physical_line(tmp_path):
+    # a quoted newline and a blank line come before the bad row on line 5
+    path = tmp_path / "bad.csv"
+    path.write_text('name,L,M,mass_mev,status,group\n"a\nb",3,1,1000,,baryon\n\n'
+                    "foo,3,x,1000,,baryon\n")
+    with pytest.raises(DatasetError, match=r"bad\.csv line 5: invalid literal"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("suffix, where", [(".csv", "line 3"), (".json", "entry 1")])
+@pytest.mark.parametrize(
+    "row, message",
+    [(("foo", 3, 9, 1000.0), "foo: need 0 <= M <= L, got L=3, M=9"),
+     (("foo", 3, 1, -5.0), "foo: nonpositive mass -5.0"),
+     (("", 3, 1, 1000.0), "empty particle name"),
+     (("ok", 4, 1, 1100.0), "duplicate particle name 'ok'")],
+)
+def test_record_errors_name_their_row(tmp_path, suffix, where, row, message):
+    rows = [("ok", 3, 1, 1000.0), row]
+    path = tmp_path / f"rows{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps([dict(name=n, L=L, M=M, mass_mev=m, group="baryon")
+                                    for n, L, M, m in rows]))
+    else:
+        path.write_text("name,L,M,mass_mev,status,group\n"
+                        + "".join(f"{n},{L},{M},{m},,baryon\n" for n, L, M, m in rows))
+    with pytest.raises(DatasetError) as info:
+        load_records(path)
+    assert str(info.value) == f"{path} {where}: {message}"
+
+
 @pytest.mark.parametrize("suffix", [".csv", ".json"])
 def test_first_bad_row_in_file_order_is_reported(tmp_path, suffix):
     # a duplicate on the second row comes before an invalid fourth row
@@ -140,6 +184,35 @@ def test_json_wrong_number_type_is_rejected_with_its_entry(tmp_path, key, value,
         load_records(path)
 
 
+@pytest.mark.parametrize(
+    "key, value", [("L", 1.7), ("M", 0.5), ("L", True), ("M", False), ("mass_mev", True)]
+)
+def test_json_wrong_number_type_is_rejected_in_a_full_entry(tmp_path, key, value):
+    # with every key present the entry is a candidate for the unchecked path
+    row = dict(name="bad", L=3, M=1, mass_mev=1000.0, status="", group="baryon")
+    row[key] = value
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([row]))
+    with pytest.raises(DatasetError, match=rf"rows\.json entry 0: {key} = .* is not"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("name", 3, "3"), ("name", True, "True"), ("status", None, "None"), ("status", 1, "1"),
+    ("L", "4", 4), ("L", 3.0, 3), ("M", "1", 1), ("mass_mev", "2452", 2452.0),
+    ("mass_mev", 1e400, math.inf), ("mass_mev", 10**3, 1000.0),
+])
+def test_json_odd_but_accepted_values_convert_as_before(tmp_path, key, value, field):
+    row = dict(name="ok", L=3, M=1, mass_mev=1000.0, status="", group="baryon")
+    row[key] = value
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([row]).replace("Infinity", "1e400"))  # the JSON text 1e400
+    records = load_records(path)
+    assert records == oracle_load_records(path)
+    got = getattr(records[0], key)
+    assert (type(got), got) == (type(field), field)
+
+
 def test_json_integral_float_L_is_accepted(tmp_path):
     path = tmp_path / "rows.json"
     path.write_text(json.dumps([dict(name="ok", L=3.0, M=1, mass_mev=1000, group="baryon")]))
@@ -151,3 +224,196 @@ def test_json_must_be_array(tmp_path):
     path.write_text(json.dumps({"name": "foo"}))
     with pytest.raises(DatasetError):
         load_records(path)
+
+
+# -- differential tests against the csv.DictReader loader -------------------
+# Most rows are valid, so that many files load; a row with one odd cell, a
+# missing key or an odd shape reaches each field rule and error path.
+
+_NAMES = st.builds("{}{}".format, st.sampled_from(["foo", "Xi", "a,b", 'q"t', "a\nb", "\u00e9"]),
+                   st.integers(0, 40))
+
+_ODD_CELLS = {
+    "name": ["foo", "", "a,b"],
+    "L": ["0", "3", "-1", "3.0", "x", "", " 4"],
+    "M": ["0", "9", "-1", "1.0", "y", ""],
+    "mass_mev": ["1000", "0", "-5", "nan", "1e400", "x", ""],
+    "status": ["", "th"],
+    "group": ["baryon", "lepton", ""],
+    "extra": ["", "z"],
+}
+
+
+@st.composite
+def csv_cells(draw, key, L):
+    if key == "name":
+        return draw(_NAMES)
+    if key == "L":
+        return draw(st.sampled_from(["{}", " {}", "{} "])).format(L)
+    if key == "M":
+        return str(draw(st.integers(0, L)))
+    if key == "mass_mev":
+        return draw(st.sampled_from(["1000", "938.5", "1e3", " 2452", "inf", "1e400"]))
+    if key == "group":
+        return draw(st.sampled_from(GROUPS))
+    return draw(st.sampled_from(["", "*", "th"]))
+
+
+@st.composite
+def csv_texts(draw):
+    header = draw(st.lists(st.sampled_from(COLUMNS + ("extra",)), min_size=5, max_size=8))
+    if draw(st.sampled_from([True] * 3 + [False])):
+        header = list(COLUMNS) + header[:draw(st.integers(0, 2))]  # every column
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        L = draw(st.integers(0, 12))  # one L for the duplicated L columns
+        row = [draw(csv_cells(key, L)) for key in header]
+        if draw(st.sampled_from([False] * 4 + [True])):  # one odd cell
+            j = draw(st.integers(0, len(header) - 1))
+            row[j] = draw(st.sampled_from(_ODD_CELLS[header[j]]))
+        shape = draw(st.sampled_from(["full"] * 12 + ["short", "long", "blank"]))
+        if shape == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif shape == "long":
+            row += draw(st.lists(st.sampled_from(["", "1", "x,y"]), min_size=1, max_size=2))
+        elif shape == "blank":
+            row = []
+        rows.append(row)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [header] + rows)
+    return buf.getvalue()
+
+
+_ODD_JSON = {
+    "name": ['""', "3", "null", "true"],
+    "L": ["-1", "3.5", "1e400", "true", "false", '"x"', "null", "[]"],
+    "M": ["9", "0.5", "false", "null"],
+    "mass_mev": ["0", "-5", "true", '"x"', "null"],
+    "status": ["null", "1"],
+    "group": ['"lepton"', "null"],
+}
+
+
+@st.composite
+def json_values(draw, key, L):
+    if key == "name":
+        return json.dumps(draw(_NAMES))
+    if key == "L":
+        return draw(st.sampled_from(["{}", "{}.0", '"{}"'])).format(L)
+    if key == "M":
+        return draw(st.sampled_from(["{}", "{}.0", '"{}"'])).format(draw(st.integers(0, L)))
+    if key == "mass_mev":
+        return draw(st.sampled_from(["1000", "938.5", "1e3", "1e400", '"2452"']))
+    if key == "group":
+        return json.dumps(draw(st.sampled_from(GROUPS)))
+    return draw(st.sampled_from(['""', '"*"', '"th"']))
+
+
+@st.composite
+def json_texts(draw):
+    entries = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.sampled_from([False] * 19 + [True])):
+            entries.append(draw(st.sampled_from(["[]", "[1, 2]", '"foo"', "3", "null", "true"])))
+            continue
+        L = draw(st.integers(0, 12))
+        # status is optional; any other key is missing 1 in 40
+        keys = [key for key in COLUMNS
+                if draw(st.sampled_from([True] * (3 if key == "status" else 39) + [False]))]
+        values = {key: draw(json_values(key, L)) for key in keys}
+        if keys and draw(st.sampled_from([False] * 4 + [True])):  # one odd value
+            key = draw(st.sampled_from(keys))
+            values[key] = draw(st.sampled_from(_ODD_JSON[key]))
+        entries.append("{" + ", ".join(f'"{key}": {v}' for key, v in values.items()) + "}")
+    return "[" + ", ".join(entries) + "]"
+
+
+def _outcome(load, path):
+    try:
+        return "ok", load(path)
+    except Exception as exc:
+        return "error", exc
+
+
+def _location(message, path):
+    m = re.match(rf"{re.escape(str(path))} (line|entry) (\d+): ", message)
+    return (m.group(1), int(m.group(2)), message[m.end():]) if m else (None, None, message)
+
+
+def _assert_same_as_oracle(path, text):
+    old_kind, old = _outcome(oracle_load_records, path)
+    new_kind, new = _outcome(load_records, path)
+    assert new_kind == old_kind, (text, old, new)
+    if new_kind == "ok":
+        assert new == old
+        return
+    assert type(new) is type(old)
+    where, n, message = _location(str(new), path)
+    old_where, old_n, old_message = _location(str(old), path)
+    assert message == old_message
+    if isinstance(new, DatasetError) and not message.startswith(f"{path}: "):
+        # a record error names its row: a JSON entry as before, a CSV row by
+        # the physical line on which it ends, at least its old row count
+        assert where == ("entry" if path.suffix == ".json" else "line")
+        if old_where is not None:
+            assert n == old_n if where == "entry" else n >= old_n
+        if where == "line":
+            assert 2 <= n <= len(text.splitlines())
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=csv_texts())
+def test_csv_loader_matches_the_dictreader_loader(scratch, text):
+    path = scratch / "rows.csv"
+    path.write_text(text, newline="")
+    _assert_same_as_oracle(path, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=json_texts())
+def test_json_loader_matches_the_old_loader(scratch, text):
+    path = scratch / "rows.json"
+    path.write_text(text)
+    _assert_same_as_oracle(path, text)
+
+
+# -- records_to_json against json.dumps -------------------------------------
+
+_odd_text = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\u00e9\u2028\U0001f600/'), max_size=6)
+
+
+@st.composite
+def json_rows(draw):
+    L = draw(st.one_of(st.integers(0, 40), st.just(True)))
+    M = draw(st.integers(0, int(L)))
+    mass = draw(st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6), st.just(float("inf"))))
+    return ParticleRecord(draw(_odd_text.filter(bool)), L, M, mass,
+                          draw(_odd_text), draw(st.sampled_from(GROUPS)))
+
+
+def _dumps(records):
+    return json.dumps([{"name": r.name, "L": r.L, "M": r.M, "mass_mev": r.mass_mev,
+                        "status": r.status, "group": r.group} for r in records], indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(json_rows(), max_size=20))
+def test_records_to_json_equals_json_dumps(records):
+    assert records_to_json(records) == _dumps(records)
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    builtin_table(),
+    [ParticleRecord("n\u00e9\"\\\x01", True, 0, float("inf"), "\n", "baryon")],
+    [ParticleRecord("a", 3, 1, 1e300, "", "meson"), ParticleRecord("b", 3, 1, 2, "", "meson")],
+])
+def test_records_to_json_cases_equal_json_dumps(records):
+    assert records_to_json(records) == _dumps(records)
+    assert records_to_json(iter(records)) == _dumps(records)

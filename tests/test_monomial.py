@@ -390,3 +390,17 @@ def test_merge_partitions_on_the_snapped_key(terms, cut, s):
     assert bits((a - b).terms) == bits(
         PolyExpr.from_terms(a.terms + tuple(t.with_coeff(t.coeff * -1.0) for t in b.terms)).terms
     )
+
+
+@pytest.mark.parametrize("text", ["x + 2*y", "0", "3"])
+def test_nan_factor_is_refused(text):
+    # the coefficient drop would otherwise turn x + 2*y into the zero sum
+    e = parse_expr(text)
+    for scale in (lambda: e.scaled(math.nan), lambda: e * math.nan, lambda: math.nan * e,
+                  lambda: e * float("nan")):
+        with pytest.raises(ValueError, match="NaN"):
+            scale()
+
+
+def test_infinite_factor_still_scales():
+    assert (parse_expr("x + 2*y") * math.inf).render() == "inf*x + inf*y"
