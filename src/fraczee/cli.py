@@ -107,7 +107,10 @@ def _params_from_args(args) -> FitParams:
     pf = args.params_file
     if not pf:
         return FitParams(args.alpha, args.m0, args.a0, args.b0)
-    doc = json.loads(Path(pf).read_text())
+    try:
+        doc = json.loads(Path(pf).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{pf}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("params", {}), dict):
         raise ValueError(f"{pf}: expected a JSON object whose 'params' is an object")
     keys = ("alpha", "m0_mev", "a0_mev", "b0_mev")

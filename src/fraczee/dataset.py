@@ -50,6 +50,9 @@ class ParticleRecord:
     def __post_init__(self):
         if not self.name:
             raise DatasetError("empty particle name")
+        if type(self.L) is not int or type(self.M) is not int or type(self.mass_mev) is bool:
+            raise DatasetError(f"{self.name}: L and M must be ints and the mass not a bool, "
+                               f"got L={self.L!r}, M={self.M!r}, mass_mev={self.mass_mev!r}")
         if self.L < 0 or self.M < 0 or self.M > self.L:
             raise DatasetError(
                 f"{self.name}: need 0 <= M <= L, got L={self.L}, M={self.M}"
@@ -125,105 +128,78 @@ def builtin_table() -> list[ParticleRecord]:
 
 def _number(obj: dict, key: str, kind: type):
     """``obj[key]`` converted by ``kind``; a JSON boolean, or a fractional or
-    non-finite number where an integer is due, is rejected, not truncated."""
+    non-finite number where an integer is due, is rejected, not truncated,
+    and so is an integer mass too large for a float."""
     value = obj[key]
+    if type(value) is kind:
+        return value
     if isinstance(value, bool) or (
         kind is int and isinstance(value, float) and not value.is_integer()
     ):
         raise DatasetError(f"{key} = {json.dumps(value)} is not "
                            f"{'an integer' if kind is int else 'a number'}")
-    return kind(value)
-
-
-def _record_from_mapping(obj: dict, where: str) -> ParticleRecord:
-    """The record of one row or entry; its errors are prefixed by ``where``."""
     try:
-        return ParticleRecord(
-            name=str(obj["name"]),
-            L=_number(obj, "L", int),
-            M=_number(obj, "M", int),
-            mass_mev=_number(obj, "mass_mev", float),
-            status=str(obj.get("status", "")),
-            group=str(obj["group"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetError(f"{where}: {exc}") from exc
-
-
-# the cell types for which _record_from_mapping converts L and M
-# (_INTEGRAL) or mass_mev (_REAL) by a plain int() or float()
-_INTEGRAL = {int, str}
-_REAL = {int, float, str}
+        return kind(value)
+    except OverflowError as exc:
+        raise DatasetError(f"{key}: {exc}") from exc
 
 
 def load_records(path: str | Path) -> list[ParticleRecord]:
     """Load particle records from a JSON array (``.json`` suffix) or else CSV
     with a header.
 
-    Duplicate names, invariant violations (M > L, nonpositive mass) and
-    JSON values of the wrong type (a boolean, a fractional L or M) are
-    rejected with the offending line (the physical line of the file on
-    which the CSV row ends) or entry (counted from 0) identified.
+    Every malformed file raises ``DatasetError``.  Duplicate names,
+    invariant violations (M > L, nonpositive mass), cells that do not
+    convert and JSON values of the wrong type (a boolean, a fractional L or
+    M) name the offending line (the physical line of the file on which the
+    CSV row ends) or entry (counted from 0).
     """
     p = Path(path)
     text = p.read_text()
     if not text.strip():
         return []
+    reader = None
     if p.suffix.lower() == ".json":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatasetError(f"{p}: invalid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise DatasetError(f"{p}: expected a JSON array of records")
-        rows = data
-        fields = itemgetter(*_CSV_COLUMNS)
-
-        def mapping(obj):
-            return obj
-
-        def where(i):
-            return f"{p} entry {i}"
+        rows = (ParticleRecord(str(obj["name"]), _number(obj, "L", int), _number(obj, "M", int),
+                               _number(obj, "mass_mev", float), str(obj.get("status", "")),
+                               str(obj["group"]))
+                for obj in data)
     else:
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
+        try:
+            header = next(reader)
+        except csv.Error as exc:
+            raise DatasetError(f"{p} line {reader.line_num}: {exc}") from exc
         missing = set(_CSV_COLUMNS).difference(header)
         if missing:
             raise DatasetError(f"{p}: missing CSV columns {sorted(missing)}")
-        rows = filter(None, reader)  # csv.DictReader skips blank rows
         column = {key: j for j, key in enumerate(header)}  # the last one wins
         fields = itemgetter(*(column[key] for key in _CSV_COLUMNS))
-
-        def mapping(row):
-            # csv.DictReader's mapping: a short row is padded with None (and
-            # extra cells go under the key None, which no field reads)
-            return dict(zip(header, row + [None] * (len(header) - len(row))))
-
-        def where(i):
-            return f"{p} line {reader.line_num}"
+        # csv.DictReader's reading: blank rows are skipped, a short row is
+        # padded with None and extra cells are ignored
+        width = len(header)
+        cells = map(fields, (row + [None] * (width - len(row)) for row in reader if row))
+        rows = (ParticleRecord(str(name), int(L), int(M), float(mass), str(status), str(group))
+                for name, L, M, mass, status, group in cells)
 
     records: list[ParticleRecord] = []
     seen: set[str] = set()
-    for i, obj in enumerate(rows):
-        # a row whose cells convert as they are is built directly; any other
-        # row (a short CSV row, a JSON boolean, fractional float, missing key
-        # or non-object) and any row that fails goes through the checked
-        # path, which builds the same record or raises the error naming it
-        record = None
-        try:
-            name, L, M, mass, status, group = fields(obj)
-            if (type(name) is type(status) is type(group) is str
-                    and type(L) in _INTEGRAL and type(M) in _INTEGRAL
-                    and type(mass) in _REAL):
-                record = ParticleRecord(name, int(L), int(M), float(mass), status, group)
-        except (LookupError, TypeError, ValueError, OverflowError):
-            pass
-        if record is None:
-            record = _record_from_mapping(mapping(obj), where(i))
-        if record.name in seen:
-            raise DatasetError(f"{where(i)}: duplicate particle name {record.name!r}")
-        seen.add(record.name)
-        records.append(record)
+    try:
+        for record in rows:
+            if record.name in seen:
+                raise DatasetError(f"duplicate particle name {record.name!r}")
+            seen.add(record.name)
+            records.append(record)
+    except (csv.Error, LookupError, TypeError, ValueError) as exc:
+        # each JSON entry before the bad one made a record: len(records) is its index
+        row = f"line {reader.line_num}" if reader is not None else f"entry {len(records)}"
+        raise DatasetError(f"{p} {row}: {exc}") from exc
     return records
 
 
@@ -232,7 +208,10 @@ def records_to_csv(records: Iterable[ParticleRecord]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CSV_COLUMNS)
     for r in records:
-        w.writerow([r.name, r.L, r.M, f"{r.mass_mev:g}", r.status, r.group])
+        mass = f"{r.mass_mev:g}"
+        if float(mass) != r.mass_mev:  # six digits lose some of this mass
+            mass = repr(float(r.mass_mev))
+        w.writerow([r.name, r.L, r.M, mass, r.status, r.group])
     return buf.getvalue()
 
 
@@ -245,13 +224,13 @@ _JSON_ROW = (
 
 def records_to_json(records: Iterable[ParticleRecord]) -> str:
     """``json.dumps([...], indent=2) + "\\n"`` of the records' fields, byte for
-    byte.  Exact str, int and finite float fields fill one row template;
-    any other row (a bool, a subclass, inf or nan) is left to ``json.dumps``."""
+    byte.  Exact str fields and an int or finite float mass fill one row
+    template; any other row (a str subclass, a float subclass or an ``inf``
+    mass) is left to ``json.dumps``."""
     rows = []
     for r in records:
         name, L, M, mass, status, group = r.name, r.L, r.M, r.mass_mev, r.status, r.group
         if (type(name) is type(status) is type(group) is str
-                and type(L) is int and type(M) is int
                 and (type(mass) is int or (type(mass) is float and math.isfinite(mass)))):
             rows.append(_JSON_ROW % (_json_str(name), L, M, mass,
                                      _json_str(status), _json_str(group)))

@@ -72,3 +72,27 @@ def test_traced_algebra_calls_reach_the_layer_counters():
         assert tracer.calls["monomial.from_terms"] > before
     finally:
         tracer.restore()
+
+
+def test_levels_probes_still_find_their_known_defects(tmp_path):
+    # perfbench/test_smoke.py pins three known-defect probes on the levels
+    # workload but is not part of this suite; a record-contract change that
+    # fixed one (say, rejecting the inf mass) would break the benchmark
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    fz = SimpleNamespace(
+        **{m: importlib.import_module(f"fraczee.{m}") for m in _benchmark_modules()}
+    )
+    wl = workloads.LevelsWorkload(fz, 7, tmp_path, smoke=True)
+    statuses = {}
+    for req in wl.probes():  # as perfbench/run.py's _probe sends them
+        try:
+            out = wl.run(req)
+        except Exception as exc:
+            out = workloads.Raised(exc)
+        statuses[req["kind"]] = wl.check(req, out)
+    assert sorted(statuses) == sorted(workloads.PROBES) == ["inf-mass", "overflow", "params-no-m0"]
+    assert all(status == workloads.KNOWN for status, _ in statuses.values()), statuses

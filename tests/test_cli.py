@@ -405,6 +405,32 @@ def test_params_file_rejects_bad_values(capsys, tmp_path, doc):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, prefix",
+    [
+        pytest.param("deep.json", _DEEP, ("fit", "--data"), "data error: ", id="deep-json-data"),
+        pytest.param("big.csv", "name,L,M,mass_mev,status,group\n" + "x" * 200_000
+                     + ",3,1,1000,,baryon\n", ("fit", "--data"), "data error: ",
+                     id="big-csv-cell"),
+        pytest.param("mass.json", '[{"name": "a", "L": 3, "M": 1, "mass_mev": 1%s, '
+                     '"group": "baryon"}]' % ("0" * 400), ("fit", "--data"), "data error: ",
+                     id="overflowing-json-mass"),
+        pytest.param("params.json", '{"params": %s}' % _DEEP, ("spectrum", "--params-file"),
+                     "error: ", id="deep-params-file"),
+    ],
+)
+def test_malformed_input_file_exits_2(capsys, tmp_path, name, text, argv, prefix):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{prefix}{path}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_fit_cli_custom_data(capsys, tmp_path):
     from fraczee.dataset import records_to_csv
     from fraczee.fitting import FitConfig, select_records

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -188,7 +189,7 @@ def test_json_wrong_number_type_is_rejected_with_its_entry(tmp_path, key, value,
     "key, value", [("L", 1.7), ("M", 0.5), ("L", True), ("M", False), ("mass_mev", True)]
 )
 def test_json_wrong_number_type_is_rejected_in_a_full_entry(tmp_path, key, value):
-    # with every key present the entry is a candidate for the unchecked path
+    # the same values in an entry with every key, status included
     row = dict(name="bad", L=3, M=1, mass_mev=1000.0, status="", group="baryon")
     row[key] = value
     path = tmp_path / "rows.json"
@@ -390,9 +391,10 @@ _odd_text = st.text(st.sampled_from('ab"\\\n\t\x00\x1f\u00e9\u2028\U0001f600/'),
 
 @st.composite
 def json_rows(draw):
-    L = draw(st.one_of(st.integers(0, 40), st.just(True)))
-    M = draw(st.integers(0, int(L)))
-    mass = draw(st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6), st.just(float("inf"))))
+    L = draw(st.integers(0, 40))
+    M = draw(st.integers(0, L))
+    mass = draw(st.one_of(st.integers(1, 10**6), st.floats(1e-3, 1e6), st.just(float("inf")),
+                          st.builds(np.float64, st.floats(1e-3, 1e6))))
     return ParticleRecord(draw(_odd_text.filter(bool)), L, M, mass,
                           draw(_odd_text), draw(st.sampled_from(GROUPS)))
 
@@ -411,9 +413,92 @@ def test_records_to_json_equals_json_dumps(records):
 @pytest.mark.parametrize("records", [
     [],
     builtin_table(),
-    [ParticleRecord("n\u00e9\"\\\x01", True, 0, float("inf"), "\n", "baryon")],
+    [ParticleRecord("n\u00e9\"\\\x01", 1, 0, float("inf"), "\n", "baryon")],
     [ParticleRecord("a", 3, 1, 1e300, "", "meson"), ParticleRecord("b", 3, 1, 2, "", "meson")],
 ])
 def test_records_to_json_cases_equal_json_dumps(records):
     assert records_to_json(records) == _dumps(records)
     assert records_to_json(iter(records)) == _dumps(records)
+
+
+@pytest.mark.parametrize("L, M, mass", [
+    (True, 0, 1000.0), (3, False, 1000.0), (np.int64(3), 1, 1000.0), (3.0, 1, 1000.0),
+    (3, np.int32(1), 1000.0), (3, 1, True),
+])
+def test_record_rejects_wrong_field_types(L, M, mass):
+    # each would be written as a file that load_records refuses, or not at all
+    with pytest.raises(DatasetError, match=r"^bad: L and M must be ints and the mass not a bool"):
+        ParticleRecord("bad", L, M, mass, "", "baryon")
+
+
+# -- round trips of any valid records ---------------------------------------
+
+
+@pytest.mark.parametrize("mass, text", [
+    (1116, "1116"), (1116.0, "1116"), (938.5, "938.5"), (1115.683, "1115.683"),
+    (2000.0000001, "2000.0000001"), (1e-7, "1e-07"), (1.2345678e20, "1.2345678e+20"),
+    (float("inf"), "inf"), (np.float64(1115.683), "1115.683"),
+])
+def test_records_to_csv_writes_every_digit_of_the_mass(mass, text):
+    csv_text = records_to_csv([ParticleRecord("a", 3, 1, mass, "", "baryon")])
+    assert csv_text.splitlines()[1] == f"a,3,1,{text},,baryon"
+
+
+@st.composite
+def valid_records(draw):
+    # _odd_text has no carriage return: records_to_csv writes one unquoted
+    # and load_records reads it as a line break, a known CSV defect
+    L = draw(st.integers(0, 40))
+    mass = draw(st.one_of(
+        st.floats(0.0, exclude_min=True, allow_nan=False),  # subnormal to inf
+        st.integers(1, 2**53),
+        st.builds(np.float64, st.floats(1e-3, 1e6)),
+    ))
+    return ParticleRecord(draw(_odd_text.filter(bool)) + draw(st.sampled_from(["", ",", " "])),
+                          L, draw(st.integers(0, L)), mass, draw(_odd_text),
+                          draw(st.sampled_from(GROUPS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(valid_records(), max_size=12, unique_by=lambda r: r.name))
+def test_written_records_load_back_equal(scratch, records):
+    for name, write in (("rows.csv", records_to_csv), ("rows.json", records_to_json)):
+        path = scratch / name
+        path.write_text(write(records))
+        assert load_records(path) == records, name
+
+
+# -- every malformed file is a data error -----------------------------------
+
+
+_BIG_CELL = "x" * 200_000  # above csv's 131,072-character field limit
+_HEADER = "name,L,M,mass_mev,status,group\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    # an error about the whole file carries the file name once, and no row
+    pytest.param("cols.csv", "name,L,M,extra\nfoo,3,1,x\n",
+                 ": missing CSV columns ['group', 'mass_mev', 'status']", id="missing-columns"),
+    pytest.param("bad.json", "[{]", ": invalid JSON: Expecting property name enclosed in double "
+                 "quotes: line 1 column 3 (char 2)", id="invalid-json"),
+    pytest.param("obj.json", '{"name": "foo"}', ": expected a JSON array of records",
+                 id="not-an-array"),
+    pytest.param("deep.json", "[" * 100_000 + "]" * 100_000,
+                 ": invalid JSON: maximum recursion depth exceeded", id="deep-json"),
+    pytest.param("huge.json", "[" + "1" * 5000 + "]",
+                 ": invalid JSON: Exceeds the limit (4300 digits)", id="huge-int-json"),
+    pytest.param("big.csv", _HEADER + "ok,3,1,1000,,baryon\n" + _BIG_CELL + ",3,1,1000,,baryon\n",
+                 " line 3: field larger than field limit (131072)", id="big-cell-csv"),
+    pytest.param("bighead.csv", _BIG_CELL + "," + _HEADER,
+                 " line 1: field larger than field limit (131072)", id="big-header-csv"),
+    pytest.param("overflow.json",
+                 '[{"name": "a", "L": 3, "M": 1, "mass_mev": 1%s, "group": "baryon"}]'
+                 % ("0" * 400), " entry 0: mass_mev: int too large to convert to float",
+                 id="overflowing-mass-json"),
+])
+def test_malformed_files_are_data_errors(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DatasetError) as info:
+        load_records(path)
+    assert str(info.value).startswith(f"{path}{message}")
