@@ -184,9 +184,6 @@ class PolyExpr:
 
     __rmul__ = __mul__
 
-    def mul_term(self, t: PowerTerm) -> "PolyExpr":
-        return self * PolyExpr((t,))
-
     def evaluate(self, point: Mapping[str, float]) -> float:
         """Numeric value at ``point`` under the sign(x)|x|^v convention.
 
@@ -258,9 +255,15 @@ def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
         raise ValueError("non-finite derivative order")
     if order == 0.0:
         return e
+    return PolyExpr.from_terms(_derive_terms(e.terms, axis, order))
+
+
+def _derive_terms(terms: Iterable[PowerTerm], axis: str, order: float) -> list[PowerTerm]:
+    """:func:`rl_derive` on each term, unmerged, for a known axis and a finite
+    nonzero order; ``gamma``/``rgamma`` are looked up at each call."""
     i = _AXIS_INDEX[axis]
     out: list[PowerTerm] = []
-    for t in e.terms:
+    for t in terms:
         v = t.exps[i]
         if v <= -1.0:
             raise DomainError(
@@ -286,7 +289,7 @@ def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
         exps = list(t.exps)
         exps[i] = v - order
         out.append(PowerTerm(coeff, tuple(exps)))
-    return PolyExpr.from_terms(out)
+    return out
 
 
 # ----------------------------------------------------------------------

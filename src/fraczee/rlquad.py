@@ -8,7 +8,8 @@ directly: Gauss-Jacobi quadrature absorbs the endpoint singularity
 ``(x-s)^(-a)`` into the weight, and the outer derivative is a central
 finite difference.  It never touches the closed-form power rule, so it
 serves as a cross-check oracle for the symbolic engine rather than a
-re-derivation of it.
+re-derivation of it.  ``f`` is called with Python floats, so its
+arithmetic is Python's, not that of numpy scalars.
 
 ``leibniz_series`` is the truncated generalized product rule
 ``D^a (phi psi) = sum_k C(a, k) (D^k phi)(D^(a-k) psi)``, exact once the
@@ -58,7 +59,8 @@ def rl_derivative_quad(
     """Left Riemann-Liouville derivative of order ``alpha`` at ``x > 0``.
 
     Args:
-        f: real function evaluable on a neighborhood of [0, x].
+        f: real function evaluable on a neighborhood of [0, x], called with
+            Python floats; an exception it raises reaches the caller.
         alpha: derivative order, strictly inside (0, 1).
         x: evaluation point, > 0.
         nodes: Gauss-Jacobi node count for the weakly singular integral.
@@ -72,7 +74,8 @@ def rl_derivative_quad(
         ValueError: order outside (0, 1), nonpositive x, left_exponent
             <= -1, x so large that the quadrature nodes overflow, a
             subnormal x, where the finite-difference step underflows, or
-            a non-finite sample of ``f``.
+            a non-finite sample of ``f`` or of the terminal factor
+            ``s^-left_exponent``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"quadrature handles orders in (0, 1) only, got {alpha}")
@@ -86,26 +89,31 @@ def rl_derivative_quad(
     # (at x = 3e-319 the cross-check is 4.5% off) or is 0
     if x < sys.float_info.min:
         raise ValueError(f"the finite-difference step at the subnormal point x = {x!r} underflows")
-    h = x * _FD_REL_STEP
     # the node map below forms xx * (t + 1) with t + 1 < 2
-    if not np.isfinite(2.0 * (x + h)):
+    if not np.isfinite(2.0 * (x + x * _FD_REL_STEP)):
         raise ValueError(f"quadrature nodes at x = {x!r} are not finite")
-
-    # weight (1-t)^(-alpha) (1+t)^left_exponent on [-1, 1]; the map
-    # s = xx (t+1)/2 sends t = -1 to the terminal
     t, w = roots_jacobi(nodes, -alpha, left_exponent)
+    return _quad_on_nodes(f, alpha, x, t, w, left_exponent)
+
+
+def _quad_on_nodes(f, alpha: float, x: float, t, w, left_exponent: float) -> float:
+    """:func:`rl_derivative_quad` after its checks, on the Gauss-Jacobi nodes
+    ``t`` and weights ``w`` of the weight (1-t)^(-alpha) (1+t)^left_exponent."""
+    h = x * _FD_REL_STEP
+    nonfinite = "non-finite sample of f inside the integration range"
 
     def weighted_integral(xx: float) -> float:
-        s = xx * (t + 1.0) / 2.0
-        # an overflowing sample is rejected just below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.fromiter(
-                (f(si) * si**-left_exponent if left_exponent else f(si) for si in s),
-                dtype=float,
-                count=nodes,
-            )
+        # the map s = xx (t+1)/2 sends t = -1 to the terminal
+        s = (xx * (t + 1.0) / 2.0).tolist()
+        vals = [f(si) for si in s]
+        if left_exponent:
+            try:
+                vals = [v * si**-left_exponent for v, si in zip(vals, s)]
+            except (OverflowError, ZeroDivisionError):  # the factor leaves the float range
+                raise ValueError(nonfinite) from None
+        vals = np.fromiter(vals, dtype=float, count=len(s))
         if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite sample of f inside the integration range")
+            raise ValueError(nonfinite)
         return (xx / 2.0) ** (1.0 - alpha + left_exponent) * float(np.dot(w, vals))
 
     deriv = (weighted_integral(x + h) - weighted_integral(x - h)) / (2.0 * h)

@@ -5,7 +5,10 @@ precision, coded separately from the package's Lanczos implementation
 (different series, different constants, arbitrary-precision arithmetic).
 ``oracle_load_records`` is the record loader as it stood before its hot
 loop was rewritten: ``csv.DictReader`` rows, one conversion helper per
-field and a separate duplicate-name pass.
+field and a separate duplicate-name pass.  ``oracle_apply_to`` and
+``oracle_apply`` are operator application with a merge after every stage,
+and ``oracle_rl_derivative_quad`` is the quadrature sampling numpy scalars,
+both as they stood before the merge-free and float-sampling rewrites.
 """
 
 from __future__ import annotations
@@ -16,9 +19,13 @@ import json
 from pathlib import Path
 
 import mpmath
+import numpy as np
 
 from fraczee.dataset import DatasetError, ParticleRecord
-from fraczee.monomial import AXES, PolyExpr, PowerTerm
+from fraczee.monomial import AXES, PolyExpr, PowerTerm, rl_derive
+from fraczee.operators import PhasedPoly
+from fraczee.rlquad import _FD_REL_STEP, roots_jacobi
+from fraczee.specfun import gamma
 
 mpmath.mp.dps = 40
 
@@ -123,3 +130,53 @@ def oracle_load_records(path) -> list[ParticleRecord]:
             raise DatasetError(f"{p}: missing CSV columns {sorted(missing)}")
         rows = ((f"{p} line {i}", row) for i, row in enumerate(reader, start=2))
     return _validate(_record_from_mapping(obj, where) for where, obj in rows)
+
+
+def oracle_apply_to(op_term, f: PolyExpr) -> PolyExpr:
+    """``OperatorTerm.apply_to`` with a merge after the inner multiplier,
+    after each derivative order and after the prefactor."""
+    g = f if not any(op_term.inner) else f * PolyExpr((PowerTerm(1.0, op_term.inner),))
+    for i, axis in enumerate(AXES):
+        for q in op_term.orders[i]:
+            g = rl_derive(g, axis, q)
+    return g * PolyExpr((PowerTerm(op_term.coeff, op_term.pre),))
+
+
+def oracle_apply(op, f: PolyExpr) -> PhasedPoly:
+    """``OperatorExpr.apply`` on :func:`oracle_apply_to`."""
+    re = PolyExpr.zero()
+    im = PolyExpr.zero()
+    for t in op.terms:
+        g = oracle_apply_to(t, f)
+        p = t.iphase % 4
+        if p == 0:
+            re = re + g
+        elif p == 1:
+            im = im + g
+        elif p == 2:
+            re = re - g
+        else:
+            im = im - g
+    return PhasedPoly(re, im)
+
+
+def oracle_rl_derivative_quad(f, alpha, x, nodes, left_exponent=0.0) -> float:
+    """The quadrature of ``rl_derivative_quad`` with ``f`` and the terminal
+    factor evaluated at the nodes' numpy scalars, for valid arguments."""
+    h = x * _FD_REL_STEP
+    t, w = roots_jacobi(nodes, -alpha, left_exponent)
+
+    def weighted_integral(xx):
+        s = xx * (t + 1.0) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.fromiter(
+                (f(si) * si**-left_exponent if left_exponent else f(si) for si in s),
+                dtype=float,
+                count=nodes,
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite sample of f inside the integration range")
+        return (xx / 2.0) ** (1.0 - alpha + left_exponent) * float(np.dot(w, vals))
+
+    deriv = (weighted_integral(x + h) - weighted_integral(x - h)) / (2.0 * h)
+    return deriv / gamma(1.0 - alpha)

@@ -74,6 +74,22 @@ def test_traced_algebra_calls_reach_the_layer_counters():
         tracer.restore()
 
 
+def test_traced_operator_applications_reach_the_gamma_counters():
+    # OperatorExpr.apply runs the power rule without calling rl_derive, so
+    # the specfun counts of the algebra workload's identity checks depend on
+    # monomial's own gamma/rgamma lookups
+    layers, tracer, fz = _layers_tracer_and_modules()
+    try:
+        layers.install(tracer, fz)
+        op, f = fz.operators, fz.monomial.parse_expr("x^2*y^1.5 + z")
+        before = dict(tracer.calls)
+        op.commutator(op.build_Kz(1.0), op.build_H(0.5), f)
+        for name in ("specfun.gamma", "specfun.rgamma"):
+            assert tracer.calls[name] > before.get(name, 0), name
+    finally:
+        tracer.restore()
+
+
 def test_levels_probes_still_find_their_known_defects(tmp_path):
     # perfbench/test_smoke.py pins three known-defect probes on the levels
     # workload but is not part of this suite; a record-contract change that

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fraczee.operators as operators
-from fraczee.monomial import PolyExpr, parse_expr, term
+from fraczee.monomial import AXES, PolyExpr, PowerTerm, parse_expr, term
 from fraczee.operators import (
     OperatorExpr,
     build_H,
@@ -38,6 +39,8 @@ from fraczee.operators import (
     verify_J_algebra,
 )
 from fraczee.specfun import gamma
+
+from oracles import oracle_apply
 
 ALPHAS = (0.3, 0.5, 0.75, 0.9)
 
@@ -77,6 +80,20 @@ def test_mixed_half_derivatives():
     assert t.coeff == pytest.approx(4.0 / math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [math.nan, math.inf, (0.5, -math.inf)])
+def test_nonfinite_order_is_refused(order):
+    # the merge-free application runs the power rule without rl_derive's checks
+    with pytest.raises(ValueError, match="non-finite derivative order"):
+        op_term(1.0, orders={"x": order})
+
+
+def test_zero_order_of_a_bare_term_is_the_identity():
+    # op_term drops zero orders, the bare constructor keeps them
+    op = OperatorExpr((operators.OperatorTerm(2.0, orders=((0.0,), (), (), ())),))
+    for f in (parse_expr("x^0.5"), parse_expr("x^-1.5")):
+        assert op.apply(f).re.terms == f.scaled(2.0).terms
+
+
 def test_canonical_commutator():
     # [d_x, x .] f = f
     dx = partial_op("x", 1.0)
@@ -85,6 +102,91 @@ def test_canonical_commutator():
         f = mono(1.0, x=n)
         out = commutator(dx, mul_x, f)
         assert (out.re - f).is_zero(1e-12) and out.im.is_zero()
+
+
+# Generic exponents: points of the 1e-9 merge grid, at most 1e-12 off it,
+# maybe with a twin 1e-10 (same key) or 1e-9 (next key) away.  Shifts are
+# grid points too, so every exponent an application forms stays about
+# 4e-10 from a rounding boundary, far beyond roundoff.
+_GRID = st.one_of(
+    st.integers(-1, 3).map(float),
+    st.integers(-900, 3000).map(lambda k: k / 1000.0),
+    st.builds(lambda k, d: k * 1e-9 + d, st.integers(-9 * 10**8, 3 * 10**9),
+              st.floats(-1e-12, 1e-12)),
+)
+_SHIFTS = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.integers(-1500, 1500).map(lambda k: k / 1000.0),
+    st.integers(-10**9, 10**9).map(lambda k: k * 1e-9),
+)
+_NONZERO_SHIFTS = _SHIFTS.map(lambda v: v or 1.0)
+_COEFFS = st.one_of(
+    st.builds(lambda m, s: m * s, st.floats(0.01, 10.0), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, 1e-13, -1e-12, 2e-12, 1e5]),
+)
+
+
+@st.composite
+def operands(draw):
+    """Terms on a pool of 1-4 exponent values, twins included, unsorted, with
+    coefficients that may cancel or sit at ``DROP_TOL``."""
+    pool = []
+    for e in draw(st.lists(_GRID, min_size=1, max_size=3)):
+        pool.append(e)
+        if draw(st.booleans()):
+            pool.append(e + draw(st.sampled_from([1e-10, -1e-10, 1e-9, -1e-9])))
+    return [
+        PowerTerm(draw(_COEFFS), tuple(draw(st.sampled_from(pool)) for _ in AXES))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@st.composite
+def operator_terms(draw, with_inner: bool):
+    def shifts():
+        return draw(st.dictionaries(st.sampled_from(AXES), _SHIFTS, max_size=2))
+
+    inner = shifts()
+    if with_inner and not any(inner.values()):
+        inner[draw(st.sampled_from(AXES))] = draw(_NONZERO_SHIFTS)
+    orders = draw(st.dictionaries(
+        st.sampled_from(AXES), st.lists(_NONZERO_SHIFTS, max_size=2), max_size=2))
+    return op_term(draw(st.one_of(_COEFFS, st.just(1e-11))),
+                   draw(st.integers(0, 3)), pre=shifts(), inner=inner, orders=orders)
+
+
+def _image_bits(op, f):
+    """The application's terms as float.hex, or the error it raises."""
+    try:
+        out = op(f)
+    except ValueError as exc:  # DomainError included
+        return type(exc), str(exc)
+    return [[(t.coeff.hex(), tuple(e.hex() for e in t.exps)) for t in p.terms]
+            for p in (out.re, out.im)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_apply_equals_the_merging_oracle(data):
+    # an application merges nothing between its stages; on generic exponents
+    # that must agree bit for bit, in term order, with a merge after each
+    # stage.  A bare operand is normalized on entry: before, the first merge
+    # normalized it, which is the same only when an inner multiplier comes
+    # first (after a derivative the sums round differently), so its operator
+    # terms all carry one
+    terms = data.draw(operands())
+    bare = data.draw(st.booleans())
+    f = PolyExpr(tuple(terms)) if bare else PolyExpr.from_terms(terms)
+    op = OperatorExpr(tuple(data.draw(st.lists(operator_terms(bare), min_size=1, max_size=3))))
+    assert _image_bits(op.apply, f) == _image_bits(lambda g: oracle_apply(op, g), f)
+
+
+def test_apply_drops_a_small_coefficient_between_stages():
+    # 1.5e-12 * Gamma(2)/Gamma(0.5) is below DROP_TOL after D_x^1.5, and the
+    # prefactor 1e5 must not bring it back: a merge after the derivative drops it
+    f = PolyExpr.from_terms([term(1.5e-12, x=1)])
+    op = OperatorExpr((op_term(1e5, orders={"x": 1.5}),))
+    assert _image_bits(op.apply, f) == _image_bits(lambda g: oracle_apply(op, g), f) == [[], []]
 
 
 # ------------------------------------------------------------- Hamiltonian
