@@ -14,8 +14,8 @@ converted by the option's own type before the command runs, so a bad
 value exits 2 with nothing printed.  The required options ``--axis``,
 ``--order`` and ``--out-dir`` must be given as flags.
 
-``main`` builds its parser once per process and reuses it; a ``--config``
-file or ``FRACZEE_SEED`` affects only the call it is given to.
+``main`` builds its parser once per process; a call whose defaults come
+from ``--config`` or ``FRACZEE_SEED`` parses on a parser of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from .checks import SUITES
-from .dataset import DatasetError, builtin_table, load_records
+from .dataset import DatasetError, _csv_text, builtin_table, load_records
 from .fitting import (
     DEFAULT_SEED,
     FitConfig,
@@ -320,12 +320,10 @@ def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    lines = ["name,L,M,E_exp_mev,E_th_mev,dE_percent"]
+    table = [("name", "L", "M", "E_exp_mev", "E_th_mev", "dE_percent")]
     for r, (e_th, _, de) in zip(records, levels):
-        lines.append(
-            f"{r.name},{r.L},{r.M},{_fmt_mev(r.mass_mev)},{_fmt_mev(e_th)},{de:.2f}"
-        )
-    (out_dir / "table.csv").write_text("\n".join(lines) + "\n")
+        table.append((r.name, r.L, r.M, _fmt_mev(r.mass_mev), _fmt_mev(e_th), f"{de:.2f}"))
+    (out_dir / "table.csv").write_text(_csv_text(table))
 
     rows = ["series\tL\tM\tmass_mev\tlabel"]
     for m, e in theory:
@@ -420,24 +418,20 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
+def _subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    return next(a for a in parser._actions if a.dest == "command").choices[name]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
-        defaults = _option_defaults(command, _read_config(args.config))
+        defaults = _option_defaults(_subcommand(parser, args.command), _read_config(args.config))
         if defaults:
-            # parse again over the new defaults, so that flags still win, then
-            # give the shared parser its own defaults back for the next call
-            table = dict(command._defaults)
-            previous = [(a, a.default) for a in command._actions if a.dest in defaults]
-            command.set_defaults(**defaults)
-            try:
-                args = parser.parse_args(argv)
-            finally:
-                command._defaults = table
-                for action, default in previous:
-                    action.default = default
+            # the defaults go to a parser of this call alone, never the shared one
+            parser = _build_parser()
+            _subcommand(parser, args.command).set_defaults(**defaults)
+            args = parser.parse_args(argv)
         if not 1 <= getattr(args, "nodes", 1) <= _MAX_NODES:
             raise ValueError(f"--nodes must lie in 1..{_MAX_NODES}, got {args.nodes}")
         return args.func(args)

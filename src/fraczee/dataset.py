@@ -57,6 +57,11 @@ class ParticleRecord:
             raise DatasetError(
                 f"{self.name}: need 0 <= M <= L, got L={self.L}, M={self.M}"
             )
+        if isinstance(self.mass_mev, int):
+            try:
+                float(self.mass_mev)
+            except OverflowError:
+                raise DatasetError(f"{self.name}: int mass_mev beyond the float range") from None
         if not self.mass_mev > 0.0:
             raise DatasetError(f"{self.name}: nonpositive mass {self.mass_mev}")
         if self.group not in GROUPS:
@@ -155,7 +160,8 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
     CSV row ends) or entry (counted from 0).
     """
     p = Path(path)
-    text = p.read_text()
+    with p.open(newline="") as f:  # a carriage return inside a quoted CSV cell stays
+        text = f.read()
     if not text.strip():
         return []
     reader = None
@@ -171,7 +177,7 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
                                str(obj["group"]))
                 for obj in data)
     else:
-        reader = csv.reader(io.StringIO(text))
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
             header = next(reader)
         except csv.Error as exc:
@@ -203,16 +209,28 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
     return records
 
 
-def records_to_csv(records: Iterable[ParticleRecord]) -> str:
+def _csv_text(rows: list) -> str:
+    """``rows`` as CSV lines ending in "\\n".  Python 3.11's writer leaves a lone
+    "\\r" unquoted, and a reader ends the row there, so a row with one is quoted in full."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_CSV_COLUMNS)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if "\r" not in buf.getvalue():
+        return buf.getvalue()
+    buf = io.StringIO()
+    for row in rows:
+        quoting = csv.QUOTE_ALL if any("\r" in str(cell) for cell in row) else csv.QUOTE_MINIMAL
+        csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(row)
+    return buf.getvalue()
+
+
+def records_to_csv(records: Iterable[ParticleRecord]) -> str:
+    rows = [_CSV_COLUMNS]
     for r in records:
         mass = f"{r.mass_mev:g}"
         if float(mass) != r.mass_mev:  # six digits lose some of this mass
             mass = repr(float(r.mass_mev))
-        w.writerow([r.name, r.L, r.M, mass, r.status, r.group])
-    return buf.getvalue()
+        rows.append((r.name, r.L, r.M, mass, r.status, r.group))
+    return _csv_text(rows)
 
 
 # one record as json.dumps(records, indent=2) lays it out

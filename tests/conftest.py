@@ -4,10 +4,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fraczee import FitConfig, builtin_table, cli, fit, select_records
+
+# no per-example deadline: a shared host's speed drifts by about 20%, so a
+# timing bound would fail at random; a failure prints its reproduction blob
+settings.register_profile("fraczee", deadline=None, print_blob=True)
+settings.load_profile("fraczee")
 
 
 @pytest.fixture(scope="session")

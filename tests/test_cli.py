@@ -11,7 +11,7 @@ import pytest
 import fraczee
 from fraczee import cli
 from fraczee.cli import main
-from fraczee.dataset import builtin_table
+from fraczee.dataset import ParticleRecord, builtin_table, records_to_csv
 from fraczee.fitting import DEFAULT_SEED
 
 from reference_values import DE_PERCENT
@@ -532,6 +532,22 @@ def test_report_empty_selection_headers_only(capsys, tmp_path):
     assert (out_dir / "plot.tsv").read_text() == "series\tL\tM\tmass_mev\tlabel\n"
 
 
+def test_report_table_reads_back_as_csv(capsys, tmp_path):
+    names = ["a,b", 'q"x', "c\rd", "e\nf", "plain"]
+    records = [ParticleRecord(name, 4, j, 1000.0 + j, "", "baryon") for j, name in enumerate(names)]
+    data = tmp_path / "odd.csv"
+    data.write_text(records_to_csv(records))
+    out_dir = tmp_path / "rep"
+    code, _, _ = run(capsys, "report", "--out-dir", str(out_dir), "--data", str(data))
+    assert code == 0
+    with (out_dir / "table.csv").open(newline="") as f:
+        table = list(csv.reader(f))
+    assert table[0] == ["name", "L", "M", "E_exp_mev", "E_th_mev", "dE_percent"]
+    assert [row[:4] for row in table[1:]] == [
+        [r.name, "4", str(r.M), f"{r.mass_mev:.2f}"] for r in records]
+    assert {len(row) for row in table} == {6}
+
+
 # ----------------------------------------------------------- config / env
 
 
@@ -742,12 +758,14 @@ def test_every_optional_long_option_reads_the_config(tmp_path, monkeypatch, fres
     assert walked == 37
 
 
-def test_main_builds_one_parser_per_process(capsys, tmp_path, monkeypatch, fresh_parser):
+def test_plain_calls_share_one_parser(capsys, tmp_path, monkeypatch, fresh_parser):
     built = []
     build = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
     cfg = tmp_path / "fraczee.conf"
     cfg.write_text("l-max = 2\n")
+    shared = cli._parser()
+    counts = []
     for argv in (
         ["spectrum"],
         ["--config", str(cfg), "predict"],
@@ -756,7 +774,10 @@ def test_main_builds_one_parser_per_process(capsys, tmp_path, monkeypatch, fresh
         ["spectrum"],
     ):
         run(capsys, *argv)
-    assert len(built) == 1
+        counts.append(len(built))
+    # the shared parser, then one of its own for the config call
+    assert counts == [1, 2, 2, 2, 2]
+    assert cli._parser() is shared
 
 
 def test_config_does_not_reach_the_next_call(capsys, tmp_path, fresh_parser):
@@ -796,6 +817,10 @@ def _defaults(parser):
         ("seed = 5\nnodes = 0", ["verify", "quad"], 2),
         ("l-min = 3\ndata = nope.csv", ["fit"], 4),
         ("params-file = nope.json\nl-max = 2", ["predict"], 4),
+        ("l-min = 2\nl-max = 3", ["spectrum"], 0),
+        ("", ["verify", "quad"], 0),
+        ("seed = 5\nstarts = 2\nexclude =", ["fit"], 0),
+        ("l-max = 2\nalpha = 0.5", ["report", "--out-dir", "rep"], 0),
     ],
 )
 def test_failed_config_call_leaves_the_defaults_restored(

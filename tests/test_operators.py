@@ -165,7 +165,7 @@ def _image_bits(op, f):
             for p in (out.re, out.im)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.data())
 def test_apply_equals_the_merging_oracle(data):
     # an application merges nothing between its stages; on generic exponents

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fraczee.monomial import PolyExpr, parse_expr, rl_derive, term
 from fraczee.rlquad import leibniz_series, rl_derivative_quad, roots_jacobi
@@ -179,7 +179,6 @@ def test_leibniz_requires_polynomial_left_factor():
         leibniz_series(parse_expr("x^0.5"), parse_expr("x"), "x", 0.5, 2)
 
 
-@settings(deadline=None)
 @given(
     st.integers(0, 5),
     st.floats(0.5, 3.5, allow_nan=False),
