@@ -1,0 +1,197 @@
+#!/usr/bin/env python3
+"""Same-numbers harness: run seeded corpora on two source trees and compare.
+
+    python scripts/same_numbers.py BASE_SRC NEW_SRC [--scale N]
+
+BASE_SRC and NEW_SRC are directories that hold a ``fraczee`` package, such
+as the ``src`` of a ``git worktree`` of the parent commit and ``src`` of this
+checkout.  Each tree runs in a subprocess of its own with only that directory
+on ``PYTHONPATH``; the corpora come from this checkout, so both trees see the
+same cases:
+
+- ``derive``: the golden generator ``tests/test_golden.py::_case`` at seeds
+  0..20N-1, 200 cases a seed; exit code, stdout and stderr of
+  ``fraczee derive`` with and without ``--at``, and the ``float.hex`` of
+  every result term;
+- ``verify``: ``fraczee verify all`` at seeds 1729, 2024 and 0..10N-3;
+- ``checks``: the algebra workload's identity checks, drawn by
+  ``perfbench/workloads.py::AlgebraWorkload`` at seeds 0..10N-1, 80 a seed,
+  with the ``float.hex`` of every residual;
+- ``levels``: ``spectrum``, ``predict`` and ``report`` (both files, byte for
+  byte) over a grid of alphas, L bands and parameter sets.
+
+It prints each corpus's case count and the first mismatches, and exits 1 on
+any mismatch (2 when a tree's run fails).  The harness itself uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKS_PER_SEED = 80
+SHOWN = 3  # mismatches printed per corpus
+#: L bands of the level grid: the default band, L = 0, and the overflow edge
+L_BANDS = ((1, 9), (0, 2), (140, 145), (200, 200))
+PARAM_SETS = ((), ("--m0", "500", "--a0", "2000", "--b0", "-300"))
+
+
+def _bits(obj):
+    """A JSON-able form of a result in which every float is its ``float.hex``."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _bits(v) for k, v in obj.items()}
+    if hasattr(obj, "coeff") and hasattr(obj, "exps"):  # a PowerTerm
+        return [_bits(obj.coeff), _bits(obj.exps)]
+    if hasattr(obj, "terms"):  # a PolyExpr
+        return ["terms", _bits(obj.terms)]
+    if hasattr(obj, "as_dict"):  # a CheckReport
+        return _bits(obj.as_dict())
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    return repr(obj)
+
+
+def _outcome(call):
+    try:
+        return _bits(call())
+    except Exception as exc:  # a refusal is an outcome too
+        return ["raised", type(exc).__name__, str(exc)]
+
+
+def _cli(cli, argv: list[str]) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = ["raised", type(exc).__name__, str(exc)]
+    return [code, out.getvalue(), err.getvalue()]
+
+
+class _Modules:
+    """``fz.<module>`` as ``fraczee.<module>``, imported on first use."""
+
+    def __getattr__(self, name):
+        return importlib.import_module(f"fraczee.{name}")
+
+
+def corpora(scale: int) -> dict[str, list]:
+    """(label, outcome) pairs of every corpus, run on the importable fraczee."""
+    sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import test_golden
+    import workloads
+    from fraczee import cli
+
+    out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": []}
+    for seed in range(20 * scale):
+        rng = random.Random(seed)
+        for i in range(test_golden._N_CASES):
+            case = test_golden._case(rng, i)
+            out["derive"].append((f"seed {seed} case {i}: {case}", test_golden.outcome(case)))
+    for seed in (1729, 2024, *range(10 * scale - 2)):
+        out["verify"].append((f"verify all --seed {seed}",
+                              _cli(cli, ["verify", "all", "--seed", str(seed)])))
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # report prints its out-dir: a relative one reads the same in both trees
+        for seed in range(10 * scale):
+            wl = workloads.AlgebraWorkload(_Modules(), seed, Path(tmp), smoke=True)
+            for j in range(CHECKS_PER_SEED):
+                req = wl.request(5 * j + 4)  # every fifth request is a check
+                label = f"seed {seed} request {5 * j + 4}: {req['kind']}"
+                out["checks"].append((label, _outcome(lambda: wl.run(req))))
+        rng = random.Random(0)
+        alphas = [0.01, 0.112, 0.3, 0.5, 0.703, 0.9, 1.0]
+        alphas += [round(rng.uniform(0.01, 1.0), 6) for _ in range(8 * scale)]
+        rep = Path("rep")
+        for alpha in alphas:
+            for l_min, l_max in L_BANDS:
+                for params in PARAM_SETS:
+                    argv = ["--alpha", repr(alpha), "--l-min", str(l_min),
+                            "--l-max", str(l_max), *params]
+                    for command in ("spectrum", "predict"):
+                        out["levels"].append((" ".join([command, *argv]),
+                                              _cli(cli, [command, *argv])))
+                    got = _cli(cli, ["report", "--out-dir", str(rep), *argv])
+                    files = [(rep / n).read_text() if (rep / n).exists() else None
+                             for n in ("table.csv", "plot.tsv")]
+                    out["levels"].append((" ".join(["report", *argv]), [got, files]))
+                    for n in ("table.csv", "plot.tsv"):
+                        (rep / n).unlink(missing_ok=True)
+        os.chdir(home)
+    return out
+
+
+def _run_tree(src: Path, scale: int) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen(
+        [sys.executable, __file__, "--child", str(src), "--scale", str(scale)],
+        stdout=subprocess.PIPE, env=env, text=True,
+    )
+
+
+def _excerpt(a: str, b: str, width: int = 100) -> tuple[str, str]:
+    """The two texts around their first difference."""
+    i = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    lo = max(0, i - width // 2)
+    return a[lo:lo + width], b[lo:lo + width]
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base_src", nargs="?", type=Path)
+    ap.add_argument("new_src", nargs="?", type=Path)
+    ap.add_argument("--scale", type=int, default=1, help="corpus size factor (default 1)")
+    ap.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.scale < 1:
+        ap.error("--scale must be >= 1")
+    if args.child:
+        import fraczee
+
+        if Path(fraczee.__file__).resolve().parent.parent != args.child.resolve():
+            raise SystemExit(f"fraczee came from {fraczee.__file__}, not {args.child}")
+        json.dump(corpora(args.scale), sys.stdout)
+        return 0
+    if args.base_src is None or args.new_src is None:
+        ap.error("BASE_SRC and NEW_SRC are required")
+    srcs = (args.base_src, args.new_src)
+    children = [_run_tree(src, args.scale) for src in srcs]
+    texts = [child.communicate()[0] for child in children]
+    for src, child in zip(srcs, children):
+        if child.returncode:
+            print(f"{src}: the corpus run exited {child.returncode}", file=sys.stderr)
+            return 2
+    base, new = (json.loads(text) for text in texts)
+    mismatches = 0
+    for name in base:
+        bad = [(label, a, b) for (label, a), (_, b) in zip(base[name], new[name]) if a != b]
+        if len(base[name]) != len(new[name]):
+            bad.append(("case count", len(base[name]), len(new[name])))
+        mismatches += len(bad)
+        print(f"{name}: {len(base[name])} cases, {len(bad)} mismatches")
+        for label, a, b in bad[:SHOWN]:
+            ea, eb = _excerpt(json.dumps(a), json.dumps(b))
+            print(f"  {label}\n    base: {ea}\n    new:  {eb}")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

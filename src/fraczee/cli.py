@@ -321,16 +321,14 @@ def cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     table = [("name", "L", "M", "E_exp_mev", "E_th_mev", "dE_percent")]
+    plot = [("series", "L", "M", "mass_mev", "label")]
+    plot += [(f"theory_L{m.L}", m.L, m.M, _fmt_mev(e), "") for m, e in theory]
     for r, (e_th, _, de) in zip(records, levels):
-        table.append((r.name, r.L, r.M, _fmt_mev(r.mass_mev), _fmt_mev(e_th), f"{de:.2f}"))
+        mass = _fmt_mev(r.mass_mev)
+        table.append((r.name, r.L, r.M, mass, _fmt_mev(e_th), f"{de:.2f}"))
+        plot.append(("experiment", r.L, r.M, mass, r.name))
     (out_dir / "table.csv").write_text(_csv_text(table))
-
-    rows = ["series\tL\tM\tmass_mev\tlabel"]
-    for m, e in theory:
-        rows.append(f"theory_L{m.L}\t{m.L}\t{m.M}\t{_fmt_mev(e)}\t")
-    for r in records:
-        rows.append(f"experiment\t{r.L}\t{r.M}\t{_fmt_mev(r.mass_mev)}\t{r.name}")
-    (out_dir / "plot.tsv").write_text("\n".join(rows) + "\n")
+    (out_dir / "plot.tsv").write_text(_csv_text(plot, delimiter="\t"))
     print(f"wrote {out_dir / 'table.csv'} and {out_dir / 'plot.tsv'}")
     return _EXIT_OK
 

@@ -209,17 +209,17 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
     return records
 
 
-def _csv_text(rows: list) -> str:
-    """``rows`` as CSV lines ending in "\\n".  Python 3.11's writer leaves a lone
-    "\\r" unquoted, and a reader ends the row there, so a row with one is quoted in full."""
+def _csv_text(rows: list, delimiter: str = ",") -> str:
+    """``rows`` as lines ending in "\\n", ``delimiter`` between cells.  A row with a "\\r",
+    which Python 3.11's writer leaves unquoted and a reader splits on, is quoted in full."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(rows)
     if "\r" not in buf.getvalue():
         return buf.getvalue()
     buf = io.StringIO()
     for row in rows:
         quoting = csv.QUOTE_ALL if any("\r" in str(cell) for cell in row) else csv.QUOTE_MINIMAL
-        csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(row)
+        csv.writer(buf, delimiter=delimiter, lineterminator="\n", quoting=quoting).writerow(row)
     return buf.getvalue()
 
 

@@ -14,8 +14,14 @@ Numeric evaluation follows the odd-extension convention
 
 Exponents are identified at a resolution of 1e-9: terms whose exponent
 vectors agree after rounding to 9 decimals merge, and Gamma arguments
-that close to a pole count as the pole.  Exponents engineered to sit
-exactly on a rounding boundary of that grid are outside the contract.
+that close to a pole count as the pole.  Every :class:`PolyExpr` is
+normalized on that grid: terms distinct, sorted by exponent vector,
+coefficients above ``DROP_TOL``.  Construction and ``from_terms`` merge
+through ``_merge``; ``scaled`` keeps the exponents, and :func:`rl_derive`
+and ``operators.OperatorTerm.apply_to`` shift them all by one amount, so
+these build through ``_normalized`` without a merge.  Exponents within an
+ulp of a rounding boundary of the grid are outside the contract: a shift
+can leave two such terms with one merge key.
 """
 
 from __future__ import annotations
@@ -129,13 +135,16 @@ class PolyExpr:
 
     terms: tuple[PowerTerm, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "terms", _merge(self.terms))
+
     @staticmethod
     def from_terms(terms: Iterable[PowerTerm]) -> "PolyExpr":
-        return PolyExpr(_merge(terms))
+        return _normalized(_merge(terms))
 
     @staticmethod
     def zero() -> "PolyExpr":
-        return PolyExpr(())
+        return _normalized(())
 
     @staticmethod
     def const(c: float) -> "PolyExpr":
@@ -148,9 +157,7 @@ class PolyExpr:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
     def scaled(self, s: float) -> "PolyExpr":
-        # the exponents stay, so the terms stay distinct and sorted: no merge,
-        # only the drop of coefficients at or below DROP_TOL (and of NaNs).
-        # A NaN factor is refused: the drop would turn it into the zero sum
+        # a NaN factor is refused: the drop would turn it into the zero sum
         if s != s:
             raise ValueError("cannot scale an expression by NaN")
         out = []
@@ -158,7 +165,7 @@ class PolyExpr:
             c = t.coeff * s
             if abs(c) > DROP_TOL:
                 out.append(PowerTerm(c, t.exps))
-        return PolyExpr(tuple(out))
+        return _normalized(tuple(out))
 
     def __add__(self, other: "PolyExpr") -> "PolyExpr":
         return PolyExpr.from_terms(self.terms + other.terms)
@@ -234,6 +241,21 @@ class PolyExpr:
         return "".join(out)
 
 
+def _normalized(terms: tuple[PowerTerm, ...]) -> PolyExpr:
+    """A :class:`PolyExpr` of ``terms`` as given, already normalized: no merge."""
+    e = object.__new__(PolyExpr)
+    object.__setattr__(e, "terms", terms)
+    return e
+
+
+def _shifted(terms: Iterable[PowerTerm], coeff: float, exps: tuple) -> tuple[PowerTerm, ...]:
+    """Each term times ``coeff * x^exps``, without those at or below ``DROP_TOL``."""
+    u0, u1, u2, u3 = exps
+    scaled = ((t.coeff * coeff, t.exps) for t in terms)
+    return tuple(PowerTerm(c, (e0 + u0, e1 + u1, e2 + u2, e3 + u3))
+                 for c, (e0, e1, e2, e3) in scaled if abs(c) > DROP_TOL)
+
+
 def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
     """Riemann-Liouville derivative (integral for order < 0) along one axis.
 
@@ -255,12 +277,13 @@ def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
         raise ValueError("non-finite derivative order")
     if order == 0.0:
         return e
-    return PolyExpr.from_terms(_derive_terms(e.terms, axis, order))
+    return _normalized(tuple(_derive_terms(e.terms, axis, order)))
 
 
 def _derive_terms(terms: Iterable[PowerTerm], axis: str, order: float) -> list[PowerTerm]:
-    """:func:`rl_derive` on each term, unmerged, for a known axis and a finite
-    nonzero order; ``gamma``/``rgamma`` are looked up at each call."""
+    """:func:`rl_derive` on each term, unmerged and without the coefficients at
+    or below ``DROP_TOL``, for a known axis and a finite nonzero order;
+    ``gamma``/``rgamma`` are looked up at each call."""
     i = _AXIS_INDEX[axis]
     out: list[PowerTerm] = []
     for t in terms:
@@ -268,7 +291,7 @@ def _derive_terms(terms: Iterable[PowerTerm], axis: str, order: float) -> list[P
         if v <= -1.0:
             raise DomainError(
                 f"term with exponent {v} <= -1 on axis {axis!r} is outside the "
-                f"admissible class: {PolyExpr((t,)).render()}"
+                f"admissible class: {_normalized((t,)).render()}"
             )
         arg = 1.0 + v - order
         n = round(arg)
@@ -277,7 +300,7 @@ def _derive_terms(terms: Iterable[PowerTerm], axis: str, order: float) -> list[P
         if v - order < -1.0 - 1e-9:
             raise DomainError(
                 f"order {order} on axis {axis!r} drives exponent {v} below -1 "
-                f"in term {PolyExpr((t,)).render()}"
+                f"in term {_normalized((t,)).render()}"
             )
         try:
             coeff = t.coeff * gamma(1.0 + v) * rgamma(arg)
@@ -285,10 +308,11 @@ def _derive_terms(terms: Iterable[PowerTerm], axis: str, order: float) -> list[P
             coeff = math.inf
         if not math.isfinite(coeff):
             raise ValueError(f"the order {order} derivative on axis {axis!r} of "
-                             f"{PolyExpr((t,)).render()} is not finite")
-        exps = list(t.exps)
-        exps[i] = v - order
-        out.append(PowerTerm(coeff, tuple(exps)))
+                             f"{_normalized((t,)).render()} is not finite")
+        if abs(coeff) > DROP_TOL:
+            exps = list(t.exps)
+            exps[i] = v - order
+            out.append(PowerTerm(coeff, tuple(exps)))
     return out
 
 

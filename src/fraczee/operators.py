@@ -19,12 +19,8 @@ angular-momentum convention throughout is
 whose beta = 1 case is the standard quantum-mechanical L_z; the deformed
 commutator identities below hold exactly in this orientation.
 
-Applications merge nothing between stages: a multiplier or a derivative
-moves every exponent vector by one fixed amount, so the terms of a
-normalized operand stay distinct and sorted, and a stage only drops the
-coefficients at or below ``DROP_TOL``, as a merge would.  As in
-:mod:`~fraczee.monomial`, exponents within an ulp of a rounding boundary of
-the 1e-9 merge grid are outside the contract: a shift can part such a pair.
+Applications merge nothing: multipliers and derivatives are shifts that keep
+the invariant of :mod:`~fraczee.monomial` (see its rounding-boundary caveat).
 """
 
 from __future__ import annotations
@@ -35,7 +31,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import rlquad
 from .monomial import (
-    _AXIS_INDEX, AXES, DROP_TOL, PolyExpr, PowerTerm, _derive_terms, _exps_tuple, rl_derive, term
+    _AXIS_INDEX, AXES, DROP_TOL, PolyExpr, _derive_terms, _exps_tuple, _normalized, _shifted,
+    rl_derive, term,
 )
 from .specfun import frac_binomial, gamma
 
@@ -130,22 +127,13 @@ class OperatorTerm:
     orders: tuple[tuple[float, ...], ...] = ((), (), (), ())
 
     def apply_to(self, f: PolyExpr) -> PolyExpr:
-        """Image of a normalized operand before the i^iphase phase factor;
-        no stage merges (see the module docstring)."""
+        """Image of ``f`` before the i^iphase phase factor; no stage merges."""
         terms = f.terms if self.inner == _ZERO4 else _shifted(f.terms, 1.0, self.inner)
         for axis, orders in zip(AXES, self.orders):
             for q in orders:
                 if q:  # a zero order, possible in a bare OperatorTerm, is the identity
-                    terms = [t for t in _derive_terms(terms, axis, q) if abs(t.coeff) > DROP_TOL]
-        return PolyExpr(_shifted(terms, self.coeff, self.pre))
-
-
-def _shifted(terms: Sequence[PowerTerm], coeff: float, exps: tuple) -> tuple[PowerTerm, ...]:
-    """Each term times ``coeff * x^exps``, without those at or below ``DROP_TOL``."""
-    u0, u1, u2, u3 = exps
-    scaled = ((t.coeff * coeff, t.exps) for t in terms)
-    return tuple(PowerTerm(c, (e0 + u0, e1 + u1, e2 + u2, e3 + u3))
-                 for c, (e0, e1, e2, e3) in scaled if abs(c) > DROP_TOL)
+                    terms = _derive_terms(terms, axis, q)
+        return _normalized(_shifted(terms, self.coeff, self.pre))
 
 
 def op_term(
@@ -198,8 +186,6 @@ class OperatorExpr:
         )
 
     def apply(self, f: PolyExpr) -> PhasedPoly:
-        # an operand built with the bare constructor may not be normalized
-        f = PolyExpr.from_terms(f.terms)
         re = im = PolyExpr.zero()
         for t in self.terms:
             g = t.apply_to(f)
@@ -361,8 +347,6 @@ def gauge_field_A(B: float, alpha: float) -> GaugeField:
     A = ( -B/2 x^(1-a) y^(2a-1) z^(a-1),  B/2 x^(2a-1) y^(1-a) z^(a-1),  0 );
     at alpha = 1 this is the familiar symmetric potential (-By/2, Bx/2, 0).
     """
-    if B == 0.0:
-        return GaugeField((PolyExpr.zero(), PolyExpr.zero(), PolyExpr.zero()), alpha)
     a = alpha
     ax = PolyExpr.from_terms([term(-B / 2.0, x=1 - a, y=2 * a - 1, z=a - 1)])
     ay = PolyExpr.from_terms([term(B / 2.0, x=2 * a - 1, y=1 - a, z=a - 1)])

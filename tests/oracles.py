@@ -132,14 +132,23 @@ def oracle_load_records(path) -> list[ParticleRecord]:
     return _validate(_record_from_mapping(obj, where) for where, obj in rows)
 
 
+def _times(g: PolyExpr, coeff: float, exps) -> PolyExpr:
+    """``g * PolyExpr((PowerTerm(coeff, exps),))`` with the multiplier's
+    coefficient kept even when it is at or below ``DROP_TOL``."""
+    return PolyExpr.from_terms(
+        PowerTerm(t.coeff * coeff, tuple(ea + eb for ea, eb in zip(t.exps, exps)))
+        for t in g.terms
+    )
+
+
 def oracle_apply_to(op_term, f: PolyExpr) -> PolyExpr:
     """``OperatorTerm.apply_to`` with a merge after the inner multiplier,
     after each derivative order and after the prefactor."""
-    g = f if not any(op_term.inner) else f * PolyExpr((PowerTerm(1.0, op_term.inner),))
+    g = f if not any(op_term.inner) else _times(f, 1.0, op_term.inner)
     for i, axis in enumerate(AXES):
         for q in op_term.orders[i]:
-            g = rl_derive(g, axis, q)
-    return g * PolyExpr((PowerTerm(op_term.coeff, op_term.pre),))
+            g = PolyExpr.from_terms(rl_derive(g, axis, q).terms)
+    return _times(g, op_term.coeff, op_term.pre)
 
 
 def oracle_apply(op, f: PolyExpr) -> PhasedPoly:

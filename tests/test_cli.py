@@ -346,6 +346,27 @@ def test_fit_cli_default_output_is_pinned(capsys, tmp_path):
     assert out.read_bytes() == FIT_SEED42.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "config, argv, code, message",
+    [
+        # two records for four parameters, and a budget below the alpha scan
+        (None, ("fit", "--l-min", "3", "--l-max", "3"), 1, "fit failed: need at least 5"),
+        (None, ("fit", "--max-evals", "1"), 1, "fit failed: no scan minimum converged"),
+        (None, ("derive", "x", "--axis", "x", "--order", "0.5", "--at", "x"), 2,
+         "error: bad point component 'x'"),
+        ("seed 5", ("verify", "quad"), 2, ":1: expected 'key = value'"),
+    ],
+)
+def test_error_path_exits_with_its_message(capsys, tmp_path, config, argv, code, message):
+    if config is not None:
+        (tmp_path / "fraczee.conf").write_text(config + "\n")
+        argv = ("--config", str(tmp_path / "fraczee.conf"), *argv)
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("tol", ["0", "nan", "inf", "-inf"])
 def test_fit_cli_rejects_bad_tol(capsys, tol):
     code, _, err = run(capsys, "fit", f"--tol={tol}")
@@ -546,6 +567,24 @@ def test_report_table_reads_back_as_csv(capsys, tmp_path):
     assert [row[:4] for row in table[1:]] == [
         [r.name, "4", str(r.M), f"{r.mass_mev:.2f}"] for r in records]
     assert {len(row) for row in table} == {6}
+
+
+def test_report_plot_reads_back_as_tsv(capsys, tmp_path):
+    names = ["a\tb", 'q"x', "c\rd", "e\nf", "plain"]
+    records = [ParticleRecord(name, 4, j, 1000.0 + j, "", "baryon") for j, name in enumerate(names)]
+    data = tmp_path / "odd.csv"
+    data.write_text(records_to_csv(records))
+    out_dir = tmp_path / "rep"
+    code, _, _ = run(capsys, "report", "--out-dir", str(out_dir), "--data", str(data),
+                     "--l-min", "4", "--l-max", "4")
+    assert code == 0
+    with (out_dir / "plot.tsv").open(newline="") as f:
+        plot = list(csv.reader(f, delimiter="\t"))
+    assert plot[0] == ["series", "L", "M", "mass_mev", "label"]
+    assert [row[:3] for row in plot[1:6]] == [["theory_L4", "4", str(M)] for M in range(5)]
+    assert plot[6:] == [
+        ["experiment", "4", str(r.M), f"{r.mass_mev:.2f}", r.name] for r in records]
+    assert {len(row) for row in plot} == {5}
 
 
 # ----------------------------------------------------------- config / env

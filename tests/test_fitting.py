@@ -107,6 +107,12 @@ def test_objective_reference_params_on_default_set():
     assert objective(REFERENCE_PARAMS, sel) <= 0.9
 
 
+@pytest.mark.parametrize("field", ["starts", "max_evals"])
+def test_fit_config_refuses_a_zero_count(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        FitConfig(**{field: 0})
+
+
 def test_objective_requires_records():
     with pytest.raises(ValueError):
         objective(REFERENCE_PARAMS, [])

@@ -207,6 +207,22 @@ def test_eval_mixed():
     assert parse_expr("2*x*y").evaluate({"x": 1.0, "y": 0.5}) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rl_derive(parse_expr("x"), "w", 0.5), "unknown axis 'w'"),
+        (lambda: rl_derive(parse_expr("x"), "x", math.inf), "non-finite derivative order"),
+        (lambda: rl_derive(parse_expr("x"), "x", math.nan), "non-finite derivative order"),
+        (lambda: term(math.inf, x=1), "non-finite coefficient"),
+        (lambda: term(1.0, w=1), "unknown axis 'w'"),
+        (lambda: term(1.0, y=-math.inf), "non-finite exponent on axis 'y'"),
+    ],
+)
+def test_bad_argument_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_eval_missing_axis():
     with pytest.raises(ValueError):
         parse_expr("x*y").evaluate({"x": 1.0})
@@ -380,6 +396,7 @@ def reference_merge(terms):
 def test_merge_partitions_on_the_snapped_key(terms, cut, s):
     e = PolyExpr.from_terms(terms)
     assert bits(e.terms) == bits(reference_merge(terms))
+    assert bits(PolyExpr(tuple(terms)).terms) == bits(e.terms)
     # scaling keeps the exponents, so it must equal a fresh merge
     assert bits(e.scaled(s).terms) == bits(
         PolyExpr.from_terms([t.with_coeff(t.coeff * s) for t in e.terms]).terms

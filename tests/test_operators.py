@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraczee.operators as operators
-from fraczee.monomial import AXES, PolyExpr, PowerTerm, parse_expr, term
+from fraczee.monomial import AXES, PolyExpr, PowerTerm, parse_expr, rl_derive, term
 from fraczee.operators import (
     OperatorExpr,
     build_H,
@@ -142,17 +142,14 @@ def operands(draw):
 
 
 @st.composite
-def operator_terms(draw, with_inner: bool):
+def operator_terms(draw):
     def shifts():
         return draw(st.dictionaries(st.sampled_from(AXES), _SHIFTS, max_size=2))
 
-    inner = shifts()
-    if with_inner and not any(inner.values()):
-        inner[draw(st.sampled_from(AXES))] = draw(_NONZERO_SHIFTS)
     orders = draw(st.dictionaries(
         st.sampled_from(AXES), st.lists(_NONZERO_SHIFTS, max_size=2), max_size=2))
     return op_term(draw(st.one_of(_COEFFS, st.just(1e-11))),
-                   draw(st.integers(0, 3)), pre=shifts(), inner=inner, orders=orders)
+                   draw(st.integers(0, 3)), pre=shifts(), inner=shifts(), orders=orders)
 
 
 def _image_bits(op, f):
@@ -170,15 +167,24 @@ def _image_bits(op, f):
 def test_apply_equals_the_merging_oracle(data):
     # an application merges nothing between its stages; on generic exponents
     # that must agree bit for bit, in term order, with a merge after each
-    # stage.  A bare operand is normalized on entry: before, the first merge
-    # normalized it, which is the same only when an inner multiplier comes
-    # first (after a derivative the sums round differently), so its operator
-    # terms all carry one
+    # stage, on an operand from either constructor
     terms = data.draw(operands())
-    bare = data.draw(st.booleans())
-    f = PolyExpr(tuple(terms)) if bare else PolyExpr.from_terms(terms)
-    op = OperatorExpr(tuple(data.draw(st.lists(operator_terms(bare), min_size=1, max_size=3))))
+    f = PolyExpr(tuple(terms)) if data.draw(st.booleans()) else PolyExpr.from_terms(terms)
+    op = OperatorExpr(tuple(data.draw(st.lists(operator_terms(), min_size=1, max_size=3))))
     assert _image_bits(op.apply, f) == _image_bits(lambda g: oracle_apply(op, g), f)
+
+
+def test_a_bare_operand_is_its_merged_twin():
+    # unsorted, with like terms on one merge key, a cancelling pair and dust
+    terms = (term(2.0, x=1.5), term(1e-13, y=2), term(-1.0, x=0.5),
+             term(3.0, x=1.5 + 1e-10), term(1.0, x=0.5))
+    bare, merged = PolyExpr(terms), PolyExpr.from_terms(terms)
+    assert bare.render() == merged.render() == "5*x^1.5"
+    assert bare.max_abs_coeff() == merged.max_abs_coeff() == 5.0
+    assert bare.scaled(-2.0) == merged.scaled(-2.0)
+    assert rl_derive(bare, "x", 0.5) == rl_derive(merged, "x", 0.5)
+    op = build_Kz(0.7) + build_H(0.5)
+    assert op.apply(bare) == op.apply(merged)
 
 
 def test_apply_drops_a_small_coefficient_between_stages():
@@ -386,6 +392,22 @@ def test_gauge_field_half_order():
 def test_gauge_field_zero():
     A = gauge_field_A(0.0, 0.7)
     assert all(c.is_zero() for c in A.components)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: op_term(1.0, orders={"w": 0.5}), "unknown axis 'w'"),
+        (lambda: build_H(0.0), r"alpha must lie in \(0, 1\]"),
+        (lambda: build_H(1.5), r"alpha must lie in \(0, 1\]"),
+        (lambda: build_H(0.5, 0.0), "mass must be positive"),
+        (lambda: build_H(0.5, -1.0), "mass must be positive"),
+        (lambda: gamma_connection(gauge_field_A(1.0, 0.5), 0), "series order K must be >= 1"),
+    ],
+)
+def test_operator_factory_refuses_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_gauge_field_order_validated():

@@ -174,6 +174,20 @@ def test_leibniz_cubic_times_sqrt():
     assert (got - want).max_abs_coeff() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: leibniz_series(parse_expr("x"), parse_expr("x"), "x", 0.5, 0),
+         "series order K must be >= 1"),
+        (lambda: rl_derivative_quad(lambda s: s, 0.5, 1.0, nodes=0),
+         "need at least one quadrature node"),
+    ],
+)
+def test_zero_count_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_leibniz_requires_polynomial_left_factor():
     with pytest.raises(ValueError):
         leibniz_series(parse_expr("x^0.5"), parse_expr("x"), "x", 0.5, 2)

@@ -118,6 +118,18 @@ def test_multiplet_validation():
         Multiplet(3, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: casimir_L2(0.5, -1), "L must be nonnegative"),
+        (lambda: casimir_Lz(0.5, 1, sign=2), "sign must be"),
+    ],
+)
+def test_casimir_refuses_bad_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_fitparams_validation():
     with pytest.raises(ValueError):
         FitParams(0.0, 1.0, 1.0, 1.0)
