@@ -18,7 +18,13 @@ same cases:
   ``perfbench/workloads.py::AlgebraWorkload`` at seeds 0..10N-1, 80 a seed,
   with the ``float.hex`` of every residual;
 - ``levels``: ``spectrum``, ``predict`` and ``report`` (both files, byte for
-  byte) over a grid of alphas, L bands and parameter sets.
+  byte) over a grid of alphas, L bands and parameter sets;
+- ``fit``: at seeds 0..20N-1, a subset of the built-in table (rows dropped,
+  masses shifted) and a synthetic table of
+  ``perfbench/workloads.py::FitWorkload``; the ``float.hex`` of the alpha
+  scan's profile losses, the fitted parameters, ``rms_percent``,
+  ``loss_rms_mev`` and every per-particle level, ``evals``, and the exit
+  code, stdout, stderr and ``--out`` bytes of ``fraczee fit``.
 
 It prints each corpus's case count and the first mismatches, and exits 1 on
 any mismatch (2 when a tree's run fails).  The harness itself uses the
@@ -42,6 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECKS_PER_SEED = 80
 SHOWN = 3  # mismatches printed per corpus
+FIT_DROP = 0.2  # chance that a built-in row leaves a fit subset
+FIT_SHIFT_MEV = 10.0  # standard deviation of a shifted built-in mass
 #: L bands of the level grid: the default band, L = 0, and the overflow edge
 L_BANDS = ((1, 9), (0, 2), (140, 145), (200, 200))
 PARAM_SETS = ((), ("--m0", "500", "--a0", "2000", "--b0", "-300"))
@@ -99,7 +107,7 @@ def corpora(scale: int) -> dict[str, list]:
     import workloads
     from fraczee import cli
 
-    out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": []}
+    out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": [], "fit": []}
     for seed in range(20 * scale):
         rng = random.Random(seed)
         for i in range(test_golden._N_CASES):
@@ -135,8 +143,53 @@ def corpora(scale: int) -> dict[str, list]:
                     out["levels"].append((" ".join(["report", *argv]), [got, files]))
                     for n in ("table.csv", "plot.tsv"):
                         (rep / n).unlink(missing_ok=True)
+        for seed in range(20 * scale):
+            for label, path in _fit_tables(workloads, seed):
+                out["fit"].append((f"seed {seed} {label}", _fit_outcome(cli, path)))
         os.chdir(home)
     return out
+
+
+def _fit_tables(workloads, seed: int):
+    """(label, CSV path) of a seeded subset of the built-in table, rows dropped
+    and masses shifted, and of a synthetic table of the fit workload; the files
+    are written in the working directory, so error messages read the same in
+    both trees."""
+    from fraczee.dataset import builtin_table
+
+    rng = random.Random(f"fit-{seed}")
+    rows = []
+    for r in builtin_table():
+        if rng.random() < FIT_DROP:
+            continue
+        shift = rng.gauss(0.0, FIT_SHIFT_MEV) if rng.random() < 0.5 else 0.0
+        rows.append((r.name, r.L, r.M, r.mass_mev + shift, r.status, r.group))
+    path = Path("subset.csv")
+    path.write_text(workloads.oracle.table_csv(rows))
+    yield f"built-in subset of {len(rows)} rows", path
+    request = workloads.FitWorkload(_Modules(), seed, Path("."), smoke=False).request(1)
+    yield f"synthetic table of {len(request['rows'])} fitted rows", request["path"]
+
+
+def _fit_outcome(cli, path: Path) -> list:
+    """The default fit of one table in process (scan losses, result bits) and
+    through ``fraczee fit --out``."""
+    from fraczee import dataset, fitting
+
+    cfg = fitting.FitConfig()
+    selected = fitting.select_records(dataset.load_records(path), cfg)
+
+    def fitted():
+        r = fitting.fit(selected, cfg)
+        levels = [(pp.e_th, pp.de_percent) for pp in r.per_particle]
+        return [r.params.astuple(), r.rms_percent, r.loss_rms_mev, r.evals, r.converged, levels]
+
+    scan = _outcome(lambda: fitting._Problem(selected).scan_losses(fitting._ALPHA_GRID).tolist())
+    out = Path("fit.json")
+    got = _cli(cli, ["fit", "--data", str(path), "--out", str(out)])
+    written = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return [scan, _outcome(fitted), got, written]
 
 
 def _run_tree(src: Path, scale: int) -> subprocess.Popen:

@@ -21,14 +21,18 @@ lowest ``starts`` local minima are refined by bounded Brent between the
 neighbouring grid points (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5; :func:`minimize_scalar` follows scipy's
 ``method="bounded"`` operation for operation, so it returns the same
-bits).  Both stages take each distinct L and |M| Casimir once per alpha
-and scatter it to the records' design matrix [1, C_L2, C_Lz].  The scan
-is one batched evaluation: the array Gamma kernel gives the Casimirs at
-all grid alphas at once, and one stacked QR solves the 199 least-squares
-problems.  The refine and the returned (m0, a0, b0) use the scalar
-Casimirs of :func:`spectrum.spectrum`, the one level evaluator, so the
-fitted parameters do not depend on the array kernel's roundoff.  An
-alpha where a Casimir overflows gets an infinite loss.
+bits).  Every Gamma argument of the level formula is 1 + k*alpha for an
+integer k; both stages evaluate each distinct one once per alpha (12 on
+the default selection, k = -1..10, where per-Casimir pairs took 32) and
+take the records' design matrix [1, C_L2, C_Lz] from the vector
+[1, C_L2..., C_Lz...] in one indexing step.  The scan is one batched
+evaluation: :func:`spectrum._casimirs_array` gives the Casimirs at all
+grid alphas at once, and one stacked QR solves the 199 least-squares
+problems.  The refine and the returned (m0, a0, b0) use
+:func:`spectrum._casimirs`, the scalar kernel behind
+:func:`spectrum.spectrum`, so the fitted parameters do not depend on the
+array kernel's roundoff.  An alpha where a Casimir overflows gets an
+infinite loss.
 No random numbers are drawn; results are bit-reproducible.
 """
 
@@ -43,16 +47,7 @@ import numpy as np
 from .dataset import ParticleRecord
 # ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.fitting.mass``
 # by attribute name, so the name stays.
-from .spectrum import (  # noqa: F401
-    FitParams,
-    Multiplet,
-    casimir_L2,
-    casimir_L2_array,
-    casimir_Lz,
-    casimir_Lz_array,
-    mass,
-    spectrum,
-)
+from .spectrum import FitParams, Multiplet, _casimirs, _casimirs_array, mass, spectrum  # noqa: F401
 
 minimize = None  # the Nelder-Mead fit is gone, but perfbench/layers.py still wraps this name
 
@@ -246,48 +241,48 @@ def select_records(
 class _Problem:
     """Record arrays and the profile loss over alpha.
 
-    :meth:`scan_losses` evaluates the loss at many alphas at once through the
-    array Gamma kernel (the grid scan); :meth:`profile_loss` evaluates one
-    alpha through the scalar Casimirs (the Brent refine and the final
-    parameters).  Both take the Casimirs at ``l_values`` and ``m_values``
-    only and scatter them to the records with :meth:`_design`.
+    :meth:`scan_losses` evaluates the loss at many alphas at once through
+    :func:`spectrum._casimirs_array` (the grid scan); :meth:`profile_loss`
+    evaluates one alpha through :func:`spectrum._casimirs` (the Brent refine
+    and the final parameters).  Both take the Casimirs at ``l_values`` and
+    ``m_values`` only, and build the design matrix with one take of the
+    vector [1, C_L2..., C_Lz...] at ``cols``.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
-        self.l_values, self.l_index = np.unique([r.L for r in records], return_inverse=True)
-        self.m_values, self.m_index = np.unique([abs(r.M) for r in records], return_inverse=True)
+        l_values, l_index = np.unique([r.L for r in records], return_inverse=True)
+        m_values, m_index = np.unique([abs(r.M) for r in records], return_inverse=True)
+        # Python ints, so that every Gamma argument 1 + k*alpha is a Python float
+        self.l_values, self.m_values = l_values.tolist(), m_values.tolist()
+        #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...]
+        self.cols = np.stack(
+            [np.zeros_like(l_index), 1 + l_index, 1 + len(l_values) + m_index], axis=1
+        )
         self.e_exp = np.array([r.mass_mev for r in records], dtype=float)
         self.evals = 0
-
-    def _design(self, c_l2, c_lz) -> np.ndarray:
-        """[1, C_L2, C_Lz] per record from Casimirs at l_values / m_values (last axis)."""
-        c_l2 = np.asarray(c_l2)[..., self.l_index]
-        c_lz = np.asarray(c_lz)[..., self.m_index]
-        return np.stack([np.ones_like(c_l2), c_l2, c_lz], axis=-1)
 
     def _lstsq_loss(self, A: np.ndarray) -> tuple[float, np.ndarray]:
         # minimum-norm least squares, so a rank-deficient A is solved too
         coef, *_ = np.linalg.lstsq(A, self.e_exp, rcond=None)
         res = A @ coef - self.e_exp
-        return float(np.sqrt(np.mean(res * res))), coef
+        # np.sqrt(np.mean(res * res)) without its dispatch: the same pairwise
+        # sum, the same division by the count and a correctly rounded sqrt
+        return math.sqrt(np.add.reduce(res * res) / len(res)), coef
 
     def profile_loss(self, alpha: float) -> tuple[float, np.ndarray | None]:
         """R.m.s. residual in MeV and (m0, a0, b0) solved exactly at alpha;
         ``(inf, None)`` where a Casimir overflows for some record."""
         self.evals += 1
         try:
-            # Python ints: a numpy L would turn OverflowError into a nan
-            A = self._design(
-                [casimir_L2(alpha, L) for L in self.l_values.tolist()],
-                [casimir_Lz(alpha, m) for m in self.m_values.tolist()],
-            )
+            c_l2, c_lz = _casimirs(alpha, self.l_values, self.m_values)
         except OverflowError:
             return math.inf, None
+        values = np.array([1.0, *c_l2, *c_lz])
         # the scalar Gamma raises on most overflows but returns inf on some
         # (just above x = 142.2), which lstsq would reject
-        if not np.isfinite(A).all():
+        if not np.isfinite(values).all():
             return math.inf, None
-        return self._lstsq_loss(A)
+        return self._lstsq_loss(values[self.cols])
 
     def scan_losses(self, alphas: np.ndarray) -> np.ndarray:
         """The profile loss (first item of :meth:`profile_loss`) at every alpha:
@@ -295,10 +290,10 @@ class _Problem:
         design matrices and ``inf`` where a Casimir is not finite."""
         alphas = np.asarray(alphas, dtype=float)
         self.evals += len(alphas)
-        a = alphas[:, None]
-        A = self._design(casimir_L2_array(a, self.l_values), casimir_Lz_array(a, self.m_values))
-        feasible = np.isfinite(A).all(axis=(1, 2))
-        A = A[feasible]
+        c_l2, c_lz = _casimirs_array(alphas, self.l_values, self.m_values)
+        values = np.concatenate([np.ones((len(alphas), 1)), c_l2, c_lz], axis=1)
+        feasible = np.isfinite(values).all(axis=1)
+        A = values[feasible][..., self.cols]
         q, r = np.linalg.qr(A)
         diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
         full = diag.min(axis=1) > _RANK_RTOL * diag.max(axis=1)

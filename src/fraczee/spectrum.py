@@ -9,9 +9,17 @@ plus branch is used for every row of the built-in table: it is the only
 branch whose levels increase with M at fixed L, and at M = 0 it leaves a
 nonzero zero-point contribution b0 / Gamma(1-a) for a < 1.
 
-:func:`spectrum` is the one evaluator of the formula (:func:`mass`, the
-fit's residuals and the CLI level tables call it); it evaluates each
-distinct L and |M| Casimir once, as the fit's profile loss does.
+Every Gamma argument in it is 1 + k*a for an integer k, and a numerator
+argument of one Casimir is often a denominator argument of another (the
+L = 3 denominator 1 + 2a is the |M| = 2 numerator).  :func:`_casimirs` is
+the one Casimir kernel: it evaluates each distinct argument once, ``gamma``
+at every numerator and ``1.0 / gamma`` wherever a denominator is one of
+them, with the bits and the exceptions of ``rgamma``.
+:func:`_casimirs_array` is its array twin.  :func:`spectrum` is the one
+evaluator of the formula (:func:`mass`, the fit's residuals and the CLI
+level tables call it); it and the fit's profile loss take their Casimirs
+from :func:`_casimirs`, and the fit's alpha scan from
+:func:`_casimirs_array`.
 """
 
 from __future__ import annotations
@@ -76,11 +84,53 @@ class Multiplet:
             raise ValueError("sign must be +1 or -1")
 
 
+def _casimirs(alpha: float, ls, ms) -> tuple[list[float], list[float]]:
+    """C_L2 at each L of ``ls`` and plus-branch C_Lz at each |M| of ``ms``, with
+    the bits and exceptions of ``gamma(num) * rgamma(den)`` per value.
+
+    ``gamma`` runs once at each distinct numerator argument 1 + k*alpha
+    (k = L+1 and |M|).  A denominator argument that is one of them and is at
+    least 0.5 takes ``1.0 / gamma``: there ``rgamma`` is that same reciprocal
+    of the Lanczos series or factorial, so it overflows, or gives 0.0 after an
+    ``inf``, exactly where ``gamma`` does.  Every other denominator (k = -1,
+    reflection, the pole at alpha = 1) calls ``rgamma``.  Nothing outlives the
+    call.
+    """
+    g = {k: gamma(1.0 + k * alpha) for k in dict.fromkeys([*(L + 1 for L in ls), *ms])}
+    r = {}
+    for k in dict.fromkeys([*(L - 1 for L in ls), *(m - 1 for m in ms)]):
+        x = 1.0 + k * alpha
+        r[k] = 1.0 / g[k] if k in g and x >= 0.5 else rgamma(x)
+    return [g[L + 1] * r[L - 1] for L in ls], [g[m] * r[m - 1] for m in ms]
+
+
+def _casimirs_array(alpha, ls, ms) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_casimirs` at every alpha of an array: C_L2 of shape
+    ``alpha.shape + (len(ls),)`` and C_Lz of shape ``alpha.shape + (len(ms),)``,
+    with the bits of ``gamma_array(num) * rgamma_array(den)``, ``inf`` or
+    ``nan`` where a Gamma overflows.  One ``gamma_array`` call covers the
+    distinct numerator columns and one ``rgamma_array`` call the denominator
+    cells that are not among them or lie below 0.5."""
+    a = np.asarray(alpha, dtype=float)[..., None]
+    ls, ms = np.asarray(ls, dtype=float), np.asarray(ms, dtype=float)
+    num, num_at = np.unique(np.concatenate([ls + 1, ms]), return_inverse=True)
+    den, den_at = np.unique(np.concatenate([ls - 1, ms - 1]), return_inverse=True)
+    col = np.minimum(np.searchsorted(num, den), len(num) - 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g = gamma_array(1.0 + num * a)
+        x = 1.0 + den * a
+        reuse = (num[col] == den) & (x >= 0.5)
+        r = np.where(reuse, 1.0 / g[..., col], 0.0)
+        r[~reuse] = rgamma_array(x[~reuse])
+        c = g[..., num_at] * r[..., den_at]
+    return c[..., : len(ls)], c[..., len(ls):]
+
+
 def casimir_L2(alpha: float, L: int) -> float:
     """Eigenvalue of the squared angular momentum: G(1+(L+1)a)/G(1+(L-1)a)."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return gamma(1.0 + (L + 1) * alpha) * rgamma(1.0 + (L - 1) * alpha)
+    return _casimirs(alpha, [L], ())[0][0]
 
 
 def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
@@ -91,8 +141,7 @@ def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = abs(M)
-    return sign * gamma(1.0 + m * alpha) * rgamma(1.0 + (m - 1) * alpha)
+    return sign * _casimirs(alpha, (), [abs(M)])[1][0]
 
 
 def casimir_L2_array(alpha, L) -> np.ndarray:
@@ -120,8 +169,10 @@ def spectrum(p: FitParams, mults: Iterable[Multiplet]) -> list[tuple[Multiplet, 
     """Masses for a list of multiplets, preserving input order; ``ValueError``
     where a level is not finite (the parameters or a Casimir overflow)."""
     mults = list(mults)
-    c_l2 = {L: casimir_L2(p.alpha, L) for L in dict.fromkeys(m.L for m in mults)}
-    c_lz = {m: casimir_Lz(p.alpha, m) for m in dict.fromkeys(abs(m.M) for m in mults)}
+    ls = list(dict.fromkeys(m.L for m in mults))
+    ms = list(dict.fromkeys(abs(m.M) for m in mults))
+    c_l2, c_lz = _casimirs(p.alpha, ls, ms)
+    c_l2, c_lz = dict(zip(ls, c_l2)), dict(zip(ms, c_lz))
     out = []
     for m in mults:
         e = p.m0 + p.a0 * c_l2[m.L] + p.b0 * (m.sign * c_lz[abs(m.M)])

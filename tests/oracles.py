@@ -9,6 +9,9 @@ field and a separate duplicate-name pass.  ``oracle_apply_to`` and
 ``oracle_apply`` are operator application with a merge after every stage,
 and ``oracle_rl_derivative_quad`` is the quadrature sampling numpy scalars,
 both as they stood before the merge-free and float-sampling rewrites.
+``oracle_casimir_L2`` and ``oracle_casimir_Lz`` are the scalar Casimirs as
+one ``gamma``/``rgamma`` pair per value, as they stood before the Gamma
+evaluations were shared.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fraczee.dataset import DatasetError, ParticleRecord
 from fraczee.monomial import AXES, PolyExpr, PowerTerm, rl_derive
 from fraczee.operators import PhasedPoly
 from fraczee.rlquad import _FD_REL_STEP, roots_jacobi
-from fraczee.specfun import gamma
+from fraczee.specfun import gamma, rgamma
 
 mpmath.mp.dps = 40
 
@@ -189,3 +192,12 @@ def oracle_rl_derivative_quad(f, alpha, x, nodes, left_exponent=0.0) -> float:
 
     deriv = (weighted_integral(x + h) - weighted_integral(x - h)) / (2.0 * h)
     return deriv / gamma(1.0 - alpha)
+
+
+def oracle_casimir_L2(alpha, L):
+    return gamma(1.0 + (L + 1) * alpha) * rgamma(1.0 + (L - 1) * alpha)
+
+
+def oracle_casimir_Lz(alpha, M, sign=+1):
+    m = abs(M)
+    return sign * gamma(1.0 + m * alpha) * rgamma(1.0 + (m - 1) * alpha)

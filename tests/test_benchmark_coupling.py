@@ -90,6 +90,25 @@ def test_traced_operator_applications_reach_the_gamma_counters():
         tracer.restore()
 
 
+def test_traced_fits_and_levels_reach_the_gamma_counter():
+    # the Casimir kernel looks gamma and rgamma up as fraczee.spectrum globals;
+    # one that called specfun._lanczos or an alias bound at import would zero
+    # the fit and levels workloads' specfun metrics without a word
+    layers, tracer, fz = _layers_tracer_and_modules()
+    try:
+        layers.install(tracer, fz)
+        records = fz.fitting.select_records(fz.dataset.builtin_table(), fz.fitting.FitConfig())
+        for call in (
+            lambda: fz.fitting.fit(records, fz.fitting.FitConfig(starts=1)),
+            lambda: fz.spectrum.spectrum(fz.spectrum.REFERENCE_PARAMS, [fz.spectrum.Multiplet(3, 1)]),
+        ):
+            before = tracer.calls["specfun.gamma"]
+            call()
+            assert tracer.calls["specfun.gamma"] > before
+    finally:
+        tracer.restore()
+
+
 def test_levels_probes_still_find_their_known_defects(tmp_path):
     # perfbench/test_smoke.py pins three known-defect probes on the levels
     # workload but is not part of this suite; a record-contract change that

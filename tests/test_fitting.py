@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
 
 from fraczee.dataset import ParticleRecord, builtin_table
 from fraczee.fitting import (
@@ -120,41 +121,73 @@ def test_objective_requires_records():
         loss_rms_mev(REFERENCE_PARAMS, [])
 
 
-def test_objective_evaluates_each_distinct_casimir_once(monkeypatch):
+def _count_gamma_calls(monkeypatch) -> list[tuple[str, float]]:
+    """(name, argument) of every ``gamma`` and ``rgamma`` call made through
+    ``fraczee.spectrum``, where the Casimir kernel looks them up."""
     # the package exports a function named ``spectrum`` over the module's name
     spectrum_module = importlib.import_module("fraczee.spectrum")
     calls = []
-    for name in ("casimir_L2", "casimir_Lz"):
-        def counted(*args, _fn=getattr(spectrum_module, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
+    for name in ("gamma", "rgamma"):
+        def counted(x, _fn=getattr(spectrum_module, name), _name=name):
+            calls.append((_name, x))
+            return _fn(x)
         monkeypatch.setattr(spectrum_module, name, counted)
+    return calls
+
+
+def _assert_each_gamma_argument_once(calls, alpha, records):
+    # every Gamma argument of the level formula is 1 + k*alpha: gamma at each
+    # numerator k, rgamma only at a denominator k that is not also a numerator
+    ls, ms = {r.L for r in records}, {abs(r.M) for r in records}
+    num = {L + 1 for L in ls} | ms
+    den = ({L - 1 for L in ls} | {m - 1 for m in ms}) - num
+    args = [x for _, x in calls]
+    assert len(args) == len(set(args)) == len(num) + len(den)
+    assert sorted(x for name, x in calls if name == "gamma") == sorted(1.0 + k * alpha for k in num)
+    assert sorted(x for name, x in calls if name == "rgamma") == sorted(1.0 + k * alpha for k in den)
+    return len(num), len(den)
+
+
+def test_objective_evaluates_each_distinct_gamma_argument_once(monkeypatch):
+    calls = _count_gamma_calls(monkeypatch)
     records = builtin_table()
     objective(REFERENCE_PARAMS, records)
-    # 13 distinct L and 12 distinct |M| over the 53 rows, not 2 x 53
+    # 13 distinct L and 12 distinct |M| over the 53 rows: 20 Gamma arguments
+    # (k = -1..12, 14..16, 19..21), not 2 x 53 nor 2 x (13 + 12)
     assert len(records) == 53
-    assert calls.count("casimir_L2") == len({r.L for r in records}) == 13
-    assert calls.count("casimir_Lz") == len({abs(r.M) for r in records}) == 12
+    assert _assert_each_gamma_argument_once(calls, REFERENCE_PARAMS.alpha, records) == (17, 3)
 
 
-def test_profile_loss_evaluates_each_distinct_casimir_once(monkeypatch):
-    fitting_module = importlib.import_module("fraczee.fitting")
-    calls = []
-    for name in ("casimir_L2", "casimir_Lz"):
-        def counted(alpha, n, _fn=getattr(fitting_module, name), _name=name):
-            assert type(n) is int
-            calls.append(_name)
-            return _fn(alpha, n)
-        monkeypatch.setattr(fitting_module, name, counted)
+def test_profile_loss_evaluates_each_distinct_gamma_argument_once(monkeypatch):
+    calls = _count_gamma_calls(monkeypatch)
     records = select_records(builtin_table(), FitConfig())
     prob = _Problem(records)
     for alpha in (0.112, 0.5):
         calls.clear()
         loss, _ = prob.profile_loss(alpha)
         assert math.isfinite(loss)
-        # 7 distinct L and 9 distinct |M| over the 42 rows, not 2 x 42
-        assert calls.count("casimir_L2") == len({r.L for r in records}) == 7
-        assert calls.count("casimir_Lz") == len({abs(r.M) for r in records}) == 9
+        assert all(type(x) is float for _, x in calls)
+        # 7 distinct L and 9 distinct |M| over the 42 rows: the 12 arguments
+        # k = -1..10, not 2 x 42 nor 2 x (7 + 9)
+        assert _assert_each_gamma_argument_once(calls, alpha, records) == (11, 1)
+
+
+@settings(max_examples=200)
+@given(st.integers(5, 400), st.integers(0, 2**32 - 1))
+def test_lstsq_loss_is_numpys_rms_bit_for_bit(n, seed):
+    # the loss skips np.mean's dispatch but keeps its pairwise sum (blocks of
+    # 8 and 128, so n runs past both), its division and a correctly rounded sqrt
+    rng = np.random.default_rng(seed)
+    records = [
+        ParticleRecord(f"r{i}", int(L), 0, float(m), "", "baryon")
+        for i, (L, m) in enumerate(zip(rng.integers(0, 10, n), rng.uniform(500.0, 5000.0, n)))
+    ]
+    prob = _Problem(records)
+    A = rng.normal(size=(n, 3)) * [1.0, 100.0, 10.0]
+    loss, coef = prob._lstsq_loss(A)
+    res = A @ coef - prob.e_exp
+    assert type(loss) is float
+    assert loss.hex() == float(np.sqrt(np.mean(res * res))).hex()
 
 
 def test_objective_homogeneity():
