@@ -24,7 +24,18 @@ same cases:
   ``perfbench/workloads.py::FitWorkload``; the ``float.hex`` of the alpha
   scan's profile losses, the fitted parameters, ``rms_percent``,
   ``loss_rms_mev`` and every per-particle level, ``evals``, and the exit
-  code, stdout, stderr and ``--out`` bytes of ``fraczee fit``.
+  code, stdout, stderr and ``--out`` bytes of ``fraczee fit``;
+- ``casimir``: the scalar Casimir kernel ``spectrum._casimirs`` at each of
+  1-4 seeded alphas in (0, 1.5] (0.703 and 1.0 among them) and its array
+  twin ``spectrum._casimirs_array`` at all of them, for L and |M| sets up
+  to 220, 400N cases; the ``float.hex`` of every value or the exception;
+- ``parse``: ``parse_expr`` on 2,000N seeded strings, random ones over the
+  tokenizer's alphabet and sums whose like terms differ near the merge
+  grid; the bits of every term, or the error message with its offset;
+- ``records``: 400N seeded record lists, with names and statuses that hold
+  ``,``, ``"``, ``\n`` or ``\r`` and masses that six digits do or do not
+  keep; the text of ``records_to_csv`` and ``records_to_json`` and the
+  records ``load_records`` reads back from each file.
 
 It prints each corpus's case count and the first mismatches, and exits 1 on
 any mismatch (2 when a tree's run fails).  The harness itself uses the
@@ -53,6 +64,13 @@ FIT_SHIFT_MEV = 10.0  # standard deviation of a shifted built-in mass
 #: L bands of the level grid: the default band, L = 0, and the overflow edge
 L_BANDS = ((1, 9), (0, 2), (140, 145), (200, 200))
 PARAM_SETS = ((), ("--m0", "500", "--a0", "2000", "--b0", "-300"))
+#: alphas that lead every fourth Casimir case: the inf at L = 200, the
+#: overflow at L = 170, the reference 0.112 and the end of the range
+CASIMIR_EDGES = (0.703, 1.0, 0.112, 1.5)
+#: the tokenizer's alphabet, and a few characters it must refuse
+PARSE_ALPHABET = "0123456789.eE+-*^ xyzt" + "\t()q_²"
+#: name and status characters that CSV must quote or that JSON escapes
+RECORD_TEXT = 'ab,"\n\r \t\\é'
 
 
 def _bits(obj):
@@ -107,7 +125,8 @@ def corpora(scale: int) -> dict[str, list]:
     import workloads
     from fraczee import cli
 
-    out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": [], "fit": []}
+    out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": [], "fit": [],
+                            "casimir": _casimir_corpus(scale), "parse": _parse_corpus(scale)}
     for seed in range(20 * scale):
         rng = random.Random(seed)
         for i in range(test_golden._N_CASES):
@@ -119,35 +138,44 @@ def corpora(scale: int) -> dict[str, list]:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # report prints its out-dir: a relative one reads the same in both trees
-        for seed in range(10 * scale):
-            wl = workloads.AlgebraWorkload(_Modules(), seed, Path(tmp), smoke=True)
-            for j in range(CHECKS_PER_SEED):
-                req = wl.request(5 * j + 4)  # every fifth request is a check
-                label = f"seed {seed} request {5 * j + 4}: {req['kind']}"
-                out["checks"].append((label, _outcome(lambda: wl.run(req))))
-        rng = random.Random(0)
-        alphas = [0.01, 0.112, 0.3, 0.5, 0.703, 0.9, 1.0]
-        alphas += [round(rng.uniform(0.01, 1.0), 6) for _ in range(8 * scale)]
-        rep = Path("rep")
-        for alpha in alphas:
-            for l_min, l_max in L_BANDS:
-                for params in PARAM_SETS:
-                    argv = ["--alpha", repr(alpha), "--l-min", str(l_min),
-                            "--l-max", str(l_max), *params]
-                    for command in ("spectrum", "predict"):
-                        out["levels"].append((" ".join([command, *argv]),
-                                              _cli(cli, [command, *argv])))
-                    got = _cli(cli, ["report", "--out-dir", str(rep), *argv])
-                    files = [(rep / n).read_text() if (rep / n).exists() else None
-                             for n in ("table.csv", "plot.tsv")]
-                    out["levels"].append((" ".join(["report", *argv]), [got, files]))
-                    for n in ("table.csv", "plot.tsv"):
-                        (rep / n).unlink(missing_ok=True)
-        for seed in range(20 * scale):
-            for label, path in _fit_tables(workloads, seed):
-                out["fit"].append((f"seed {seed} {label}", _fit_outcome(cli, path)))
-        os.chdir(home)
+        try:
+            _in_workdir(out, scale, cli, workloads, Path(tmp))
+        finally:
+            os.chdir(home)
     return out
+
+
+def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> None:
+    """The corpora that write files, run in the working directory ``tmp``, so
+    that the relative paths in messages read the same in both trees."""
+    for seed in range(10 * scale):
+        wl = workloads.AlgebraWorkload(_Modules(), seed, tmp, smoke=True)
+        for j in range(CHECKS_PER_SEED):
+            req = wl.request(5 * j + 4)  # every fifth request is a check
+            label = f"seed {seed} request {5 * j + 4}: {req['kind']}"
+            out["checks"].append((label, _outcome(lambda: wl.run(req))))
+    rng = random.Random(0)
+    alphas = [0.01, 0.112, 0.3, 0.5, 0.703, 0.9, 1.0]
+    alphas += [round(rng.uniform(0.01, 1.0), 6) for _ in range(8 * scale)]
+    rep = Path("rep")
+    for alpha in alphas:
+        for l_min, l_max in L_BANDS:
+            for params in PARAM_SETS:
+                argv = ["--alpha", repr(alpha), "--l-min", str(l_min),
+                        "--l-max", str(l_max), *params]
+                for command in ("spectrum", "predict"):
+                    out["levels"].append((" ".join([command, *argv]),
+                                          _cli(cli, [command, *argv])))
+                got = _cli(cli, ["report", "--out-dir", str(rep), *argv])
+                files = [(rep / n).read_text() if (rep / n).exists() else None
+                         for n in ("table.csv", "plot.tsv")]
+                out["levels"].append((" ".join(["report", *argv]), [got, files]))
+                for n in ("table.csv", "plot.tsv"):
+                    (rep / n).unlink(missing_ok=True)
+    for seed in range(20 * scale):
+        for label, path in _fit_tables(workloads, seed):
+            out["fit"].append((f"seed {seed} {label}", _fit_outcome(cli, path)))
+    out["records"] = _records_corpus(scale)
 
 
 def _fit_tables(workloads, seed: int):
@@ -190,6 +218,79 @@ def _fit_outcome(cli, path: Path) -> list:
     written = out.read_text() if out.exists() else None
     out.unlink(missing_ok=True)
     return [scan, _outcome(fitted), got, written]
+
+
+def _casimir_corpus(scale: int) -> list:
+    """Both Casimir kernels on seeded alphas and L, |M| sets."""
+    from fraczee.spectrum import _casimirs, _casimirs_array
+
+    def ns() -> list[int]:
+        top = rng.choice((12, 40, 220))
+        return [rng.randint(0, top) for _ in range(rng.randint(0, 10))]
+
+    rng = random.Random("casimir")
+    out = []
+    for i in range(400 * scale):
+        alphas = [CASIMIR_EDGES[i // 4 % len(CASIMIR_EDGES)]] if i % 4 == 0 else []
+        for _ in range(rng.randint(1, 4) - len(alphas)):
+            alphas.append(rng.choice((1.5 - 1.5 * rng.random(), rng.randint(1, 30) / 20)))
+        ls, ms = ns(), ns()
+        scalar = [_outcome(lambda: _casimirs(a, ls, ms)) for a in alphas]
+        array = _outcome(lambda: [c.tolist() for c in _casimirs_array(alphas, ls, ms)])
+        out.append((f"alphas {alphas!r} L {ls} |M| {ms}", [scalar, array]))
+    return out
+
+
+def _parse_corpus(scale: int) -> list:
+    """``parse_expr`` on random strings, and on sums of like terms whose
+    exponents differ by less than, about and more than the 1e-9 merge grid."""
+    from fraczee.monomial import parse_expr
+
+    rng = random.Random("parse")
+    out = []
+    for i in range(2000 * scale):
+        if i % 2:
+            src = "".join(rng.choice(PARSE_ALPHABET) for _ in range(rng.randint(0, 24)))
+        else:
+            axis, e = rng.choice("xyzt"), round(rng.uniform(-1.0, 3.0), rng.randint(0, 6))
+            src = " + ".join(f"{rng.choice(('', '-'))}{rng.randint(1, 9)}*{axis}^"
+                             f"{e + rng.choice((0.0, 2e-10, 3e-9, 5e-9, 4e-8))!r}"
+                             for _ in range(rng.randint(1, 4)))
+        out.append((repr(src), _outcome(lambda: parse_expr(src))))
+    return out
+
+
+def _records_corpus(scale: int) -> list:
+    """Seeded records written by ``records_to_csv`` and ``records_to_json``,
+    and read back by ``load_records`` from files in the working directory."""
+    from fraczee import dataset
+
+    def text(k: int) -> str:
+        return "".join(rng.choice(RECORD_TEXT) for _ in range(k))
+
+    def loaded(path: Path):
+        return [[r.name, r.L, r.M, r.mass_mev, r.status, r.group]
+                for r in dataset.load_records(path)]
+
+    rng = random.Random("records")
+    out = []
+    for _ in range(400 * scale):
+        records = []
+        for j in range(rng.randint(0, 5)):
+            L = rng.randint(0, 20)
+            mass = rng.choice((rng.randint(1, 6000), round(rng.uniform(1, 6000), rng.randint(0, 8)),
+                               rng.uniform(1, 6000), 2000.0000001))
+            records.append(dataset.ParticleRecord(f"{text(rng.randint(0, 4))}{j}", L,
+                                                  rng.randint(0, L), mass, text(rng.randint(0, 3)),
+                                                  rng.choice(dataset.GROUPS)))
+        written = []
+        for name, write in (("records.csv", dataset.records_to_csv),
+                            ("records.json", dataset.records_to_json)):
+            path, data = Path(name), write(records)
+            path.write_text(data, newline="")
+            written += [data, _outcome(lambda: loaded(path))]
+        out.append((repr(records), written))
+    return out
 
 
 def _run_tree(src: Path, scale: int) -> subprocess.Popen:

@@ -160,8 +160,11 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
     CSV row ends) or entry (counted from 0).
     """
     p = Path(path)
-    with p.open(newline="") as f:  # a carriage return inside a quoted CSV cell stays
-        text = f.read()
+    try:
+        with p.open(newline="") as f:  # a carriage return inside a quoted CSV cell stays
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{p}: {exc}") from exc
     if not text.strip():
         return []
     reader = None

@@ -21,18 +21,15 @@ lowest ``starts`` local minima are refined by bounded Brent between the
 neighbouring grid points (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5; :func:`minimize_scalar` follows scipy's
 ``method="bounded"`` operation for operation, so it returns the same
-bits).  Every Gamma argument of the level formula is 1 + k*alpha for an
-integer k; both stages evaluate each distinct one once per alpha (12 on
-the default selection, k = -1..10, where per-Casimir pairs took 32) and
-take the records' design matrix [1, C_L2, C_Lz] from the vector
-[1, C_L2..., C_Lz...] in one indexing step.  The scan is one batched
-evaluation: :func:`spectrum._casimirs_array` gives the Casimirs at all
-grid alphas at once, and one stacked QR solves the 199 least-squares
-problems.  The refine and the returned (m0, a0, b0) use
-:func:`spectrum._casimirs`, the scalar kernel behind
-:func:`spectrum.spectrum`, so the fitted parameters do not depend on the
-array kernel's roundoff.  An alpha where a Casimir overflows gets an
-infinite loss.
+bits).  Both stages take their Casimirs from the kernels described in the
+:mod:`fraczee.spectrum` docstring, and the records' design matrix
+[1, C_L2, C_Lz] from the vector [1, C_L2..., C_Lz...] in one indexing
+step.  The scan is one batched evaluation: the array kernel gives the
+Casimirs at all grid alphas at once, and one stacked QR solves the 199
+least-squares problems.  The refine and the returned (m0, a0, b0) use the
+scalar kernel behind :func:`spectrum.spectrum`, so the fitted parameters
+do not depend on the array kernel's roundoff.  An alpha where a Casimir
+overflows gets an infinite loss.
 No random numbers are drawn; results are bit-reproducible.
 """
 

@@ -14,8 +14,11 @@ argument of one Casimir is often a denominator argument of another (the
 L = 3 denominator 1 + 2a is the |M| = 2 numerator).  :func:`_casimirs` is
 the one Casimir kernel: it evaluates each distinct argument once, ``gamma``
 at every numerator and ``1.0 / gamma`` wherever a denominator is one of
-them, with the bits and the exceptions of ``rgamma``.
-:func:`_casimirs_array` is its array twin.  :func:`spectrum` is the one
+them, with the bits and the exceptions of ``rgamma`` (12 evaluations on
+the fit's default selection, k = -1..10, where one ``gamma``/``rgamma``
+pair per Casimir takes 32).  :func:`_casimirs_array` is its array twin,
+with the bits of ``gamma_array``/``rgamma_array`` pairs and ``inf`` or
+``nan`` where a Gamma overflows.  :func:`spectrum` is the one
 evaluator of the formula (:func:`mass`, the fit's residuals and the CLI
 level tables call it); it and the fit's profile loss take their Casimirs
 from :func:`_casimirs`, and the fit's alpha scan from
@@ -38,8 +41,6 @@ __all__ = [
     "REFERENCE_PARAMS",
     "casimir_L2",
     "casimir_Lz",
-    "casimir_L2_array",
-    "casimir_Lz_array",
     "mass",
     "spectrum",
 ]
@@ -142,22 +143,6 @@ def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     return sign * _casimirs(alpha, (), [abs(M)])[1][0]
-
-
-def casimir_L2_array(alpha, L) -> np.ndarray:
-    """:func:`casimir_L2` broadcast over arrays of alpha and L >= 0; ``inf`` or
-    ``nan`` where a Gamma overflows."""
-    alpha, L = np.asarray(alpha, dtype=float), np.asarray(L, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return gamma_array(1.0 + (L + 1) * alpha) * rgamma_array(1.0 + (L - 1) * alpha)
-
-
-def casimir_Lz_array(alpha, M) -> np.ndarray:
-    """Plus-branch :func:`casimir_Lz` broadcast over arrays of alpha and M; ``inf``
-    or ``nan`` where a Gamma overflows."""
-    alpha, m = np.asarray(alpha, dtype=float), np.abs(np.asarray(M, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return gamma_array(1.0 + m * alpha) * rgamma_array(1.0 + (m - 1) * alpha)
 
 
 def mass(p: FitParams, mult: Multiplet) -> float:

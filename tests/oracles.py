@@ -11,7 +11,9 @@ and ``oracle_rl_derivative_quad`` is the quadrature sampling numpy scalars,
 both as they stood before the merge-free and float-sampling rewrites.
 ``oracle_casimir_L2`` and ``oracle_casimir_Lz`` are the scalar Casimirs as
 one ``gamma``/``rgamma`` pair per value, as they stood before the Gamma
-evaluations were shared.
+evaluations were shared; ``oracle_casimir_L2_array`` and
+``oracle_casimir_Lz_array`` are the same pairs per array cell, through
+``gamma_array`` and ``rgamma_array``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fraczee.dataset import DatasetError, ParticleRecord
 from fraczee.monomial import AXES, PolyExpr, PowerTerm, rl_derive
 from fraczee.operators import PhasedPoly
 from fraczee.rlquad import _FD_REL_STEP, roots_jacobi
-from fraczee.specfun import gamma, rgamma
+from fraczee.specfun import gamma, gamma_array, rgamma, rgamma_array
 
 mpmath.mp.dps = 40
 
@@ -201,3 +203,15 @@ def oracle_casimir_L2(alpha, L):
 def oracle_casimir_Lz(alpha, M, sign=+1):
     m = abs(M)
     return sign * gamma(1.0 + m * alpha) * rgamma(1.0 + (m - 1) * alpha)
+
+
+def oracle_casimir_L2_array(alpha, L) -> np.ndarray:
+    alpha, L = np.asarray(alpha, dtype=float), np.asarray(L, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gamma_array(1.0 + (L + 1) * alpha) * rgamma_array(1.0 + (L - 1) * alpha)
+
+
+def oracle_casimir_Lz_array(alpha, M) -> np.ndarray:
+    alpha, m = np.asarray(alpha, dtype=float), np.abs(np.asarray(M, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return gamma_array(1.0 + m * alpha) * rgamma_array(1.0 + (m - 1) * alpha)

@@ -452,6 +452,23 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, name, text, argv, prefix
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, before, after, prefix",
+    [
+        pytest.param("bin.csv", ("fit", "--data"), (), "data error: ", id="data"),
+        pytest.param("bin.conf", ("--config",), ("spectrum",), "error: ", id="config"),
+    ],
+)
+def test_undecodable_input_file_exits_2_naming_it(capsys, tmp_path, name, before, after, prefix):
+    # a UTF-16 byte-order mark is no UTF-8 text
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfename,L,M,mass_mev,status,group\n")
+    code, out, err = run(capsys, *before, str(path), *after)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{prefix}{path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_fit_cli_custom_data(capsys, tmp_path):
     from fraczee.dataset import records_to_csv
     from fraczee.fitting import FitConfig, select_records

@@ -16,8 +16,9 @@ Effectively with Legacy Code*, 2004, ch. 13).  ``fixtures/golden.json`` holds
 - the outcome of ``casimir_L2`` and ``casimir_Lz`` on a grid of nine alphas
   and L (or |M|) = 0..200: the ``float.hex`` of the value, ``inf``, or the
   exception name; one space-separated row per alpha keeps the fixture
-  small.  Where ``casimir_L2_array`` or ``casimir_Lz_array`` give other
-  bits than the scalar kernel, those cells are pinned as well.
+  small.  Where the array kernel that the fit's alpha scan runs,
+  ``spectrum._casimirs_array``, gives other bits than the scalar kernel,
+  those cells are pinned as well.
 
 ``derive`` prints 11 significant digits, so the term bits are what catch an
 ulp-level change.  A pinned cell may change only as a named bug fix.  After
@@ -40,7 +41,7 @@ import pytest
 from fraczee import cli
 from fraczee.monomial import AXES, parse_expr, rl_derive
 from fraczee.specfun import gamma, gamma_array, rgamma, rgamma_array
-from fraczee.spectrum import casimir_L2, casimir_L2_array, casimir_Lz, casimir_Lz_array
+from fraczee.spectrum import _casimirs_array, casimir_L2, casimir_Lz
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -65,8 +66,9 @@ GAMMA_ARGS = (
 #: 0..CASIMIR_L_MAX
 CASIMIR_ALPHAS = (0.01, 0.05, 0.112, 0.25, 0.5, 0.703, 0.75, 0.9, 1.0)
 CASIMIR_L_MAX = 200
-CASIMIR_KERNELS = {"casimir_L2": (casimir_L2, casimir_L2_array),
-                   "casimir_Lz": (casimir_Lz, casimir_Lz_array)}
+#: each pinned Casimir as (scalar kernel, array kernel over a list of L or |M|)
+CASIMIR_KERNELS = {"casimir_L2": (casimir_L2, lambda alpha, ns: _casimirs_array(alpha, ns, ())[0]),
+                   "casimir_Lz": (casimir_Lz, lambda alpha, ns: _casimirs_array(alpha, (), ns)[1])}
 
 
 def _exponent(rng: random.Random) -> float:
@@ -186,7 +188,7 @@ def casimir_row(name: str, alpha: float) -> tuple[str, dict[str, str]]:
     scalar, array = CASIMIR_KERNELS[name]
     Ls = range(CASIMIR_L_MAX + 1)
     cells = [_scalar(lambda L: scalar(alpha, L), L) for L in Ls]
-    from_array = [v.hex() for v in array(alpha, np.array(Ls)).tolist()]
+    from_array = [v.hex() for v in array(alpha, Ls).tolist()]
     return " ".join(cells), {str(L): v for L, v, c in zip(Ls, from_array, cells) if v != c}
 
 

@@ -14,15 +14,19 @@ from fraczee.spectrum import (
     _casimirs,
     _casimirs_array,
     casimir_L2,
-    casimir_L2_array,
     casimir_Lz,
-    casimir_Lz_array,
     mass,
     spectrum,
 )
 from fraczee.specfun import gamma
 
-from oracles import oracle_casimir_L2, oracle_casimir_Lz, spouge_gamma
+from oracles import (
+    oracle_casimir_L2,
+    oracle_casimir_L2_array,
+    oracle_casimir_Lz,
+    oracle_casimir_Lz_array,
+    spouge_gamma,
+)
 
 
 def test_casimir_L2_classical():
@@ -226,8 +230,7 @@ def _assert_same_array(got: np.ndarray, want: np.ndarray):
 @given(st.lists(CASIMIR_ALPHAS, min_size=1, max_size=6), CASIMIR_NS, CASIMIR_NS)
 @example([0.703, 1.0, 0.5, 0.25, 1.0 / 3.0, 1.5, 2.0], list(range(195, 221)), [0, 1, 2, 200])
 def test_casimirs_array_matches_gamma_array_pairs(alphas, ls, ms):
-    # casimir_*_array are the gamma_array * rgamma_array pair per cell
     a = np.array(alphas)
     c_l2, c_lz = _casimirs_array(a, ls, ms)
-    _assert_same_array(c_l2, casimir_L2_array(a[:, None], np.array(ls, dtype=float)))
-    _assert_same_array(c_lz, casimir_Lz_array(a[:, None], np.array(ms, dtype=float)))
+    _assert_same_array(c_l2, oracle_casimir_L2_array(a[:, None], np.array(ls, dtype=float)))
+    _assert_same_array(c_lz, oracle_casimir_Lz_array(a[:, None], np.array(ms, dtype=float)))
