@@ -21,10 +21,15 @@ same cases:
   byte) over a grid of alphas, L bands and parameter sets;
 - ``fit``: at seeds 0..20N-1, a subset of the built-in table (rows dropped,
   masses shifted) and a synthetic table of
-  ``perfbench/workloads.py::FitWorkload``; the ``float.hex`` of the alpha
-  scan's profile losses, the fitted parameters, ``rms_percent``,
-  ``loss_rms_mev`` and every per-particle level, ``evals``, and the exit
-  code, stdout, stderr and ``--out`` bytes of ``fraczee fit``;
+  ``perfbench/workloads.py::FitWorkload``; the alpha scan's local-minimum
+  indices in the order that ``fit`` refines them, the ``float.hex`` of the
+  fitted parameters, ``rms_percent``, ``loss_rms_mev`` and every
+  per-particle level, ``evals``, and the exit code, stdout, stderr and
+  ``--out`` bytes of ``fraczee fit``;
+- ``scan``: the ``float.hex`` of the alpha scan's profile losses on the same
+  tables.  The fitted figures depend on the scan only through its minima,
+  so a change that moves only the scan's roundoff reads as ``scan``
+  mismatches with none in ``fit``;
 - ``casimir``: the scalar Casimir kernel ``spectrum._casimirs`` at each of
   1-4 seeded alphas in (0, 1.5] (0.703 and 1.0 among them) and its array
   twin ``spectrum._casimirs_array`` at all of them, for L and |M| sets up
@@ -48,6 +53,7 @@ import argparse
 import importlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -126,7 +132,8 @@ def corpora(scale: int) -> dict[str, list]:
     from fraczee import cli
 
     out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": [], "fit": [],
-                            "casimir": _casimir_corpus(scale), "parse": _parse_corpus(scale)}
+                            "scan": [], "casimir": _casimir_corpus(scale),
+                            "parse": _parse_corpus(scale)}
     for seed in range(20 * scale):
         rng = random.Random(seed)
         for i in range(test_golden._N_CASES):
@@ -174,7 +181,9 @@ def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> 
                     (rep / n).unlink(missing_ok=True)
     for seed in range(20 * scale):
         for label, path in _fit_tables(workloads, seed):
-            out["fit"].append((f"seed {seed} {label}", _fit_outcome(cli, path)))
+            scan, fitted = _fit_outcome(cli, path)
+            out["fit"].append((f"seed {seed} {label}", fitted))
+            out["scan"].append((f"seed {seed} {label}", scan))
     out["records"] = _records_corpus(scale)
 
 
@@ -199,9 +208,9 @@ def _fit_tables(workloads, seed: int):
     yield f"synthetic table of {len(request['rows'])} fitted rows", request["path"]
 
 
-def _fit_outcome(cli, path: Path) -> list:
-    """The default fit of one table in process (scan losses, result bits) and
-    through ``fraczee fit --out``."""
+def _fit_outcome(cli, path: Path) -> tuple:
+    """The scan losses of one table, and its default fit in process (scan
+    minima, result bits) and through ``fraczee fit --out``."""
     from fraczee import dataset, fitting
 
     cfg = fitting.FitConfig()
@@ -212,12 +221,30 @@ def _fit_outcome(cli, path: Path) -> list:
         levels = [(pp.e_th, pp.de_percent) for pp in r.per_particle]
         return [r.params.astuple(), r.rms_percent, r.loss_rms_mev, r.evals, r.converged, levels]
 
-    scan = _outcome(lambda: fitting._Problem(selected).scan_losses(fitting._ALPHA_GRID).tolist())
+    try:
+        losses = fitting._Problem(selected).scan_losses(fitting._ALPHA_GRID).tolist()
+        scan, minima = _bits(losses), _scan_minima(losses)
+    except Exception as exc:
+        scan = minima = ["raised", type(exc).__name__, str(exc)]
     out = Path("fit.json")
     got = _cli(cli, ["fit", "--data", str(path), "--out", str(out)])
     written = out.read_text() if out.exists() else None
     out.unlink(missing_ok=True)
-    return [scan, _outcome(fitted), got, written]
+    return scan, [minima, _outcome(fitted), got, written]
+
+
+def _scan_minima(losses: list[float]) -> list[int]:
+    """Indices of the finite local minima of the scan, in the order that
+    ``fit`` refines them: by loss, ties to the lower index."""
+    last = len(losses) - 1
+    return [
+        i
+        for _, i in sorted(
+            (v, i)
+            for i, v in enumerate(losses)
+            if math.isfinite(v) and v <= min(losses[max(i - 1, 0)], losses[min(i + 1, last)])
+        )
+    ]
 
 
 def _casimir_corpus(scale: int) -> list:

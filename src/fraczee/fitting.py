@@ -22,13 +22,15 @@ neighbouring grid points (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5; :func:`minimize_scalar` follows scipy's
 ``method="bounded"`` operation for operation, so it returns the same
 bits).  Both stages take their Casimirs from the kernels described in the
-:mod:`fraczee.spectrum` docstring, and the records' design matrix
-[1, C_L2, C_Lz] from the vector [1, C_L2..., C_Lz...] in one indexing
-step.  The scan is one batched evaluation: the array kernel gives the
-Casimirs at all grid alphas at once, and one stacked QR solves the 199
-least-squares problems.  The refine and the returned (m0, a0, b0) use the
-scalar kernel behind :func:`spectrum.spectrum`, so the fitted parameters
-do not depend on the array kernel's roundoff.  An alpha where a Casimir
+:mod:`fraczee.spectrum` docstring.  The scan is one batched evaluation:
+the array kernel gives the Casimirs at all grid alphas at once, and
+modified Gram-Schmidt on the two Casimir columns, centered (which projects
+out the constant column), gives the 199 least-squares residuals without a
+QR factorization.  The refine and the returned (m0, a0, b0) use the
+scalar kernel behind :func:`spectrum.spectrum` and lstsq on the records'
+design matrix [1, C_L2, C_Lz], taken from the vector
+[1, C_L2..., C_Lz...] in one indexing step, so the fitted parameters do
+not depend on the array kernel's roundoff.  An alpha where a Casimir
 overflows gets an infinite loss.
 No random numbers are drawn; results are bit-reproducible.
 """
@@ -68,9 +70,11 @@ DEFAULT_EXCLUDE = ("Sigma0", "Xi0")
 
 #: alpha grid of the profile-loss scan
 _ALPHA_GRID = np.linspace(0.01, 1.0, 199)
-#: relative QR pivot below which a scan row is solved by lstsq instead: well
-#: above lstsq's own cut-off (eps * rows, ~1e-14) and well below the smallest
-#: pivot of a full-rank table (~3e-4 on the built-in selection at alpha = 0.01)
+#: relative pivot below which a scan row is solved by lstsq instead; the pivots
+#: are the scan's Gram-Schmidt norms [sqrt(rows), |C_L2'|, |C_Lz''|], which are
+#: |diag R| of a QR of the design matrix: well above lstsq's own cut-off
+#: (eps * rows, ~1e-14) and well below the smallest pivot of a full-rank table
+#: (~3e-4 on the built-in selection at alpha = 0.01)
 _RANK_RTOL = 1e-10
 
 
@@ -239,11 +243,13 @@ class _Problem:
     """Record arrays and the profile loss over alpha.
 
     :meth:`scan_losses` evaluates the loss at many alphas at once through
-    :func:`spectrum._casimirs_array` (the grid scan); :meth:`profile_loss`
-    evaluates one alpha through :func:`spectrum._casimirs` (the Brent refine
-    and the final parameters).  Both take the Casimirs at ``l_values`` and
-    ``m_values`` only, and build the design matrix with one take of the
-    vector [1, C_L2..., C_Lz...] at ``cols``.
+    :func:`spectrum._casimirs_array` and Gram-Schmidt residuals (the grid
+    scan); :meth:`profile_loss` evaluates one alpha through
+    :func:`spectrum._casimirs` and lstsq (the Brent refine and the final
+    parameters).  Both take the Casimirs at ``l_values`` and ``m_values``
+    only; the scan spreads them over the records with ``l_index`` and
+    ``m_index``, and a lstsq design matrix is one take of the vector
+    [1, C_L2..., C_Lz...] at ``cols``.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
@@ -251,6 +257,7 @@ class _Problem:
         m_values, m_index = np.unique([abs(r.M) for r in records], return_inverse=True)
         # Python ints, so that every Gamma argument 1 + k*alpha is a Python float
         self.l_values, self.m_values = l_values.tolist(), m_values.tolist()
+        self.l_index, self.m_index = l_index, m_index
         #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...]
         self.cols = np.stack(
             [np.zeros_like(l_index), 1 + l_index, 1 + len(l_values) + m_index], axis=1
@@ -282,24 +289,41 @@ class _Problem:
         return self._lstsq_loss(values[self.cols])
 
     def scan_losses(self, alphas: np.ndarray) -> np.ndarray:
-        """The profile loss (first item of :meth:`profile_loss`) at every alpha:
-        one stacked QR solve, with :meth:`_lstsq_loss` for rank-deficient
-        design matrices and ``inf`` where a Casimir is not finite."""
+        """The profile loss (first item of :meth:`profile_loss`) at every alpha,
+        ``inf`` where a Casimir is not finite.
+
+        Modified Gram-Schmidt on the design columns [1, C_L2, C_Lz], applied
+        to the masses too, gives each residual directly (Björck, BIT 7 (1967)
+        1): projecting out the constant column is centering, then C_Lz is
+        orthogonalized against the centered C_L2.  A row whose pivot norms
+        flag rank deficiency is solved by :meth:`_lstsq_loss` instead."""
         alphas = np.asarray(alphas, dtype=float)
         self.evals += len(alphas)
         c_l2, c_lz = _casimirs_array(alphas, self.l_values, self.m_values)
-        values = np.concatenate([np.ones((len(alphas), 1)), c_l2, c_lz], axis=1)
-        feasible = np.isfinite(values).all(axis=1)
-        A = values[feasible][..., self.cols]
-        q, r = np.linalg.qr(A)
-        diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        full = diag.min(axis=1) > _RANK_RTOL * diag.max(axis=1)
-        losses = np.empty(len(A))
-        coef = np.linalg.solve(r[full], (self.e_exp @ q[full])[..., None])
-        res = (A[full] @ coef)[..., 0] - self.e_exp
-        losses[full] = np.sqrt(np.mean(res * res, axis=1))
+        feasible = np.isfinite(c_l2).all(axis=1) & np.isfinite(c_lz).all(axis=1)
+        c_l2, c_lz = c_l2[feasible], c_lz[feasible]
+        u, v = c_l2[:, self.l_index], c_lz[:, self.m_index]
+        n = len(self.e_exp)
+        # a zero pivot gives 0/0 = nan and an overflowing one inf: neither passes
+        # the rank test, so those rows go to lstsq below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u -= u.mean(axis=1, keepdims=True)
+            v -= v.mean(axis=1, keepdims=True)
+            u_norm = np.sqrt(np.einsum("ij,ij->i", u, u))
+            u /= u_norm[:, None]
+            v -= np.einsum("ij,ij->i", u, v)[:, None] * u
+            v_norm = np.sqrt(np.einsum("ij,ij->i", v, v))
+            v /= v_norm[:, None]
+            e = self.e_exp - self.e_exp.mean()
+            res = e - (u @ e)[:, None] * u
+            res -= np.einsum("ij,ij->i", v, res)[:, None] * v
+            losses = np.sqrt(np.einsum("ij,ij->i", res, res) / n)
+            # the pivots, which are |diag R| of a QR of the design matrix
+            pivots = np.stack([np.full_like(u_norm, math.sqrt(n)), u_norm, v_norm])
+            full = pivots.min(axis=0) > _RANK_RTOL * pivots.max(axis=0)
         for k in np.flatnonzero(~full):
-            losses[k] = self._lstsq_loss(A[k])[0]
+            values = np.concatenate([[1.0], c_l2[k], c_lz[k]])
+            losses[k] = self._lstsq_loss(values[self.cols])[0]
         out = np.full(len(alphas), math.inf)
         out[feasible] = losses
         return out

@@ -9,6 +9,10 @@ exact cancellations instead of roundoff-sized residues.
 ``gamma_array`` and ``rgamma_array`` are the same kernel applied
 elementwise to numpy arrays, for callers that evaluate many arguments at
 once (the fit's alpha scan).  They never raise: overflow gives ``inf``.
+They evaluate each branch only where it applies: the Lanczos series on
+every cell, then the reflection (with its ``sin(pi x)``), the factorial
+table, the poles and the non-finite arguments through masks, so a scan
+whose arguments 1 + k*alpha never fall below 0.5 computes no sine.
 
 One Lanczos series and one factorial table serve both entry points.  The
 entry points stay two: numpy's ``pow``/``exp`` differ from libm's by an ulp
@@ -140,23 +144,34 @@ def _sinpi_array(x: np.ndarray) -> np.ndarray:
 
 def _kernel_array(x, reciprocal: bool) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    shape = x.shape
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        integer = x == np.floor(x)
-        pole = integer & (x <= 0.0)
-        factorial = integer & (x >= 1.0) & (x <= 171.0)
-        exact = _FACTORIALS[np.where(factorial, x, 1.0).astype(np.intp) - 1]
+        # every cell takes the Lanczos value, then the cells of each other
+        # branch are overwritten through their mask
         reflect = x < 0.5
-        lanczos = _lanczos(np.where(reflect, 1.0 - x, x), np.exp)
-        lanczos = np.where(np.isnan(lanczos), np.inf, lanczos)
-        sinpi = _sinpi_array(x)
-        if reciprocal:
+        any_reflect = reflect.any()
+        # flattened only afterwards: on a 0-d x the series runs in numpy
+        # scalars, whose ** is libm's pow and not the array loop's
+        lanczos = np.reshape(
+            _lanczos(np.where(reflect, 1.0 - x, x) if any_reflect else x, np.exp), -1
+        )
+        x, reflect = x.reshape(-1), reflect.reshape(-1)
+        # t ** (z + 0.5) overflowed: inf, or nan against an underflowed exp(-t)
+        overflow = ~np.isfinite(lanczos)
+        lanczos[overflow] = np.inf
+        out = 1.0 / lanczos if reciprocal else lanczos
+        if any_reflect:
+            sinpi, series = _sinpi_array(x[reflect]), lanczos[reflect]
             # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
-            out = np.where(reflect, sinpi * lanczos / math.pi, 1.0 / lanczos)
-            out = np.where(pole, 0.0, np.where(factorial, 1.0 / exact, out))
-        else:
-            out = np.where(reflect, math.pi / (sinpi * lanczos), lanczos)
-            out = np.where(pole, np.nan, np.where(factorial, exact, out))
-        return np.where(np.isfinite(x), out, np.nan)
+            out[reflect] = sinpi * series / math.pi if reciprocal else math.pi / (sinpi * series)
+        integer = x == np.floor(x)
+        if integer.any():
+            factorial = integer & (x >= 1.0) & (x <= 171.0)
+            exact = _FACTORIALS[x[factorial].astype(np.intp) - 1]
+            out[factorial] = 1.0 / exact if reciprocal else exact
+            out[integer & (x <= 0.0)] = 0.0 if reciprocal else np.nan
+        out[~np.isfinite(x)] = np.nan
+        return out.reshape(shape)
 
 
 def gamma_array(x) -> np.ndarray:

@@ -13,7 +13,9 @@ both as they stood before the merge-free and float-sampling rewrites.
 one ``gamma``/``rgamma`` pair per value, as they stood before the Gamma
 evaluations were shared; ``oracle_casimir_L2_array`` and
 ``oracle_casimir_Lz_array`` are the same pairs per array cell, through
-``gamma_array`` and ``rgamma_array``.
+``gamma_array`` and ``rgamma_array``.  ``oracle_kernel_array`` is the array
+Gamma kernel as it stood before it evaluated each branch only where it
+applies: every branch on every cell, then one ``np.where`` per branch.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import mpmath
@@ -30,7 +33,15 @@ from fraczee.dataset import DatasetError, ParticleRecord
 from fraczee.monomial import AXES, PolyExpr, PowerTerm, rl_derive
 from fraczee.operators import PhasedPoly
 from fraczee.rlquad import _FD_REL_STEP, roots_jacobi
-from fraczee.specfun import gamma, gamma_array, rgamma, rgamma_array
+from fraczee.specfun import (
+    _FACTORIALS,
+    _lanczos,
+    _sinpi_array,
+    gamma,
+    gamma_array,
+    rgamma,
+    rgamma_array,
+)
 
 mpmath.mp.dps = 40
 
@@ -215,3 +226,23 @@ def oracle_casimir_Lz_array(alpha, M) -> np.ndarray:
     alpha, m = np.asarray(alpha, dtype=float), np.abs(np.asarray(M, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         return gamma_array(1.0 + m * alpha) * rgamma_array(1.0 + (m - 1) * alpha)
+
+
+def oracle_kernel_array(x, reciprocal: bool) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        integer = x == np.floor(x)
+        pole = integer & (x <= 0.0)
+        factorial = integer & (x >= 1.0) & (x <= 171.0)
+        exact = _FACTORIALS[np.where(factorial, x, 1.0).astype(np.intp) - 1]
+        reflect = x < 0.5
+        lanczos = _lanczos(np.where(reflect, 1.0 - x, x), np.exp)
+        lanczos = np.where(np.isnan(lanczos), np.inf, lanczos)
+        sinpi = _sinpi_array(x)
+        if reciprocal:
+            out = np.where(reflect, sinpi * lanczos / math.pi, 1.0 / lanczos)
+            out = np.where(pole, 0.0, np.where(factorial, 1.0 / exact, out))
+        else:
+            out = np.where(reflect, math.pi / (sinpi * lanczos), lanczos)
+            out = np.where(pole, np.nan, np.where(factorial, exact, out))
+        return np.where(np.isfinite(x), out, np.nan)

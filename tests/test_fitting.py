@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -414,10 +415,7 @@ def test_brent_matches_scipy_on_the_fit_refines(name, records, maxiter):
     prob = _Problem(records)
     scan = prob.scan_losses(_ALPHA_GRID).tolist()
     last = len(scan) - 1
-    centers = [
-        i for i, v in enumerate(scan)
-        if math.isfinite(v) and v <= min(scan[max(i - 1, 0)], scan[min(i + 1, last)])
-    ]
+    centers = _scan_minima(scan)
     edge = [i for i in range(last) if math.isfinite(scan[i]) and not math.isfinite(scan[i + 1])]
     assert bool(edge) == (name == "L200")
     centers += [j for i in edge for j in (i, i + 1)]
@@ -437,6 +435,69 @@ def test_brent_matches_scipy_on_the_fit_refines(name, records, maxiter):
     assert any(math.isinf(v) for v in seen) == (name == "L200")
 
 
+def _scan_minima(losses) -> list[int]:
+    """Indices of the finite local minima of a loss list, in the order that
+    ``fit`` refines them: by loss, ties to the lower index."""
+    last = len(losses) - 1
+    return [
+        i
+        for _, i in sorted(
+            (v, i)
+            for i, v in enumerate(losses)
+            if math.isfinite(v) and v <= min(losses[max(i - 1, 0)], losses[min(i + 1, last)])
+        )
+    ]
+
+
+def _workload_table(seed):
+    """A synthetic table drawn like the benchmark's fit workload: the level
+    formula near the reference region, a random L band and relative noise,
+    then the default selection."""
+    rng = random.Random(seed)
+    alpha = rng.uniform(0.08, 0.4)
+    a0 = REFERENCE_PARAMS.a0 * rng.uniform(0.7, 1.3)
+    b0 = REFERENCE_PARAMS.b0 * rng.uniform(0.7, 1.3)
+    band = [
+        Multiplet(L, M)
+        for L in range(rng.randint(1, 3), rng.randint(9, 12) + 1)
+        for M in range(L + 1)
+    ]
+    lightest = min(e for _, e in predict(FitParams(alpha, 0.0, a0, b0), band))
+    p = FitParams(alpha, rng.uniform(800.0, 1200.0) - lightest, a0, b0)
+    sigma = rng.uniform(0.0, 0.01)
+    records = [
+        ParticleRecord(f"S{m.L}_{m.M}", m.L, m.M, e * (1.0 + rng.gauss(0.0, sigma)), "", "baryon")
+        for m, e in predict(p, band)
+    ]
+    return select_records(records, FitConfig())
+
+
+def _minima_tables():
+    for table in ("default", "noisy", "single-M", "single-L", "L200"):
+        yield f"scan-{table}", _scan_table(table)
+    for name, records in _brent_tables():
+        yield f"brent-{name}", records
+    for seed in range(20):
+        yield f"workload-{seed}", _workload_table(seed)
+    # one L and one |M|: both Casimir columns are constant, so every scan row
+    # is rank-deficient and the loss is the same at every alpha
+    yield "single-L-and-M", [
+        ParticleRecord(f"flat-{k}", 5, 2, 1500.0 + 7.0 * k, "", "baryon") for k in range(8)
+    ]
+
+
+@pytest.mark.parametrize("name, records", [pytest.param(*t, id=t[0]) for t in _minima_tables()])
+def test_scan_minima_match_the_scalar_profile_loss(name, records):
+    # the scan reaches a fit result only through the order of its local
+    # minima, which the refines start from
+    prob = _Problem(records)
+    scan = prob.scan_losses(_ALPHA_GRID).tolist()
+    scalar = [prob.profile_loss(float(a))[0] for a in _ALPHA_GRID]
+    assert _scan_minima(scan) == _scan_minima(scalar)
+    if name == "single-L-and-M":
+        assert len(set(scan)) == 1 and len(_scan_minima(scan)) == len(_ALPHA_GRID)
+
+
 def test_profile_loss_is_infinite_where_gamma_returns_inf():
     # the scalar Gamma returns inf, without raising, just above x = 142.2
     alpha = 0.703
@@ -444,6 +505,17 @@ def test_profile_loss_is_infinite_where_gamma_returns_inf():
     prob = _Problem(_scan_table("L200"))
     assert prob.profile_loss(alpha) == (math.inf, None)
     assert prob.scan_losses(np.array([alpha])).tolist() == [math.inf]
+
+
+def test_scan_losses_of_one_alpha_and_of_none():
+    # one feasible alpha, a scan where no alpha is feasible, and an empty
+    # scan: no RuntimeWarning (an error under this suite) and the right shapes
+    prob = _Problem(_scan_table("default"))
+    (loss,) = prob.scan_losses(np.array([0.112])).tolist()
+    assert loss == pytest.approx(prob.profile_loss(0.112)[0], rel=1e-11, abs=0.0)
+    assert prob.scan_losses(np.array([])).tolist() == []
+    heavy = [ParticleRecord(f"big-{M}", 20000, M, 1000.0, "", "baryon") for M in range(5)]
+    assert _Problem(heavy).scan_losses(_ALPHA_GRID).tolist() == [math.inf] * len(_ALPHA_GRID)
 
 
 def test_fit_requires_five_records():

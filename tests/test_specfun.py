@@ -15,7 +15,7 @@ from fraczee.specfun import (
 )
 from fraczee.spectrum import casimir_L2
 
-from oracles import spouge_gamma
+from oracles import oracle_kernel_array, spouge_gamma
 from reference_values import GAMMA_1_448
 
 
@@ -213,3 +213,47 @@ def test_array_gamma_matches_oracle():
     for x, g in zip(xs.tolist(), gamma_array(xs).tolist()):
         want = spouge_gamma(x)
         assert abs((g - want) / want) <= 1e-12, x
+
+
+def _kernel_arguments() -> np.ndarray:
+    """20,480 seeded arguments over every branch of the array kernel: poles,
+    integers and half-integers, the non-finite values, the overflow band
+    (141, 172), reflection down to -200, and the fit's 1 + k*alpha."""
+    rng = np.random.default_rng(2121)
+    special = np.concatenate([
+        -np.arange(0.0, 201.0),
+        np.arange(1.0, 201.0),
+        np.arange(-200.5, 200.0),
+        [math.inf, -math.inf, math.nan, -0.0, 0.5, 171.0, 171.5, 172.0, 1e6, -1e6],
+    ])
+    scan = 1.0 + np.arange(-1.0, 30.0) * np.linspace(0.01, 1.0, 199)[:, None]
+    draws = [
+        rng.uniform(141.0, 172.0, 4000),
+        rng.uniform(-200.0, 0.5, 4000),
+        rng.uniform(0.5, 141.0, 3000),
+        rng.uniform(-1.0, 2.0, 2000),
+    ]
+    xs = np.concatenate([special, scan.ravel(), *draws])
+    n = 20480
+    return np.concatenate([xs, rng.uniform(-200.0, 200.0, n - len(xs))])
+
+
+def _bits(a) -> list[tuple[str, float]]:
+    # float.hex tells -0.0 from 0.0 but calls every nan "nan"; copysign reads
+    # the sign bit of both
+    return [(v.hex(), math.copysign(1.0, v)) for v in np.asarray(a).ravel().tolist()]
+
+
+@pytest.mark.parametrize("shape", [(), (20480,), (160, 128)])
+@pytest.mark.parametrize("reciprocal", [False, True], ids=["gamma", "rgamma"])
+def test_array_kernel_keeps_the_all_branches_bits(shape, reciprocal):
+    xs = _kernel_arguments()
+    assert len(xs) == 20480
+    kernel = rgamma_array if reciprocal else gamma_array
+    cases = [xs[k].reshape(()) for k in range(0, len(xs), 97)] if shape == () else [xs.reshape(shape)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x in cases:
+            got, want = kernel(x), oracle_kernel_array(x, reciprocal)
+            assert got.shape == want.shape == x.shape
+            assert _bits(got) == _bits(want)
