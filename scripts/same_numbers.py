@@ -40,7 +40,14 @@ same cases:
 - ``records``: 400N seeded record lists, with names and statuses that hold
   ``,``, ``"``, ``\n`` or ``\r`` and masses that six digits do or do not
   keep; the text of ``records_to_csv`` and ``records_to_json`` and the
-  records ``load_records`` reads back from each file.
+  records ``load_records`` reads back from each file;
+- ``operators``: ``OperatorExpr.apply`` of 500N seeded operator sums whose
+  term images share exponent vectors (one derivative pattern under several
+  prefactors and phases, ``build_H(a) + build_H(b)``, ``build_Kz`` families
+  over masses and orders, and concatenations of these) on seeded
+  polynomials of 2-6 terms whose exponents differ by those orders; the
+  ``float.hex`` of every term of both parts, so a changed order of
+  summation over the operator's terms shows.
 
 It prints each corpus's case count and the first mismatches, and exits 1 on
 any mismatch (2 when a tree's run fails).  The harness itself uses the
@@ -77,6 +84,11 @@ CASIMIR_EDGES = (0.703, 1.0, 0.112, 1.5)
 PARSE_ALPHABET = "0123456789.eE+-*^ xyzt" + "\t()q_²"
 #: name and status characters that CSV must quote or that JSON escapes
 RECORD_TEXT = 'ab,"\n\r \t\\é'
+#: derivative orders of the operator corpus, and polynomial exponents that
+#: differ by them, so that the images of different terms land on one power
+#: (none below 1, where two order-1 derivatives would leave the admissible class)
+OPERATOR_ORDERS = (0.25, 0.5, 0.75, 1.0)
+OPERATOR_EXPONENTS = (1.0, 1.5, 2.0, 2.5, 3.0)
 
 
 def _bits(obj):
@@ -133,7 +145,7 @@ def corpora(scale: int) -> dict[str, list]:
 
     out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": [], "fit": [],
                             "scan": [], "casimir": _casimir_corpus(scale),
-                            "parse": _parse_corpus(scale)}
+                            "parse": _parse_corpus(scale), "operators": _operators_corpus(scale)}
     for seed in range(20 * scale):
         rng = random.Random(seed)
         for i in range(test_golden._N_CASES):
@@ -284,6 +296,54 @@ def _parse_corpus(scale: int) -> list:
                              f"{e + rng.choice((0.0, 2e-10, 3e-9, 5e-9, 4e-8))!r}"
                              for _ in range(rng.randint(1, 4)))
         out.append((repr(src), _outcome(lambda: parse_expr(src))))
+    return out
+
+
+def _operators_corpus(scale: int) -> list:
+    """``OperatorExpr.apply`` of seeded operator sums whose term images overlap,
+    on seeded polynomials: the real and imaginary parts, term by term."""
+    from fraczee.monomial import PolyExpr, term
+    from fraczee.operators import OperatorExpr, build_H, build_Kz, op_term
+
+    def pattern() -> OperatorExpr:
+        # one derivative pattern and prefactor under several coefficients and
+        # phases: every image of one operand term has the same exponents
+        axes = rng.sample("xyz", rng.randint(1, 2))
+        orders = {a: rng.choice(OPERATOR_ORDERS) for a in axes}
+        pre = {rng.choice("xyz"): rng.choice(OPERATOR_EXPONENTS)}
+        return OperatorExpr(tuple(op_term(rng.uniform(-2.0, 2.0), rng.randrange(4), pre=pre,
+                                          orders=orders) for _ in range(rng.randint(3, 6))))
+
+    def hamiltonians() -> OperatorExpr:
+        a, b = rng.choice(OPERATOR_ORDERS), rng.choice(OPERATOR_ORDERS)
+        m, s = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+        return build_H(a) + build_H(b, m) + build_H(a).scaled(s)
+
+    def kz_family() -> OperatorExpr:
+        betas = [rng.choice(OPERATOR_ORDERS) for _ in range(rng.randint(1, 2))]
+        family = [build_Kz(rng.choice(betas), rng.uniform(0.5, 2.0))
+                  for _ in range(rng.randint(3, 5))]
+        return OperatorExpr(tuple(t for kz in family for t in kz.terms))
+
+    def poly() -> PolyExpr:
+        return PolyExpr.from_terms(
+            term(rng.uniform(-3.0, 3.0), **{a: rng.choice(OPERATOR_EXPONENTS) for a in "xyz"})
+            for _ in range(rng.randint(2, 6)))
+
+    def applied(op: OperatorExpr, f: PolyExpr) -> list:
+        g = op.apply(f)
+        return [g.re, g.im]
+
+    kinds = (pattern, hamiltonians, kz_family)
+    rng = random.Random("operators")
+    out = []
+    for i in range(500 * scale):
+        # every fourth sum concatenates two operators of these kinds
+        chosen = [kinds[i % 3]] + [rng.choice(kinds) for _ in range(i % 4 // 3)]
+        op = OperatorExpr(tuple(t for kind in chosen for t in kind().terms))
+        f = poly()
+        label = f"case {i}: {' + '.join(kind.__name__ for kind in chosen)} on {f.render()}"
+        out.append((label, _outcome(lambda: applied(op, f))))
     return out
 
 

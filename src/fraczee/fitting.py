@@ -21,14 +21,17 @@ lowest ``starts`` local minima are refined by bounded Brent between the
 neighbouring grid points (Brent, *Algorithms for Minimization without
 Derivatives*, 1973, ch. 5; :func:`minimize_scalar` follows scipy's
 ``method="bounded"`` operation for operation, so it returns the same
-bits).  Both stages take their Casimirs from the kernels described in the
-:mod:`fraczee.spectrum` docstring.  The scan is one batched evaluation:
-the array kernel gives the Casimirs at all grid alphas at once, and
-modified Gram-Schmidt on the two Casimir columns, centered (which projects
-out the constant column), gives the 199 least-squares residuals without a
-QR factorization.  The refine and the returned (m0, a0, b0) use the
-scalar kernel behind :func:`spectrum.spectrum` and lstsq on the records'
-design matrix [1, C_L2, C_Lz], taken from the vector
+bits).  The records' (L, |M|) sets are fixed for the whole fit, so the
+fit plans their Casimir arguments once (the Casimir plan of the
+:mod:`fraczee.spectrum` docstring) and both stages evaluate that plan.
+The scan is one batched evaluation: the plan's array body gives the
+Casimirs at all grid alphas in one array-kernel pass, modified
+Gram-Schmidt on the two Casimir columns, centered (which projects out the
+constant column), gives the 199 least-squares residuals without a QR
+factorization, and one numpy pass finds the local minima in the order
+they are refined.  The refine and the returned (m0, a0, b0) use the
+plan's scalar body, the one behind :func:`spectrum.spectrum`, and lstsq
+on the records' design matrix [1, C_L2, C_Lz], taken from the vector
 [1, C_L2..., C_Lz...] in one indexing step, so the fitted parameters do
 not depend on the array kernel's roundoff.  An alpha where a Casimir
 overflows gets an infinite loss.
@@ -46,7 +49,7 @@ import numpy as np
 from .dataset import ParticleRecord
 # ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.fitting.mass``
 # by attribute name, so the name stays.
-from .spectrum import FitParams, Multiplet, _casimirs, _casimirs_array, mass, spectrum  # noqa: F401
+from .spectrum import FitParams, Multiplet, _CasimirPlan, mass, spectrum  # noqa: F401
 
 minimize = None  # the Nelder-Mead fit is gone, but perfbench/layers.py still wraps this name
 
@@ -242,14 +245,13 @@ def select_records(
 class _Problem:
     """Record arrays and the profile loss over alpha.
 
-    :meth:`scan_losses` evaluates the loss at many alphas at once through
-    :func:`spectrum._casimirs_array` and Gram-Schmidt residuals (the grid
-    scan); :meth:`profile_loss` evaluates one alpha through
-    :func:`spectrum._casimirs` and lstsq (the Brent refine and the final
-    parameters).  Both take the Casimirs at ``l_values`` and ``m_values``
-    only; the scan spreads them over the records with ``l_index`` and
-    ``m_index``, and a lstsq design matrix is one take of the vector
-    [1, C_L2..., C_Lz...] at ``cols``.
+    ``plan`` is the Casimir plan of ``l_values`` and ``m_values``, built once.
+    :meth:`scan_losses` evaluates the loss at many alphas at once through its
+    array body and Gram-Schmidt residuals (the grid scan); :meth:`profile_loss`
+    evaluates one alpha through its scalar body and lstsq (the Brent refine
+    and the final parameters).  The scan spreads the Casimirs over the
+    records with ``l_index`` and ``m_index``, and a lstsq design matrix is
+    one take of the vector [1, C_L2..., C_Lz...] at ``cols``.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
@@ -258,6 +260,8 @@ class _Problem:
         # Python ints, so that every Gamma argument 1 + k*alpha is a Python float
         self.l_values, self.m_values = l_values.tolist(), m_values.tolist()
         self.l_index, self.m_index = l_index, m_index
+        #: the Casimirs at l_values and m_values, planned once
+        self.plan = _CasimirPlan(self.l_values, self.m_values)
         #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...]
         self.cols = np.stack(
             [np.zeros_like(l_index), 1 + l_index, 1 + len(l_values) + m_index], axis=1
@@ -278,15 +282,15 @@ class _Problem:
         ``(inf, None)`` where a Casimir overflows for some record."""
         self.evals += 1
         try:
-            c_l2, c_lz = _casimirs(alpha, self.l_values, self.m_values)
+            c_l2, c_lz = self.plan.values(alpha)
         except OverflowError:
             return math.inf, None
-        values = np.array([1.0, *c_l2, *c_lz])
+        values = [1.0, *c_l2, *c_lz]
         # the scalar Gamma raises on most overflows but returns inf on some
         # (just above x = 142.2), which lstsq would reject
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             return math.inf, None
-        return self._lstsq_loss(values[self.cols])
+        return self._lstsq_loss(np.array(values)[self.cols])
 
     def scan_losses(self, alphas: np.ndarray) -> np.ndarray:
         """The profile loss (first item of :meth:`profile_loss`) at every alpha,
@@ -299,7 +303,7 @@ class _Problem:
         flag rank deficiency is solved by :meth:`_lstsq_loss` instead."""
         alphas = np.asarray(alphas, dtype=float)
         self.evals += len(alphas)
-        c_l2, c_lz = _casimirs_array(alphas, self.l_values, self.m_values)
+        c_l2, c_lz = self.plan.array(alphas)
         feasible = np.isfinite(c_l2).all(axis=1) & np.isfinite(c_lz).all(axis=1)
         c_l2, c_lz = c_l2[feasible], c_lz[feasible]
         u, v = c_l2[:, self.l_index], c_lz[:, self.m_index]
@@ -327,6 +331,21 @@ class _Problem:
         out = np.full(len(alphas), math.inf)
         out[feasible] = losses
         return out
+
+
+def _local_minima(losses: np.ndarray) -> list[int]:
+    """Indices of the finite local minima of the scan, in the order that
+    :func:`fit` refines them: by loss, ties to the lower index.
+
+    A loss is a minimum where it is at most ``min(left, right)`` of its
+    neighbours (itself at either end), with Python's ``min``: the left one
+    unless the right one is smaller, so a NaN on the left hides the minimum
+    and a NaN on the right does not."""
+    left = np.concatenate([losses[:1], losses[:-1]])
+    right = np.concatenate([losses[1:], losses[-1:]])
+    lower = np.where(right < left, right, left)
+    (at,) = np.nonzero(np.isfinite(losses) & (losses <= lower))
+    return at[np.argsort(losses[at], kind="stable")].tolist()
 
 
 def _rms(values: list[float]) -> float:
@@ -375,19 +394,14 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
         raise FitError(f"need at least 5 records to fit 4 parameters, got {len(records)}")
     prob = _Problem(records)
 
-    scan = prob.scan_losses(_ALPHA_GRID).tolist()
-    if not any(math.isfinite(v) for v in scan):
+    scan = prob.scan_losses(_ALPHA_GRID)
+    if not np.isfinite(scan).any():
         raise FitError("the profile loss is not finite at any alpha scanned")
     last = len(scan) - 1
-    minima = sorted(
-        (v, i)
-        for i, v in enumerate(scan)
-        if math.isfinite(v) and v <= min(scan[max(i - 1, 0)], scan[min(i + 1, last)])
-    )
 
     refined = []  # (loss, scan index, alpha): ties on loss go to the lower index
     converged = False
-    for _, i in minima[: cfg.starts]:
+    for i in _local_minima(scan)[: cfg.starts]:
         budget = cfg.max_evals - prob.evals
         if budget < 1:
             break

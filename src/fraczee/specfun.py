@@ -12,7 +12,10 @@ once (the fit's alpha scan).  They never raise: overflow gives ``inf``.
 They evaluate each branch only where it applies: the Lanczos series on
 every cell, then the reflection (with its ``sin(pi x)``), the factorial
 table, the poles and the non-finite arguments through masks, so a scan
-whose arguments 1 + k*alpha never fall below 0.5 computes no sine.
+whose arguments 1 + k*alpha never fall below 0.5 computes no sine.  The
+kernel behind them takes a per-cell reciprocal mask, so one pass returns
+Gamma on some cells and 1/Gamma on others: the Casimir scan evaluates its
+numerators and the denominators that reuse none of them together.
 
 One Lanczos series and one factorial table serve both entry points.  The
 entry points stay two: numpy's ``pow``/``exp`` differ from libm's by an ulp
@@ -55,8 +58,8 @@ class GammaPoleError(ValueError):
     """Gamma evaluated at a non-positive integer."""
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+#: the Lanczos prefactor, computed once
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _sinpi(x: float) -> float:
@@ -89,7 +92,7 @@ def _lanczos(x, exp):
     s += c7 / (z + 7.0)
     s += c8 / (z + 8.0)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * exp(-t) * s
+    return _SQRT_2PI * t ** (z + 0.5) * exp(-t) * s
 
 
 def gamma(x: float) -> float:
@@ -106,10 +109,11 @@ def gamma(x: float) -> float:
         raise ValueError(f"gamma requires a finite argument, got {x!r}")
     if type(x) is not float:
         x = float(x)
-    if _is_nonpositive_integer(x):
-        raise GammaPoleError(f"gamma pole at x = {x!r}")
-    if x == math.floor(x) and x <= 171.0:
-        return _FACTORIALS.item(int(x) - 1)
+    if x == math.floor(x):
+        if x <= 0.0:
+            raise GammaPoleError(f"gamma pole at x = {x!r}")
+        if x <= 171.0:
+            return _FACTORIALS.item(int(x) - 1)
     if x < 0.5:
         return math.pi / (_sinpi(x) * _lanczos(1.0 - x, math.exp))
     return _lanczos(x, math.exp)
@@ -119,16 +123,29 @@ def rgamma(x: float) -> float:
     """Reciprocal Gamma, entire in x.
 
     Returns exactly 0.0 at non-positive integers and 1/gamma(x)
-    everywhere else.  Never raises for finite input.
+    everywhere else that the Lanczos series stays in the float range.
+
+    Raises:
+        ValueError: for non-finite x.
+        OverflowError: where ``t ** (z + 0.5)`` in the series overflows
+            before ``exp(-t)`` scales it down: every x above about 142.37
+            except the integers up to 171 (so also every x above 171.6,
+            where 1/Gamma is subnormal or 0.0), and every non-integer x
+            below about -141.37, through the reflection.  From about 142.22
+            to 142.37 it returns 0.0 where 1/Gamma is about 1e-244.  The
+            golden corpus pins these cases; ROADMAP item 1's overflow
+            fallback will narrow the raising range to where |1/Gamma|
+            itself leaves the float range.
     """
     if not math.isfinite(x):
         raise ValueError(f"rgamma requires a finite argument, got {x!r}")
     if type(x) is not float:
         x = float(x)
-    if _is_nonpositive_integer(x):
-        return 0.0
-    if x == math.floor(x) and x <= 171.0:
-        return 1.0 / _FACTORIALS.item(int(x) - 1)
+    if x == math.floor(x):
+        if x <= 0.0:
+            return 0.0
+        if x <= 171.0:
+            return 1.0 / _FACTORIALS.item(int(x) - 1)
     if x >= 0.5:
         return 1.0 / _lanczos(x, math.exp)
     # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
@@ -142,9 +159,14 @@ def _sinpi_array(x: np.ndarray) -> np.ndarray:
     return np.sin(np.pi * r)
 
 
-def _kernel_array(x, reciprocal: bool) -> np.ndarray:
+def _kernel_array(x, reciprocal) -> np.ndarray:
+    """Gamma at each cell of ``x``, and 1/Gamma instead on the cells where
+    ``reciprocal`` (a bool, or a bool array of ``x``'s shape) is true: one pass
+    serves a mixed batch, such as the numerators and the denominators of the
+    Casimir scan."""
     x = np.asarray(x, dtype=float)
     shape = x.shape
+    recip = np.broadcast_to(reciprocal, shape).reshape(-1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # every cell takes the Lanczos value, then the cells of each other
         # branch are overwritten through their mask
@@ -159,17 +181,20 @@ def _kernel_array(x, reciprocal: bool) -> np.ndarray:
         # t ** (z + 0.5) overflowed: inf, or nan against an underflowed exp(-t)
         overflow = ~np.isfinite(lanczos)
         lanczos[overflow] = np.inf
-        out = 1.0 / lanczos if reciprocal else lanczos
+        out = np.where(recip, 1.0 / lanczos, lanczos)
         if any_reflect:
             sinpi, series = _sinpi_array(x[reflect]), lanczos[reflect]
             # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
-            out[reflect] = sinpi * series / math.pi if reciprocal else math.pi / (sinpi * series)
+            out[reflect] = np.where(
+                recip[reflect], sinpi * series / math.pi, math.pi / (sinpi * series)
+            )
         integer = x == np.floor(x)
         if integer.any():
             factorial = integer & (x >= 1.0) & (x <= 171.0)
             exact = _FACTORIALS[x[factorial].astype(np.intp) - 1]
-            out[factorial] = 1.0 / exact if reciprocal else exact
-            out[integer & (x <= 0.0)] = 0.0 if reciprocal else np.nan
+            out[factorial] = np.where(recip[factorial], 1.0 / exact, exact)
+            pole = integer & (x <= 0.0)
+            out[pole] = np.where(recip[pole], 0.0, np.nan)
         out[~np.isfinite(x)] = np.nan
         return out.reshape(shape)
 

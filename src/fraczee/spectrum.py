@@ -11,18 +11,24 @@ nonzero zero-point contribution b0 / Gamma(1-a) for a < 1.
 
 Every Gamma argument in it is 1 + k*a for an integer k, and a numerator
 argument of one Casimir is often a denominator argument of another (the
-L = 3 denominator 1 + 2a is the |M| = 2 numerator).  :func:`_casimirs` is
-the one Casimir kernel: it evaluates each distinct argument once, ``gamma``
-at every numerator and ``1.0 / gamma`` wherever a denominator is one of
-them, with the bits and the exceptions of ``rgamma`` (12 evaluations on
-the fit's default selection, k = -1..10, where one ``gamma``/``rgamma``
-pair per Casimir takes 32).  :func:`_casimirs_array` is its array twin,
-with the bits of ``gamma_array``/``rgamma_array`` pairs and ``inf`` or
-``nan`` where a Gamma overflows.  :func:`spectrum` is the one
-evaluator of the formula (:func:`mass`, the fit's residuals and the CLI
-level tables call it); it and the fit's profile loss take their Casimirs
-from :func:`_casimirs`, and the fit's alpha scan from
-:func:`_casimirs_array`.
+L = 3 denominator 1 + 2a is the |M| = 2 numerator).  :class:`_CasimirPlan`
+is the one Casimir kernel.  It plans a set of L and |M| once: the distinct
+numerator k and the distinct denominator k, in order of first appearance.
+It holds index structure only, never a Gamma value.  Its scalar body
+:meth:`~_CasimirPlan.values` runs ``gamma`` at every numerator and takes
+``1.0 / gamma`` wherever a denominator is one of them, with the bits and
+the exceptions of ``rgamma`` (12 evaluations on the fit's default
+selection, k = -1..10, where one ``gamma``/``rgamma`` pair per Casimir
+takes 32).  Its array body
+:meth:`~_CasimirPlan.array` has the bits of ``gamma_array``/``rgamma_array``
+pairs, and ``inf`` or ``nan`` where a Gamma overflows.  It makes one pass
+of the array Gamma kernel, which returns Gamma on the numerator cells and
+1/Gamma on the denominator cells that reuse none.  :func:`_casimirs` and
+:func:`_casimirs_array` plan, then evaluate.  The fit's ``_Problem`` plans
+once and evaluates its Brent refine through the scalar body and its alpha
+scan through the array body.  :func:`spectrum` is the one evaluator of the
+formula (:func:`mass`, the fit's residuals and the CLI level tables call
+it); it builds one plan per call, through :func:`_casimirs`.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .specfun import gamma, gamma_array, rgamma, rgamma_array
+from .specfun import _kernel_array, gamma, rgamma
 
 __all__ = [
     "FitParams",
@@ -85,46 +91,81 @@ class Multiplet:
             raise ValueError("sign must be +1 or -1")
 
 
+class _CasimirPlan:
+    """The Gamma arguments 1 + k*alpha of the Casimirs at the L of ``ls`` and the
+    |M| of ``ms``, planned once for any number of alphas.
+
+    ``num`` holds the distinct numerator k (L + 1 and |M|) and ``den`` the
+    distinct denominator k (L - 1 and |M| - 1), each in order of first
+    appearance; C_L2 at L pairs the numerator L + 1 with the denominator
+    L - 1, and C_Lz at |M| pairs |M| with |M| - 1.  It is index structure
+    only and holds no Gamma value.
+    """
+
+    __slots__ = ("ls", "ms", "num", "den")
+
+    def __init__(self, ls, ms):
+        self.ls, self.ms = tuple(ls), tuple(ms)
+        self.num = dict.fromkeys([*(L + 1 for L in self.ls), *self.ms])
+        self.den = dict.fromkeys([*(L - 1 for L in self.ls), *(m - 1 for m in self.ms)])
+
+    def values(self, alpha: float) -> tuple[list[float], list[float]]:
+        """C_L2 at each L and C_Lz at each |M| at one alpha, with the bits and
+        exceptions of ``gamma(num) * rgamma(den)`` per value.
+
+        ``gamma`` runs once at each numerator argument.  A denominator argument
+        that is one of them and is at least 0.5 takes ``1.0 / gamma``: there
+        ``rgamma`` is that same reciprocal of the Lanczos series or factorial,
+        so it overflows, or gives 0.0 after an ``inf``, exactly where ``gamma``
+        does.  Every other denominator (k = -1, reflection, the pole at
+        alpha = 1) calls ``rgamma``.  Both are looked up as this module's
+        globals at each call.
+        """
+        g = {k: gamma(1.0 + k * alpha) for k in self.num}
+        r = {}
+        for k in self.den:
+            x = 1.0 + k * alpha
+            r[k] = 1.0 / g[k] if k in g and x >= 0.5 else rgamma(x)
+        return [g[L + 1] * r[L - 1] for L in self.ls], [g[m] * r[m - 1] for m in self.ms]
+
+    def array(self, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`values` at every alpha of an array: C_L2 of shape ``alpha.shape
+        + (len(ls),)`` and C_Lz of shape ``alpha.shape + (len(ms),)``, with the
+        bits of ``gamma_array(num) * rgamma_array(den)`` and ``inf`` or ``nan``
+        where a Gamma overflows.  One kernel pass gives Gamma at the numerator
+        cells and 1/Gamma at the denominator cells that reuse none."""
+        at_num = {k: i for i, k in enumerate(self.num)}
+        at_den = {k: i for i, k in enumerate(self.den)}
+        a = np.asarray(alpha, dtype=float)[..., None]
+        num = np.array(list(self.num), dtype=float)
+        den = np.array(list(self.den), dtype=float)
+        slot = np.array([at_num.get(k, -1) for k in self.den], dtype=np.intp)
+        i = np.array([*(at_num[L + 1] for L in self.ls), *(at_num[m] for m in self.ms)], np.intp)
+        j = np.array([*(at_den[L - 1] for L in self.ls), *(at_den[m - 1] for m in self.ms)], np.intp)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g, x = 1.0 + num * a, 1.0 + den * a
+            reuse = (slot >= 0) & (x >= 0.5)
+            cells = np.concatenate([g.reshape(-1), x[~reuse]])
+            out = _kernel_array(cells, np.arange(cells.size) >= g.size)
+            g = out[: g.size].reshape(g.shape)
+            r = np.where(reuse, 1.0 / g[..., slot], 0.0)
+            r[~reuse] = out[g.size:]
+            c = g[..., i] * r[..., j]
+        return c[..., : len(self.ls)], c[..., len(self.ls):]
+
+
 def _casimirs(alpha: float, ls, ms) -> tuple[list[float], list[float]]:
     """C_L2 at each L of ``ls`` and plus-branch C_Lz at each |M| of ``ms``, with
-    the bits and exceptions of ``gamma(num) * rgamma(den)`` per value.
-
-    ``gamma`` runs once at each distinct numerator argument 1 + k*alpha
-    (k = L+1 and |M|).  A denominator argument that is one of them and is at
-    least 0.5 takes ``1.0 / gamma``: there ``rgamma`` is that same reciprocal
-    of the Lanczos series or factorial, so it overflows, or gives 0.0 after an
-    ``inf``, exactly where ``gamma`` does.  Every other denominator (k = -1,
-    reflection, the pole at alpha = 1) calls ``rgamma``.  Nothing outlives the
-    call.
-    """
-    g = {k: gamma(1.0 + k * alpha) for k in dict.fromkeys([*(L + 1 for L in ls), *ms])}
-    r = {}
-    for k in dict.fromkeys([*(L - 1 for L in ls), *(m - 1 for m in ms)]):
-        x = 1.0 + k * alpha
-        r[k] = 1.0 / g[k] if k in g and x >= 0.5 else rgamma(x)
-    return [g[L + 1] * r[L - 1] for L in ls], [g[m] * r[m - 1] for m in ms]
+    the bits and exceptions of ``gamma(num) * rgamma(den)`` per value
+    (:meth:`_CasimirPlan.values`)."""
+    return _CasimirPlan(ls, ms).values(alpha)
 
 
 def _casimirs_array(alpha, ls, ms) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_casimirs` at every alpha of an array: C_L2 of shape
-    ``alpha.shape + (len(ls),)`` and C_Lz of shape ``alpha.shape + (len(ms),)``,
-    with the bits of ``gamma_array(num) * rgamma_array(den)``, ``inf`` or
-    ``nan`` where a Gamma overflows.  One ``gamma_array`` call covers the
-    distinct numerator columns and one ``rgamma_array`` call the denominator
-    cells that are not among them or lie below 0.5."""
-    a = np.asarray(alpha, dtype=float)[..., None]
-    ls, ms = np.asarray(ls, dtype=float), np.asarray(ms, dtype=float)
-    num, num_at = np.unique(np.concatenate([ls + 1, ms]), return_inverse=True)
-    den, den_at = np.unique(np.concatenate([ls - 1, ms - 1]), return_inverse=True)
-    col = np.minimum(np.searchsorted(num, den), len(num) - 1)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        g = gamma_array(1.0 + num * a)
-        x = 1.0 + den * a
-        reuse = (num[col] == den) & (x >= 0.5)
-        r = np.where(reuse, 1.0 / g[..., col], 0.0)
-        r[~reuse] = rgamma_array(x[~reuse])
-        c = g[..., num_at] * r[..., den_at]
-    return c[..., : len(ls)], c[..., len(ls):]
+    ``alpha.shape + (len(ls),)`` and C_Lz of shape ``alpha.shape + (len(ms),)``
+    (:meth:`_CasimirPlan.array`)."""
+    return _CasimirPlan(ls, ms).array(alpha)
 
 
 def casimir_L2(alpha: float, L: int) -> float:

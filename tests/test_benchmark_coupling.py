@@ -109,6 +109,25 @@ def test_traced_fits_and_levels_reach_the_gamma_counter():
         tracer.restore()
 
 
+def test_a_traced_default_fit_makes_the_pinned_gamma_calls():
+    # 199 scan alphas go through the array kernel; the 22 Brent evaluations,
+    # the final profile loss and the fitted levels each take 11 gamma and
+    # 1 rgamma calls (k = 0..10 and k = -1) through the tracer.  An alias bound
+    # at import, or a Gamma call added or dropped, moves these counts
+    layers, tracer, fz = _layers_tracer_and_modules()
+    try:
+        layers.install(tracer, fz)
+        records = fz.fitting.select_records(fz.dataset.builtin_table(), fz.fitting.FitConfig())
+        before = dict(tracer.calls)
+        result = fz.fitting.fit(records)
+        calls = {name: tracer.calls[name] - before.get(name, 0)
+                 for name in ("specfun.gamma", "specfun.rgamma")}
+    finally:
+        tracer.restore()
+    assert result.evals == 222
+    assert calls == {"specfun.gamma": 264, "specfun.rgamma": 24}
+
+
 def test_levels_probes_still_find_their_known_defects(tmp_path):
     # perfbench/test_smoke.py pins three known-defect probes on the levels
     # workload but is not part of this suite; a record-contract change that

@@ -16,6 +16,7 @@ from fraczee.fitting import (
     FitConfig,
     FitError,
     _Problem,
+    _local_minima,
     fit,
     minimize_scalar,
     loss_rms_mev,
@@ -491,11 +492,44 @@ def test_scan_minima_match_the_scalar_profile_loss(name, records):
     # the scan reaches a fit result only through the order of its local
     # minima, which the refines start from
     prob = _Problem(records)
-    scan = prob.scan_losses(_ALPHA_GRID).tolist()
+    scan = prob.scan_losses(_ALPHA_GRID)
     scalar = [prob.profile_loss(float(a))[0] for a in _ALPHA_GRID]
-    assert _scan_minima(scan) == _scan_minima(scalar)
+    assert _local_minima(scan) == _scan_minima(scan.tolist()) == _scan_minima(scalar)
+    scan = scan.tolist()
     if name == "single-L-and-M":
         assert len(set(scan)) == 1 and len(_scan_minima(scan)) == len(_ALPHA_GRID)
+
+
+_N = len(_ALPHA_GRID)
+
+
+@pytest.mark.parametrize(
+    "losses",
+    [
+        pytest.param([2.0, 1.0, 1.0, 3.0, 1.0, 2.0], id="equal-losses"),
+        pytest.param([5.0] * _N, id="plateau"),
+        pytest.param([3.0, math.inf, 2.0, math.inf, math.inf, 1.0, 4.0], id="inf-cells"),
+        pytest.param([1.0] + [2.0] * (_N - 2) + [0.5], id="ends"),
+        pytest.param([math.inf] * _N, id="all-inf"),
+        pytest.param([math.nan, 1.0, 2.0], id="nan-left"),
+        pytest.param([2.0, 1.0, math.nan], id="nan-right"),
+        pytest.param([1.0, math.nan, 1.0, 0.5, math.nan, math.nan, 0.5], id="nan-both"),
+        pytest.param([0.0, -0.0, 0.0], id="signed-zeros"),
+        pytest.param([4.0], id="one"),
+        pytest.param([], id="none"),
+    ],
+)
+def test_local_minima_are_the_oracle_order(losses):
+    # Python's min(left, right) keeps the left one unless the right one is
+    # smaller, so a NaN on the left hides a minimum and one on the right does
+    # not; np.minimum would hide both
+    assert _local_minima(np.array(losses, dtype=float)) == _scan_minima(losses)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([0.0, 1.0, 1.5, 2.0, math.inf, math.nan]), max_size=12))
+def test_local_minima_match_the_oracle_on_any_small_list(losses):
+    assert _local_minima(np.array(losses, dtype=float)) == _scan_minima(losses)
 
 
 def test_profile_loss_is_infinite_where_gamma_returns_inf():
