@@ -34,9 +34,12 @@ same cases:
   1-4 seeded alphas in (0, 1.5] (0.703 and 1.0 among them) and its array
   twin ``spectrum._casimirs_array`` at all of them, for L and |M| sets up
   to 220, 400N cases; the ``float.hex`` of every value or the exception;
-- ``parse``: ``parse_expr`` on 2,000N seeded strings, random ones over the
-  tokenizer's alphabet and sums whose like terms differ near the merge
-  grid; the bits of every term, or the error message with its offset;
+- ``parse``: ``parse_expr`` on 4,000N seeded strings: random ones of up to
+  24 characters over the tokenizer's alphabet, sums whose like terms differ
+  near the merge grid, and strings of up to about 80 characters built from
+  fragments (sign runs, ``^`` with sign runs, overflowing products before a
+  stray character, Unicode digits and whitespace); the bits of every term,
+  or the error message with its offset;
 - ``records``: 400N seeded record lists, with names and statuses that hold
   ``,``, ``"``, ``\n`` or ``\r`` and masses that six digits do or do not
   keep; the text of ``records_to_csv`` and ``records_to_json`` and the
@@ -82,6 +85,12 @@ PARAM_SETS = ((), ("--m0", "500", "--a0", "2000", "--b0", "-300"))
 CASIMIR_EDGES = (0.703, 1.0, 0.112, 1.5)
 #: the tokenizer's alphabet, and a few characters it must refuse
 PARSE_ALPHABET = "0123456789.eE+-*^ xyzt" + "\t()q_²"
+#: pieces of the longer parse inputs: sign runs, '^' with sign runs, literals
+#: at and past the float range, products that overflow, Unicode digits and
+#: whitespace, and characters that stand where no token may
+PARSE_FRAGMENTS = ("+", "-", " - - ", "+-+", "^", "^+-2", "^ - ", "*", " * ", "1e999", "1e308",
+                   "1e200*1e200", "x^1e308*x^1e308", ".5", "3.", "e5", "x", "y^2", "z", "t^-0.5",
+                   "2", "0.25", "٣", "１.５", "　", "\x1c", "²", " ", "q", ")", ".")
 #: name and status characters that CSV must quote or that JSON escapes
 RECORD_TEXT = 'ab,"\n\r \t\\é'
 #: derivative orders of the operator corpus, and polynomial exponents that
@@ -281,22 +290,31 @@ def _casimir_corpus(scale: int) -> list:
 
 
 def _parse_corpus(scale: int) -> list:
-    """``parse_expr`` on random strings, and on sums of like terms whose
-    exponents differ by less than, about and more than the 1e-9 merge grid."""
+    """``parse_expr`` on random strings, on sums of like terms whose exponents
+    differ by less than, about and more than the 1e-9 merge grid, and on
+    strings of up to about 80 characters built from ``PARSE_FRAGMENTS``."""
     from fraczee.monomial import parse_expr
 
     rng = random.Random("parse")
-    out = []
+    sources = []
     for i in range(2000 * scale):
         if i % 2:
-            src = "".join(rng.choice(PARSE_ALPHABET) for _ in range(rng.randint(0, 24)))
+            sources.append("".join(rng.choice(PARSE_ALPHABET) for _ in range(rng.randint(0, 24))))
         else:
             axis, e = rng.choice("xyzt"), round(rng.uniform(-1.0, 3.0), rng.randint(0, 6))
-            src = " + ".join(f"{rng.choice(('', '-'))}{rng.randint(1, 9)}*{axis}^"
-                             f"{e + rng.choice((0.0, 2e-10, 3e-9, 5e-9, 4e-8))!r}"
-                             for _ in range(rng.randint(1, 4)))
-        out.append((repr(src), _outcome(lambda: parse_expr(src))))
-    return out
+            sources.append(" + ".join(f"{rng.choice(('', '-'))}{rng.randint(1, 9)}*{axis}^"
+                                      f"{e + rng.choice((0.0, 2e-10, 3e-9, 5e-9, 4e-8))!r}"
+                                      for _ in range(rng.randint(1, 4))))
+    rng = random.Random("parse fragments")
+    for _ in range(2000 * scale):
+        src = ""
+        for _ in range(rng.randint(0, 24)):
+            piece = rng.choice(PARSE_FRAGMENTS)
+            if len(src) + len(piece) > 80:
+                break
+            src += piece
+        sources.append(src)
+    return [(repr(src), _outcome(lambda: parse_expr(src))) for src in sources]
 
 
 def _operators_corpus(scale: int) -> list:

@@ -22,6 +22,9 @@ and ``operators.OperatorTerm.apply_to`` shift them all by one amount, so
 these build through ``_normalized`` without a merge.  Exponents within an
 ulp of a rounding boundary of the grid are outside the contract: a shift
 can leave two such terms with one merge key.
+
+:func:`parse_expr` reads its input one regex match per factor: the ``*``
+or sign run before the factor, then the factor with its ``^`` and exponent.
 """
 
 from __future__ import annotations
@@ -320,9 +323,22 @@ def _derive_terms(terms: Iterable[PowerTerm], axis: str, order: float) -> list[P
 # expression parser: signed sums of products  c * x^e * y^e ...
 # ----------------------------------------------------------------------
 
-#: the whitespace before one token, then the token: a number, or any
-#: other single character
-_TOKEN_RE = re.compile(r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(\S))")
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+#: one factor and what comes before it: the separator (whitespace around a
+#: '*' or a run of signs), then a number, an axis with its '^', signs and
+#: number, a stray character, or "" at the end of the input
+_FACTOR_RE = re.compile(
+    rf"(\s*(?:(\*)|([+-](?:\s*[+-])*))?\s*)"
+    rf"(?:({_NUMBER})|([{''.join(AXES)}])(?:(\s*\^(?:\s*[+-])*\s*)({_NUMBER})?)?|(\S)|)"
+)
+
+
+def _literal(text: str, at: int) -> float:
+    """``text`` as a float; a non-finite one is an error at offset ``at``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ExprSyntaxError(f"non-finite literal {text!r}", at)
+    return value
 
 
 def parse_expr(src: str) -> PolyExpr:
@@ -330,70 +346,46 @@ def parse_expr(src: str) -> PolyExpr:
 
     Raises :class:`ExprSyntaxError` (with character offset) on malformed input.
     """
-    # (text, offset, is a number), closed by an empty end token
-    toks = []
-    at = 0
-    for space, num, ch in _TOKEN_RE.findall(src):
-        at += len(space)
-        toks.append((num or ch, at, bool(num)))
-        at += len(num or ch)
-    if not toks:
-        raise ExprSyntaxError("empty expression", 0)
-    toks.append(("", len(src), False))
-    i = 0
-
-    def sign() -> float:
-        """Consume a run of signs, maybe empty: -1.0 if it has an odd number of '-'."""
-        nonlocal i
-        s = 1.0
-        while toks[i][0] in ("+", "-"):
-            if toks[i][0] == "-":
-                s = -s
-            i += 1
-        return s
-
-    def number() -> float:
-        nonlocal i
-        text, at, is_number = toks[i]
-        if not is_number:
-            raise ExprSyntaxError("expected a number", at)
-        value = float(text)
-        if not math.isfinite(value):
-            raise ExprSyntaxError(f"non-finite literal {text!r}", at)
-        i += 1
-        return value
-
     terms: list[PowerTerm] = []
-    while True:
-        s = sign()
-        start = toks[i][1]
-        coeff = 1.0
-        exps = [0.0, 0.0, 0.0, 0.0]
-        while True:
-            text, at, is_number = toks[i]
-            if text in _AXIS_INDEX:
-                i += 1
-                e = 1.0
-                if toks[i][0] == "^":
-                    i += 1
-                    e = sign() * number()
-                exps[_AXIS_INDEX[text]] += e
-            elif is_number or text == "." or text.isdigit():
-                # '.' or a digit that starts no number ('²'): "expected a number"
-                coeff *= number()
-            else:
-                raise ExprSyntaxError("expected a factor", at)
-            if toks[i][0] != "*":
-                break
-            i += 1
-        if not (math.isfinite(coeff) and all(math.isfinite(e) for e in exps)):
-            raise ExprSyntaxError("product with a non-finite coefficient or exponent", start)
-        terms.append(PowerTerm(s * coeff, tuple(exps)))
-        text, at, _ = toks[i]
-        if not text:
-            break
-        if text not in ("+", "-"):
-            raise ExprSyntaxError(f"unexpected character {text[0]!r}", at)
+    at = 0  # offset of the current match
+    s = 0.0  # sign of the open product, 0.0 before the first
+    for sep, star, signs, num, axis, caret, power, other in _FACTOR_RE.findall(src):
+        if s and not star:
+            # the open product ends here, before what follows is looked at
+            if not (math.isfinite(coeff) and all(map(math.isfinite, exps))):
+                raise ExprSyntaxError("product with a non-finite coefficient or exponent", start)
+            terms.append(PowerTerm(s * coeff, tuple(exps)))
+            if not signs:
+                if not (num or axis or other):
+                    break
+                raise ExprSyntaxError(f"unexpected character {(num or axis or other)[0]!r}",
+                                      at + len(sep))
+        if not s or signs:
+            if star:
+                raise ExprSyntaxError("expected a factor", at + sep.index("*"))
+            if not (signs or num or axis or other):
+                raise ExprSyntaxError("empty expression", 0)
+            s = -1.0 if signs.count("-") % 2 else 1.0
+            start = at + len(sep)
+            coeff = 1.0
+            exps = [0.0, 0.0, 0.0, 0.0]
+        at += len(sep)
+        if num:
+            coeff *= _literal(num, at)
+            at += len(num)
+        elif axis:
+            e = 1.0
+            if caret:
+                if not power:
+                    raise ExprSyntaxError("expected a number", at + 1 + len(caret))
+                e = (-1.0 if caret.count("-") % 2 else 1.0) * _literal(power, at + 1 + len(caret))
+            exps[_AXIS_INDEX[axis]] += e
+            at += 1 + len(caret) + len(power)
+        elif other == "." or other.isdigit():
+            # '.' or a digit that starts no number ('²')
+            raise ExprSyntaxError("expected a number", at)
+        else:
+            raise ExprSyntaxError("expected a factor", at)
     expr = PolyExpr.from_terms(terms)
     # finite like terms can still sum past the float range
     if not all(math.isfinite(t.coeff) for t in expr.terms):

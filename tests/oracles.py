@@ -16,6 +16,9 @@ evaluations were shared; ``oracle_casimir_L2_array`` and
 ``gamma_array`` and ``rgamma_array``.  ``oracle_kernel_array`` is the array
 Gamma kernel as it stood before it evaluated each branch only where it
 applies: every branch on every cell, then one ``np.where`` per branch.
+``oracle_parse_expr`` is the expression parser as it stood before it read
+one regex match per factor: a list of ``(text, offset, is_number)`` tokens
+walked by ``sign()`` and ``number()`` closures.
 """
 
 from __future__ import annotations
@@ -24,13 +27,14 @@ import csv
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
 from fraczee.dataset import DatasetError, ParticleRecord
-from fraczee.monomial import AXES, PolyExpr, PowerTerm, rl_derive
+from fraczee.monomial import AXES, ExprSyntaxError, PolyExpr, PowerTerm, rl_derive
 from fraczee.operators import PhasedPoly
 from fraczee.rlquad import _FD_REL_STEP, roots_jacobi
 from fraczee.specfun import (
@@ -246,3 +250,81 @@ def oracle_kernel_array(x, reciprocal: bool) -> np.ndarray:
             out = np.where(reflect, math.pi / (sinpi * lanczos), lanczos)
             out = np.where(pole, np.nan, np.where(factorial, exact, out))
         return np.where(np.isfinite(x), out, np.nan)
+
+
+#: the whitespace before one token, then the token: a number, or any
+#: other single character
+_ORACLE_TOKEN_RE = re.compile(r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(\S))")
+_ORACLE_AXIS_INDEX = {a: i for i, a in enumerate(AXES)}
+
+
+def oracle_parse_expr(src: str) -> PolyExpr:
+    """``parse_expr`` on a token list, the parser before one match per factor."""
+    # (text, offset, is a number), closed by an empty end token
+    toks = []
+    at = 0
+    for space, num, ch in _ORACLE_TOKEN_RE.findall(src):
+        at += len(space)
+        toks.append((num or ch, at, bool(num)))
+        at += len(num or ch)
+    if not toks:
+        raise ExprSyntaxError("empty expression", 0)
+    toks.append(("", len(src), False))
+    i = 0
+
+    def sign() -> float:
+        """Consume a run of signs, maybe empty: -1.0 if it has an odd number of '-'."""
+        nonlocal i
+        s = 1.0
+        while toks[i][0] in ("+", "-"):
+            if toks[i][0] == "-":
+                s = -s
+            i += 1
+        return s
+
+    def number() -> float:
+        nonlocal i
+        text, at, is_number = toks[i]
+        if not is_number:
+            raise ExprSyntaxError("expected a number", at)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ExprSyntaxError(f"non-finite literal {text!r}", at)
+        i += 1
+        return value
+
+    terms: list[PowerTerm] = []
+    while True:
+        s = sign()
+        start = toks[i][1]
+        coeff = 1.0
+        exps = [0.0, 0.0, 0.0, 0.0]
+        while True:
+            text, at, is_number = toks[i]
+            if text in _ORACLE_AXIS_INDEX:
+                i += 1
+                e = 1.0
+                if toks[i][0] == "^":
+                    i += 1
+                    e = sign() * number()
+                exps[_ORACLE_AXIS_INDEX[text]] += e
+            elif is_number or text == "." or text.isdigit():
+                # '.' or a digit that starts no number ('²'): "expected a number"
+                coeff *= number()
+            else:
+                raise ExprSyntaxError("expected a factor", at)
+            if toks[i][0] != "*":
+                break
+            i += 1
+        if not (math.isfinite(coeff) and all(math.isfinite(e) for e in exps)):
+            raise ExprSyntaxError("product with a non-finite coefficient or exponent", start)
+        terms.append(PowerTerm(s * coeff, tuple(exps)))
+        text, at, _ = toks[i]
+        if not text:
+            break
+        if text not in ("+", "-"):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", at)
+    expr = PolyExpr.from_terms(terms)
+    if not all(math.isfinite(t.coeff) for t in expr.terms):
+        raise ExprSyntaxError("like terms sum to a non-finite coefficient", 0)
+    return expr
