@@ -18,7 +18,11 @@ same cases:
   ``perfbench/workloads.py::AlgebraWorkload`` at seeds 0..10N-1, 80 a seed,
   with the ``float.hex`` of every residual;
 - ``levels``: ``spectrum``, ``predict`` and ``report`` (both files, byte for
-  byte) over a grid of alphas, L bands and parameter sets;
+  byte) over a grid of alphas, L bands and parameter sets, then the
+  ``float.hex`` of ``objective`` and ``loss_rms_mev``, or their exception,
+  over the same alphas with those parameter sets and one seeded set, on
+  the built-in table and on it plus a seeded row at L = 180..220 (which
+  overflows at the larger alphas);
 - ``fit``: at seeds 0..20N-1, a subset of the built-in table (rows dropped,
   masses shifted) and a synthetic table of
   ``perfbench/workloads.py::FitWorkload``; the alpha scan's local-minimum
@@ -43,7 +47,11 @@ same cases:
 - ``records``: 400N seeded record lists, with names and statuses that hold
   ``,``, ``"``, ``\n`` or ``\r`` and masses that six digits do or do not
   keep; the text of ``records_to_csv`` and ``records_to_json`` and the
-  records ``load_records`` reads back from each file;
+  records ``load_records`` reads back from each file; then 10N seeded
+  records for each ``ParticleRecord`` check that each breaks (an empty
+  name, a bool or float L or M, a bool mass, a negative L or M, M > L, an
+  int mass beyond the float range, a zero, negative or NaN mass, an unknown
+  group), with the exception's type and message;
 - ``operators``: ``OperatorExpr.apply`` of 500N seeded operator sums whose
   term images share exponent vectors (one derivative pattern under several
   prefactors and phases, ``build_H(a) + build_H(b)``, ``build_Kz`` families
@@ -200,12 +208,38 @@ def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> 
                 out["levels"].append((" ".join(["report", *argv]), [got, files]))
                 for n in ("table.csv", "plot.tsv"):
                     (rep / n).unlink(missing_ok=True)
+    out["levels"] += _losses_corpus(alphas)
     for seed in range(20 * scale):
         for label, path in _fit_tables(workloads, seed):
             scan, fitted = _fit_outcome(cli, path)
             out["fit"].append((f"seed {seed} {label}", fitted))
             out["scan"].append((f"seed {seed} {label}", scan))
     out["records"] = _records_corpus(scale)
+
+
+def _losses_corpus(alphas: list[float]) -> list:
+    """``objective`` and ``loss_rms_mev`` at each alpha with the (m0, a0, b0) of
+    ``PARAM_SETS`` and a seeded one, on the built-in table and on it plus a
+    seeded row at L = 180..220."""
+    from fraczee import dataset, fitting
+    from fraczee.spectrum import REFERENCE_PARAMS as ref, FitParams
+
+    rng = random.Random("levels losses")
+    table = dataset.builtin_table()
+    L = rng.randint(180, 220)
+    tables = (("built-in", table),
+              (f"built-in + L={L}", table + [dataset.ParticleRecord("heavy", L, rng.randint(0, L),
+                                                                    50000.0, "", "baryon")]))
+    out = []
+    for alpha in alphas:
+        seeded = (rng.uniform(-2e4, 2e3), rng.uniform(-2e3, 2e4), rng.uniform(-1e4, 1e4))
+        for values in ((ref.m0, ref.a0, ref.b0), (500.0, 2000.0, -300.0), seeded):
+            p = FitParams(alpha, *values)
+            for label, records in tables:
+                out.append((f"objective, loss_rms_mev at {p!r} on {label}",
+                            [_outcome(lambda: fitting.objective(p, records)),
+                             _outcome(lambda: fitting.loss_rms_mev(p, records))]))
+    return out
 
 
 def _fit_tables(workloads, seed: int):
@@ -395,6 +429,32 @@ def _records_corpus(scale: int) -> list:
             path.write_text(data, newline="")
             written += [data, _outcome(lambda: loaded(path))]
         out.append((repr(records), written))
+    return out + _rejected_records(scale)
+
+
+def _rejected_records(scale: int) -> list:
+    """Seeded ``ParticleRecord`` arguments that break one check each, with the
+    exception that each raises."""
+    from fraczee import dataset
+
+    rng = random.Random("records rejected")
+    out = []
+    for i in range(10 * scale):
+        L = rng.randint(0, 20)
+        M = rng.randint(0, L)
+        mass = rng.uniform(1, 6000)
+        name = f"r{i}"
+        for args in (("", L, M, mass), (name, rng.choice((True, float(L))), M, mass),
+                     (name, L, rng.choice((False, float(M))), mass), (name, L, M, True),
+                     (name, -rng.randint(1, 20), 0, mass), (name, L, -rng.randint(1, 20), mass),
+                     (name, L, L + rng.randint(1, 5), mass),
+                     (name, L, M, rng.choice((10**400, -(10**400), 2**1024))),
+                     (name, L, M, rng.choice((0, 0.0, -mass, -rng.randint(1, 99), math.nan)))):
+            out.append((f"rejected {args!r}",
+                        _outcome(lambda: dataset.ParticleRecord(*args, "", "baryon"))))
+        group = rng.choice(("", "Baryon", "lepton", "baryon "))
+        out.append((f"rejected group {group!r}",
+                    _outcome(lambda: dataset.ParticleRecord(name, L, M, mass, "", group))))
     return out
 
 

@@ -55,6 +55,9 @@ _EXIT_IO = 4
 #: upper bound on --nodes, since the quadrature's memory grows with the node count
 #: (4096 nodes: about 0.8 s and 60 MB on a 2-core host; 1e8 nodes passed 6 GB)
 _MAX_NODES = 4096
+#: upper bound on the levels of an --l-min..--l-max band, checked before any is built
+#: (L = 0..445 is 99,681 levels; a band of 1e9 L would never finish)
+_MAX_LEVELS = 100_000
 
 
 def _fmt_mev(v: float) -> str:
@@ -234,6 +237,11 @@ def cmd_verify(args) -> int:
 def _multiplets(l_min: int, l_max: int) -> list[Multiplet]:
     if min(l_min, l_max) < 0:
         raise ValueError(f"L is nonnegative, got --l-min {l_min} --l-max {l_max}")
+    # L has L + 1 levels, M = 0..L
+    count = ((l_max + 1) * (l_max + 2) - l_min * (l_min + 1)) // 2 if l_max >= l_min else 0
+    if count > _MAX_LEVELS:
+        raise ValueError(f"--l-min {l_min} --l-max {l_max} spans {count} levels, "
+                         f"more than the limit of {_MAX_LEVELS}")
     return [Multiplet(L, M) for L in range(l_min, l_max + 1) for M in range(0, L + 1)]
 
 

@@ -38,8 +38,11 @@ class DatasetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ParticleRecord:
+    """One table row: checked, then stored in one step (``dataclasses.replace``
+    checks again); ``==``, ``hash``, ``repr`` and immutability are generated."""
+
     name: str
     L: int
     M: int
@@ -47,25 +50,24 @@ class ParticleRecord:
     status: str
     group: str
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, L: int, M: int, mass_mev: float, status: str, group: str):
+        if not name:
             raise DatasetError("empty particle name")
-        if type(self.L) is not int or type(self.M) is not int or type(self.mass_mev) is bool:
-            raise DatasetError(f"{self.name}: L and M must be ints and the mass not a bool, "
-                               f"got L={self.L!r}, M={self.M!r}, mass_mev={self.mass_mev!r}")
-        if self.L < 0 or self.M < 0 or self.M > self.L:
-            raise DatasetError(
-                f"{self.name}: need 0 <= M <= L, got L={self.L}, M={self.M}"
-            )
-        if isinstance(self.mass_mev, int):
+        if type(L) is not int or type(M) is not int or type(mass_mev) is bool:
+            raise DatasetError(f"{name}: L and M must be ints and the mass not a bool, "
+                               f"got L={L!r}, M={M!r}, mass_mev={mass_mev!r}")
+        if L < 0 or M < 0 or M > L:
+            raise DatasetError(f"{name}: need 0 <= M <= L, got L={L}, M={M}")
+        if isinstance(mass_mev, int):
             try:
-                float(self.mass_mev)
+                float(mass_mev)
             except OverflowError:
-                raise DatasetError(f"{self.name}: int mass_mev beyond the float range") from None
-        if not self.mass_mev > 0.0:
-            raise DatasetError(f"{self.name}: nonpositive mass {self.mass_mev}")
-        if self.group not in GROUPS:
-            raise DatasetError(f"{self.name}: unknown group {self.group!r}")
+                raise DatasetError(f"{name}: int mass_mev beyond the float range") from None
+        if not mass_mev > 0.0:
+            raise DatasetError(f"{name}: nonpositive mass {mass_mev}")
+        if group not in GROUPS:
+            raise DatasetError(f"{name}: unknown group {group!r}")
+        self.__dict__.update(name=name, L=L, M=M, mass_mev=mass_mev, status=status, group=group)
 
 
 # name, L, M, mass [MeV], status, group

@@ -30,7 +30,7 @@ Gram-Schmidt on the two Casimir columns, centered (which projects out the
 constant column), gives the 199 least-squares residuals without a QR
 factorization, and one numpy pass finds the local minima in the order
 they are refined.  The refine and the returned (m0, a0, b0) use the
-plan's scalar body, the one behind :func:`spectrum.spectrum`, and lstsq
+plan's scalar body, the one behind ``spectrum._energies``, and lstsq
 on the records' design matrix [1, C_L2, C_Lz], taken from the vector
 [1, C_L2..., C_Lz...] in one indexing step, so the fitted parameters do
 not depend on the array kernel's roundoff.  An alpha where a Casimir
@@ -49,7 +49,7 @@ import numpy as np
 from .dataset import ParticleRecord
 # ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.fitting.mass``
 # by attribute name, so the name stays.
-from .spectrum import FitParams, Multiplet, _CasimirPlan, mass, spectrum  # noqa: F401
+from .spectrum import FitParams, Multiplet, _CasimirPlan, _energies, mass, spectrum  # noqa: F401
 
 minimize = None  # the Nelder-Mead fit is gone, but perfbench/layers.py still wraps this name
 
@@ -358,14 +358,15 @@ def _levels(
     p: FitParams, records: Sequence[ParticleRecord], band: Sequence[Multiplet] = ()
 ) -> tuple[list[tuple[float, float, float]], list[tuple[Multiplet, float]]]:
     """(E_th, residual in MeV, residual in percent) of every record, and the
-    levels of ``band``: the one :func:`spectrum` pass behind the loss, the
-    objective, the per-particle table and ``fraczee report``."""
-    levels = spectrum(p, [Multiplet(r.L, r.M) for r in records] + list(band))
+    levels of ``band``: the one level pass behind the loss, the objective, the
+    per-particle table and ``fraczee report``, keyed (L, M, +1) per record."""
+    band = list(band)
+    energies = _energies(p, [(r.L, r.M, 1) for r in records] + [(m.L, m.M, m.sign) for m in band])
     rows = [
         (e, e - r.mass_mev, 100.0 * (e - r.mass_mev) / r.mass_mev)
-        for r, (_, e) in zip(records, levels)
+        for r, e in zip(records, energies)
     ]
-    return rows, levels[len(records):]
+    return rows, list(zip(band, energies[len(records):]))
 
 
 def loss_rms_mev(p: FitParams, records: Sequence[ParticleRecord]) -> float:

@@ -26,9 +26,12 @@ of the array Gamma kernel, which returns Gamma on the numerator cells and
 1/Gamma on the denominator cells that reuse none.  :func:`_casimirs` and
 :func:`_casimirs_array` plan, then evaluate.  The fit's ``_Problem`` plans
 once and evaluates its Brent refine through the scalar body and its alpha
-scan through the array body.  :func:`spectrum` is the one evaluator of the
-formula (:func:`mass`, the fit's residuals and the CLI level tables call
-it); it builds one plan per call, through :func:`_casimirs`.
+scan through the array body.  :func:`_energies` is the one body of the
+formula, over (L, M, sign) keys: :func:`spectrum` (behind :func:`mass`,
+``predict`` and the CLI level tables) and the fit's residuals
+(``fitting._levels``, behind the loss, the objective and ``report``) call
+it, so no :class:`Multiplet` is built for a record.  It builds one plan
+per call, through :func:`_casimirs`.
 """
 
 from __future__ import annotations
@@ -191,18 +194,26 @@ def mass(p: FitParams, mult: Multiplet) -> float:
     return spectrum(p, [mult])[0][1]
 
 
+def _energies(p: FitParams, keys: list[tuple[int, int, int]]) -> list[float]:
+    """The level of each (L, M, sign) key, in order: one plan, one Casimir
+    evaluation and one pass; ``ValueError`` at the first key whose level is
+    not finite (the parameters or a Casimir overflow)."""
+    ls = list(dict.fromkeys(L for L, _, _ in keys))
+    ms = list(dict.fromkeys(abs(M) for _, M, _ in keys))
+    c_l2, c_lz = _casimirs(p.alpha, ls, ms)
+    c_l2, c_lz = dict(zip(ls, c_l2)), dict(zip(ms, c_lz))
+    m0, a0, b0 = p.m0, p.a0, p.b0
+    out = []
+    for L, M, sign in keys:
+        e = m0 + a0 * c_l2[L] + b0 * (sign * c_lz[abs(M)])
+        if not math.isfinite(e):
+            raise ValueError(f"the level of L={L}, M={M} is not finite at {p}")
+        out.append(e)
+    return out
+
+
 def spectrum(p: FitParams, mults: Iterable[Multiplet]) -> list[tuple[Multiplet, float]]:
     """Masses for a list of multiplets, preserving input order; ``ValueError``
     where a level is not finite (the parameters or a Casimir overflow)."""
     mults = list(mults)
-    ls = list(dict.fromkeys(m.L for m in mults))
-    ms = list(dict.fromkeys(abs(m.M) for m in mults))
-    c_l2, c_lz = _casimirs(p.alpha, ls, ms)
-    c_l2, c_lz = dict(zip(ls, c_l2)), dict(zip(ms, c_lz))
-    out = []
-    for m in mults:
-        e = p.m0 + p.a0 * c_l2[m.L] + p.b0 * (m.sign * c_lz[abs(m.M)])
-        if not math.isfinite(e):
-            raise ValueError(f"the level of L={m.L}, M={m.M} is not finite at {p}")
-        out.append((m, e))
-    return out
+    return list(zip(mults, _energies(p, [(m.L, m.M, m.sign) for m in mults])))

@@ -18,7 +18,12 @@ Gamma kernel as it stood before it evaluated each branch only where it
 applies: every branch on every cell, then one ``np.where`` per branch.
 ``oracle_parse_expr`` is the expression parser as it stood before it read
 one regex match per factor: a list of ``(text, offset, is_number)`` tokens
-walked by ``sign()`` and ``number()`` closures.
+walked by ``sign()`` and ``number()`` closures.  ``OracleParticleRecord`` is
+the record type as it stood before it checked its arguments ahead of one
+store: the dataclass's generated ``__init__`` (six frozen stores), then
+``__post_init__`` on the stored fields.  ``oracle_spectrum`` and
+``oracle_levels`` are the level formula and the fit's level pass as they
+stood before the pass stopped building a ``Multiplet`` per record.
 """
 
 from __future__ import annotations
@@ -28,15 +33,17 @@ import io
 import json
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
-from fraczee.dataset import DatasetError, ParticleRecord
+from fraczee.dataset import GROUPS, DatasetError, ParticleRecord
 from fraczee.monomial import AXES, ExprSyntaxError, PolyExpr, PowerTerm, rl_derive
 from fraczee.operators import PhasedPoly
 from fraczee.rlquad import _FD_REL_STEP, roots_jacobi
+from fraczee.spectrum import Multiplet, _casimirs
 from fraczee.specfun import (
     _FACTORIALS,
     _lanczos,
@@ -88,6 +95,36 @@ def classical_derivative(e: PolyExpr, axis: str) -> PolyExpr:
 def merge_key(exps) -> tuple:
     """The 1e-9 grid cell in which ``PolyExpr`` merges exponent vectors."""
     return tuple(round(e, 9) for e in exps)
+
+
+@dataclass(frozen=True)
+class OracleParticleRecord:
+    name: str
+    L: int
+    M: int
+    mass_mev: float
+    status: str
+    group: str
+
+    def __post_init__(self):
+        if not self.name:
+            raise DatasetError("empty particle name")
+        if type(self.L) is not int or type(self.M) is not int or type(self.mass_mev) is bool:
+            raise DatasetError(f"{self.name}: L and M must be ints and the mass not a bool, "
+                               f"got L={self.L!r}, M={self.M!r}, mass_mev={self.mass_mev!r}")
+        if self.L < 0 or self.M < 0 or self.M > self.L:
+            raise DatasetError(
+                f"{self.name}: need 0 <= M <= L, got L={self.L}, M={self.M}"
+            )
+        if isinstance(self.mass_mev, int):
+            try:
+                float(self.mass_mev)
+            except OverflowError:
+                raise DatasetError(f"{self.name}: int mass_mev beyond the float range") from None
+        if not self.mass_mev > 0.0:
+            raise DatasetError(f"{self.name}: nonpositive mass {self.mass_mev}")
+        if self.group not in GROUPS:
+            raise DatasetError(f"{self.name}: unknown group {self.group!r}")
 
 
 def _validate(records):
@@ -328,3 +365,29 @@ def oracle_parse_expr(src: str) -> PolyExpr:
     if not all(math.isfinite(t.coeff) for t in expr.terms):
         raise ExprSyntaxError("like terms sum to a non-finite coefficient", 0)
     return expr
+
+
+def oracle_spectrum(p, mults) -> list:
+    """``spectrum.spectrum``: (multiplet, level) pairs, one Casimir plan per call."""
+    mults = list(mults)
+    ls = list(dict.fromkeys(m.L for m in mults))
+    ms = list(dict.fromkeys(abs(m.M) for m in mults))
+    c_l2, c_lz = _casimirs(p.alpha, ls, ms)
+    c_l2, c_lz = dict(zip(ls, c_l2)), dict(zip(ms, c_lz))
+    out = []
+    for m in mults:
+        e = p.m0 + p.a0 * c_l2[m.L] + p.b0 * (m.sign * c_lz[abs(m.M)])
+        if not math.isfinite(e):
+            raise ValueError(f"the level of L={m.L}, M={m.M} is not finite at {p}")
+        out.append((m, e))
+    return out
+
+
+def oracle_levels(p, records, band=()) -> tuple[list, list]:
+    """``fitting._levels`` on :func:`oracle_spectrum`, with a ``Multiplet`` per record."""
+    levels = oracle_spectrum(p, [Multiplet(r.L, r.M) for r in records] + list(band))
+    rows = [
+        (e, e - r.mass_mev, 100.0 * (e - r.mass_mev) / r.mass_mev)
+        for r, (_, e) in zip(records, levels)
+    ]
+    return rows, levels[len(records):]

@@ -741,6 +741,43 @@ def test_empty_level_band_stays_valid(capsys):
     assert (code, out) == (0, "L\tM\tE_th_mev\n")
 
 
+@pytest.mark.parametrize("command", [("spectrum",), ("predict",), ("report", "--out-dir", "rep")])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_level_band_above_the_limit_exits_2_before_output(capsys, tmp_path, monkeypatch,
+                                                          command, source):
+    # one L has L + 1 levels: this band is one level above the limit, so a
+    # missing check builds ~1e5 levels and overflows instead of hanging
+    monkeypatch.chdir(tmp_path)
+    L = str(cli._MAX_LEVELS)
+    if source == "flag":
+        code, out, err = run(capsys, *command, "--l-min", L, "--l-max", L)
+    else:
+        (tmp_path / "fraczee.conf").write_text(f"l-min = {L}\nl-max = {L}\n")
+        code, out, err = run(capsys, "--config", "fraczee.conf", *command)
+    assert (code, out) == (2, "")
+    assert err == (f"error: --l-min {L} --l-max {L} spans {cli._MAX_LEVELS + 1} levels, "
+                   f"more than the limit of {cli._MAX_LEVELS}\n")
+    assert not (tmp_path / "rep").exists()
+
+
+def test_level_band_limit_is_far_above_the_bands_in_use():
+    # the largest band of the tests and of scripts/same_numbers.py is L = 140..145
+    assert cli._MAX_LEVELS >= 100 * sum(L + 1 for L in range(140, 146))
+
+
+@pytest.mark.parametrize("l_min, l_max, ok", [
+    (0, 3, True), (0, 4, False), (2, 4, False), (3, 4, True), (9, 9, True), (10, 10, False),
+    (11, 10, True), (20, 19, True),
+])
+def test_level_band_limit_counts_every_level(monkeypatch, l_min, l_max, ok):
+    monkeypatch.setattr(cli, "_MAX_LEVELS", 10)  # L = 0..3 and L = 9 have 10 levels each
+    if ok:
+        assert len(cli._multiplets(l_min, l_max)) <= 10
+    else:
+        with pytest.raises(ValueError, match="more than the limit of 10$"):
+            cli._multiplets(l_min, l_max)
+
+
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("FRACZEE_SEED", "many")
     code, out, err = run(capsys, "verify", "quad")

@@ -1,6 +1,9 @@
+import copy
 import csv
+import dataclasses
 import io
 import json
+import pickle
 import math
 import re
 import sys
@@ -19,7 +22,7 @@ from fraczee.dataset import (
     records_to_csv,
     records_to_json,
 )
-from oracles import oracle_load_records
+from oracles import OracleParticleRecord, oracle_load_records
 
 FIXTURE = Path(__file__).parent / "fixtures" / "reference_table.csv"
 JSON_FIXTURE = Path(__file__).parent / "fixtures" / "reference_table.json"
@@ -443,6 +446,89 @@ def test_record_keeps_the_largest_int_mass_and_an_inf_mass():
     largest = int(sys.float_info.max)
     for mass in (largest, float("inf")):
         assert ParticleRecord("m", 3, 1, mass, "", "baryon").mass_mev == mass
+
+
+# -- the record contract, against the dataclass with __post_init__ ----------
+
+
+_odd_int = st.one_of(
+    st.integers(-3, 30), st.booleans(), st.floats(-3.0, 30.0), st.sampled_from(["", "3"]),
+    st.builds(np.int64, st.integers(0, 30)),
+)
+#: values that replace one or two fields of a valid record: most are refused
+_ODD_FIELDS = {
+    "name": st.sampled_from(["", None, 0, "0"]),
+    "L": _odd_int,
+    "M": _odd_int,
+    "mass_mev": st.one_of(
+        st.floats(), st.integers(-5, 5), st.booleans(),
+        st.sampled_from([0, 0.0, -0.0, 10**400, -(10**400), 2**1024, int(sys.float_info.max),
+                         float("inf"), float("nan"), "1000", np.float64(-1.0)]),
+    ),
+    "group": st.one_of(st.text(max_size=8), st.sampled_from(["Baryon", "baryon "])),
+}
+
+
+@st.composite
+def record_args(draw):
+    L = draw(st.integers(0, 30))
+    args = {
+        "name": draw(st.text(min_size=1, max_size=4)),
+        "L": L,
+        "M": draw(st.integers(0, L)),
+        "mass_mev": draw(st.one_of(st.floats(0.0, exclude_min=True, allow_nan=False),
+                                   st.integers(1, 10**6))),
+        "status": draw(st.text(max_size=3)),
+        "group": draw(st.sampled_from(GROUPS)),
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(_ODD_FIELDS)), max_size=2)):
+        args[key] = draw(_ODD_FIELDS[key])
+    return args
+
+
+@settings(max_examples=400)
+@given(args=record_args())
+def test_record_matches_the_post_init_dataclass(args):
+    def outcome(cls):
+        try:
+            r = cls(*args.values())
+        except Exception as exc:
+            return "raised", type(exc), str(exc)
+        return "made", [(type(v), v) for v in (r.name, r.L, r.M, r.mass_mev, r.status, r.group)]
+
+    assert outcome(ParticleRecord) == outcome(OracleParticleRecord)
+    assert outcome(lambda *a: ParticleRecord(**args)) == outcome(ParticleRecord)
+
+
+def test_record_is_a_frozen_dataclass():
+    r = ParticleRecord("Lambda", 3, 1, 1116.0, "", "baryon")
+    assert [f.name for f in dataclasses.fields(ParticleRecord)] == list(COLUMNS)
+    assert ParticleRecord.__match_args__ == COLUMNS
+    assert r == ParticleRecord(name="Lambda", L=3, M=1, mass_mev=1116.0, status="", group="baryon")
+    assert r != ParticleRecord("Lambda", 3, 1, 1116.5, "", "baryon")
+    assert hash(r) == hash(("Lambda", 3, 1, 1116.0, "", "baryon"))
+    assert repr(r) == ("ParticleRecord(name='Lambda', L=3, M=1, mass_mev=1116.0, status='', "
+                       "group='baryon')")
+    assert repr(r) == repr(OracleParticleRecord("Lambda", 3, 1, 1116.0, "", "baryon")).replace(
+        "OracleParticleRecord", "ParticleRecord")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.L = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del r.mass_mev
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert twin == r and type(twin) is ParticleRecord and twin.__dict__ == r.__dict__
+
+
+def test_record_replace_checks_again():
+    r = ParticleRecord("Lambda", 3, 1, 1116.0, "", "baryon")
+    assert dataclasses.replace(r, M=3, mass_mev=1200) == ParticleRecord("Lambda", 3, 3, 1200, "",
+                                                                         "baryon")
+    with pytest.raises(DatasetError) as exc:
+        dataclasses.replace(r, M=5)
+    assert str(exc.value) == "Lambda: need 0 <= M <= L, got L=3, M=5"
+    with pytest.raises(DatasetError) as exc:
+        dataclasses.replace(r, group="lepton")
+    assert str(exc.value) == "Lambda: unknown group 'lepton'"
 
 
 # -- round trips of any valid records ---------------------------------------

@@ -16,7 +16,9 @@ from fraczee.fitting import (
     FitConfig,
     FitError,
     _Problem,
+    _levels,
     _local_minima,
+    _rms,
     fit,
     minimize_scalar,
     loss_rms_mev,
@@ -25,8 +27,9 @@ from fraczee.fitting import (
     select_records,
 )
 from fraczee.specfun import gamma
-from fraczee.spectrum import REFERENCE_PARAMS, FitParams, Multiplet, mass
+from fraczee.spectrum import REFERENCE_PARAMS, FitParams, Multiplet, mass, spectrum
 
+from oracles import oracle_levels, oracle_spectrum
 from reference_values import E_TH
 
 FIT_PINS = Path(__file__).parent / "fixtures" / "fit_full_precision.json"
@@ -593,3 +596,67 @@ def test_predict_meson_band():
     assert out[0][1] == pytest.approx(945.76, abs=0.05)
     assert out[1][1] == pytest.approx(313.90, abs=0.05)
     assert predict(REFERENCE_PARAMS, []) == []
+
+
+# ------------------------------------- the level pass against the Multiplet-per-record one
+
+
+def _hex_outcome(call):
+    """The result with every float as its ``float.hex``, or the exception's type and text."""
+    def bits(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, (list, tuple)):
+            return [bits(x) for x in v]
+        return v
+
+    try:
+        return bits(call())
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _level_cases():
+    rng = random.Random("levels")
+    table = builtin_table()
+    # one row at L = 180..220: the overflow probe's shape, which overflows at
+    # alphas above about 0.77..0.94
+    heavy = [ParticleRecord(f"heavy-{L}", L, rng.randint(0, L), 50000.0, "", "baryon")
+             for L in (180, rng.randint(181, 219), 220)]
+    tables = [table, table[5:30], *(table + [h] for h in heavy)]
+    params = [REFERENCE_PARAMS]
+    params += [FitParams(rng.uniform(0.01, 1.2), rng.uniform(-2e4, 2e3), rng.uniform(-2e3, 2e4),
+                         rng.uniform(-1e4, 1e4)) for _ in range(8)]
+    for i, p in enumerate(params):
+        records = tables[i % len(tables)]
+        L_top = rng.choice((9, 20, 200))
+        band = [Multiplet(L, M, rng.choice((1, -1)))
+                for L in sorted(rng.sample(range(L_top + 1), 4)) for M in range(-L, L + 1, 2)]
+        yield pytest.param(p, records, band, id=f"params{i}-rows{len(records)}-L{L_top}")
+
+
+@pytest.mark.parametrize("p, records, band", list(_level_cases()))
+def test_level_pass_matches_the_multiplet_per_record_pass(p, records, band):
+    def oracle_rms(column):
+        return _rms([row[column] for row in oracle_levels(p, records)[0]])
+
+    assert _hex_outcome(lambda: _levels(p, records, band)) == _hex_outcome(
+        lambda: oracle_levels(p, records, band))
+    assert _hex_outcome(lambda: _levels(p, records)) == _hex_outcome(
+        lambda: oracle_levels(p, records))
+    assert _hex_outcome(lambda: objective(p, records)) == _hex_outcome(lambda: oracle_rms(2))
+    assert _hex_outcome(lambda: loss_rms_mev(p, records)) == _hex_outcome(lambda: oracle_rms(1))
+    assert _hex_outcome(lambda: spectrum(p, band)) == _hex_outcome(
+        lambda: oracle_spectrum(p, band))
+    for m in band[:: max(1, len(band) // 12)]:
+        assert _hex_outcome(lambda: mass(p, m)) == _hex_outcome(
+            lambda: oracle_spectrum(p, [m])[0][1])
+
+
+def test_level_pass_cases_reach_the_overflow_and_both_signs():
+    cases = [c.values for c in _level_cases()]
+    raised = [isinstance(_hex_outcome(lambda: _levels(p, records)), tuple)
+              for p, records, _ in cases]
+    assert any(raised) and not all(raised)
+    bands = [m for _, _, band in cases for m in band]
+    assert {m.sign for m in bands} == {1, -1} and min(m.M for m in bands) < 0
