@@ -34,10 +34,11 @@ same cases:
   tables.  The fitted figures depend on the scan only through its minima,
   so a change that moves only the scan's roundoff reads as ``scan``
   mismatches with none in ``fit``;
-- ``casimir``: the scalar Casimir kernel ``spectrum._casimirs`` at each of
-  1-4 seeded alphas in (0, 1.5] (0.703 and 1.0 among them) and its array
-  twin ``spectrum._casimirs_array`` at all of them, for L and |M| sets up
-  to 220, 400N cases; the ``float.hex`` of every value or the exception;
+- ``casimir``: the Casimir plan's scalar body
+  ``spectrum._CasimirPlan(ls, ms).values`` at each of 1-4 seeded alphas in
+  (0, 1.5] (0.703 and 1.0 among them) and its array body ``.array`` at all
+  of them, for L and |M| sets up to 220, 400N cases; the ``float.hex`` of
+  every value or the exception;
 - ``parse``: ``parse_expr`` on 4,000N seeded strings: random ones of up to
   24 characters over the tokenizer's alphabet, sums whose like terms differ
   near the merge grid, and strings of up to about 80 characters built from
@@ -303,8 +304,8 @@ def _scan_minima(losses: list[float]) -> list[int]:
 
 
 def _casimir_corpus(scale: int) -> list:
-    """Both Casimir kernels on seeded alphas and L, |M| sets."""
-    from fraczee.spectrum import _casimirs, _casimirs_array
+    """Both bodies of the Casimir plan on seeded alphas and L, |M| sets."""
+    from fraczee.spectrum import _CasimirPlan
 
     def ns() -> list[int]:
         top = rng.choice((12, 40, 220))
@@ -317,8 +318,8 @@ def _casimir_corpus(scale: int) -> list:
         for _ in range(rng.randint(1, 4) - len(alphas)):
             alphas.append(rng.choice((1.5 - 1.5 * rng.random(), rng.randint(1, 30) / 20)))
         ls, ms = ns(), ns()
-        scalar = [_outcome(lambda: _casimirs(a, ls, ms)) for a in alphas]
-        array = _outcome(lambda: [c.tolist() for c in _casimirs_array(alphas, ls, ms)])
+        scalar = [_outcome(lambda: _CasimirPlan(ls, ms).values(a)) for a in alphas]
+        array = _outcome(lambda: [c.tolist() for c in _CasimirPlan(ls, ms).array(alphas)])
         out.append((f"alphas {alphas!r} L {ls} |M| {ms}", [scalar, array]))
     return out
 

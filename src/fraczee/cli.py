@@ -150,6 +150,8 @@ def _parse_point(text: str) -> dict[str, float]:
         axis = axis.strip()
         if axis not in AXES:
             raise ValueError(f"point component {piece!r} names no axis; axes are {', '.join(AXES)}")
+        if axis in point:
+            raise ValueError(f"point component {piece!r} repeats axis {axis}")
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"point component {piece!r} is not finite")

@@ -6,23 +6,21 @@ downstream are assembled from ``gamma`` and ``rgamma``.  The reciprocal
 which is what turns identities that hinge on ``1/Gamma(0) = 0`` into
 exact cancellations instead of roundoff-sized residues.
 
-``gamma_array`` and ``rgamma_array`` are the same kernel applied
-elementwise to numpy arrays, for callers that evaluate many arguments at
-once (the fit's alpha scan).  They never raise: overflow gives ``inf``.
-They evaluate each branch only where it applies: the Lanczos series on
-every cell, then the reflection (with its ``sin(pi x)``), the factorial
-table, the poles and the non-finite arguments through masks, so a scan
-whose arguments 1 + k*alpha never fall below 0.5 computes no sine.  The
-kernel behind them takes a per-cell reciprocal mask, so one pass returns
-Gamma on some cells and 1/Gamma on others: the Casimir scan evaluates its
-numerators and the denominators that reuse none of them together.
+``_kernel_array`` is the same kernel over a 1-d float array, for the one
+caller that evaluates many arguments at once: the Casimir plan's array body
+(``spectrum._CasimirPlan.array``, behind the fit's alpha scan).  A per-cell
+reciprocal mask makes one pass return Gamma on some cells and 1/Gamma on
+the others.  It never raises: overflow gives ``inf``.  It evaluates each
+branch only where it applies: the Lanczos series on every cell, then the
+reflection (with its ``sin(pi x)``), the factorial table, the poles and the
+non-finite arguments through masks, so a scan whose arguments 1 + k*alpha
+never fall below 0.5 computes no sine.
 
-One Lanczos series and one factorial table serve both entry points.  The
-entry points stay two: numpy's ``pow``/``exp`` differ from libm's by an ulp
-on about 5% of arguments, so either serving the other would move printed
-numbers, and the scalar path converts its argument to a Python float on
-entry, so that a numpy scalar raises ``OverflowError`` where it would only
-warn.
+One Lanczos series and one factorial table serve both kernels.  The kernels
+stay two: numpy's ``pow``/``exp`` differ from libm's by an ulp on about 5%
+of arguments, so either serving the other would move printed numbers, and
+the scalar path converts its argument to a Python float on entry, so that
+a numpy scalar raises ``OverflowError`` where it would only warn.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import math
 
 import numpy as np
 
-__all__ = ["GammaPoleError", "gamma", "rgamma", "gamma_array", "rgamma_array", "frac_binomial"]
+__all__ = ["GammaPoleError", "gamma", "rgamma", "frac_binomial"]
 
 # Lanczos approximation, g = 7 with 9 coefficients.  Worst relative error
 # against a 30-digit oracle is ~2e-14 on (0, 50].  Integer arguments short-
@@ -159,56 +157,36 @@ def _sinpi_array(x: np.ndarray) -> np.ndarray:
     return np.sin(np.pi * r)
 
 
-def _kernel_array(x, reciprocal) -> np.ndarray:
-    """Gamma at each cell of ``x``, and 1/Gamma instead on the cells where
-    ``reciprocal`` (a bool, or a bool array of ``x``'s shape) is true: one pass
-    serves a mixed batch, such as the numerators and the denominators of the
-    Casimir scan."""
-    x = np.asarray(x, dtype=float)
-    shape = x.shape
-    recip = np.broadcast_to(reciprocal, shape).reshape(-1)
+def _kernel_array(x: np.ndarray, reciprocal: np.ndarray) -> np.ndarray:
+    """Gamma at each cell of the 1-d float array ``x``, and 1/Gamma instead on
+    the cells where the bool array ``reciprocal`` is true: ``inf`` where Gamma
+    or 1/Gamma overflows, ``nan`` at the poles of Gamma and at non-finite
+    input, exactly ``0.0`` at the poles of 1/Gamma.  One pass serves a mixed
+    batch, such as the numerators and the denominators of the Casimir scan."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # every cell takes the Lanczos value, then the cells of each other
         # branch are overwritten through their mask
         reflect = x < 0.5
         any_reflect = reflect.any()
-        # flattened only afterwards: on a 0-d x the series runs in numpy
-        # scalars, whose ** is libm's pow and not the array loop's
-        lanczos = np.reshape(
-            _lanczos(np.where(reflect, 1.0 - x, x) if any_reflect else x, np.exp), -1
-        )
-        x, reflect = x.reshape(-1), reflect.reshape(-1)
+        lanczos = _lanczos(np.where(reflect, 1.0 - x, x) if any_reflect else x, np.exp)
         # t ** (z + 0.5) overflowed: inf, or nan against an underflowed exp(-t)
-        overflow = ~np.isfinite(lanczos)
-        lanczos[overflow] = np.inf
-        out = np.where(recip, 1.0 / lanczos, lanczos)
+        lanczos[~np.isfinite(lanczos)] = np.inf
+        out = np.where(reciprocal, 1.0 / lanczos, lanczos)
         if any_reflect:
             sinpi, series = _sinpi_array(x[reflect]), lanczos[reflect]
             # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
             out[reflect] = np.where(
-                recip[reflect], sinpi * series / math.pi, math.pi / (sinpi * series)
+                reciprocal[reflect], sinpi * series / math.pi, math.pi / (sinpi * series)
             )
         integer = x == np.floor(x)
         if integer.any():
             factorial = integer & (x >= 1.0) & (x <= 171.0)
             exact = _FACTORIALS[x[factorial].astype(np.intp) - 1]
-            out[factorial] = np.where(recip[factorial], 1.0 / exact, exact)
+            out[factorial] = np.where(reciprocal[factorial], 1.0 / exact, exact)
             pole = integer & (x <= 0.0)
-            out[pole] = np.where(recip[pole], 0.0, np.nan)
+            out[pole] = np.where(reciprocal[pole], 0.0, np.nan)
         out[~np.isfinite(x)] = np.nan
-        return out.reshape(shape)
-
-
-def gamma_array(x) -> np.ndarray:
-    """Elementwise :func:`gamma` of an array: ``inf`` where Gamma overflows,
-    ``nan`` at the poles and at non-finite input.  Never raises."""
-    return _kernel_array(x, reciprocal=False)
-
-
-def rgamma_array(x) -> np.ndarray:
-    """Elementwise :func:`rgamma` of an array: exactly ``0.0`` at the poles,
-    ``+-inf`` where 1/Gamma overflows, ``nan`` at non-finite input.  Never raises."""
-    return _kernel_array(x, reciprocal=True)
+        return out
 
 
 def frac_binomial(alpha: float, k: int) -> float:

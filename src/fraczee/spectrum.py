@@ -19,19 +19,18 @@ It holds index structure only, never a Gamma value.  Its scalar body
 ``1.0 / gamma`` wherever a denominator is one of them, with the bits and
 the exceptions of ``rgamma`` (12 evaluations on the fit's default
 selection, k = -1..10, where one ``gamma``/``rgamma`` pair per Casimir
-takes 32).  Its array body
-:meth:`~_CasimirPlan.array` has the bits of ``gamma_array``/``rgamma_array``
-pairs, and ``inf`` or ``nan`` where a Gamma overflows.  It makes one pass
-of the array Gamma kernel, which returns Gamma on the numerator cells and
-1/Gamma on the denominator cells that reuse none.  :func:`_casimirs` and
-:func:`_casimirs_array` plan, then evaluate.  The fit's ``_Problem`` plans
-once and evaluates its Brent refine through the scalar body and its alpha
-scan through the array body.  :func:`_energies` is the one body of the
-formula, over (L, M, sign) keys: :func:`spectrum` (behind :func:`mass`,
-``predict`` and the CLI level tables) and the fit's residuals
-(``fitting._levels``, behind the loss, the objective and ``report``) call
-it, so no :class:`Multiplet` is built for a record.  It builds one plan
-per call, through :func:`_casimirs`.
+takes 32).  Its array body :meth:`~_CasimirPlan.array` makes one pass of
+the array Gamma kernel ``specfun._kernel_array``, which returns Gamma on
+the numerator cells and 1/Gamma on the denominator cells that reuse none,
+and gives ``inf`` or ``nan`` where a Gamma overflows.  The fit's
+``_Problem`` plans once and evaluates its Brent refine through the scalar
+body and its alpha scan through the array body.  :func:`_energies`,
+:func:`casimir_L2` and :func:`casimir_Lz` plan, then call the scalar body.
+:func:`_energies` is the one body of the formula, over (L, M, sign) keys:
+:func:`spectrum` (behind :func:`mass`, ``predict`` and the CLI level
+tables) and the fit's residuals (``fitting._levels``, behind the loss, the
+objective and ``report``) call it, so no :class:`Multiplet` is built for a
+record.
 """
 
 from __future__ import annotations
@@ -134,9 +133,10 @@ class _CasimirPlan:
     def array(self, alpha) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`values` at every alpha of an array: C_L2 of shape ``alpha.shape
         + (len(ls),)`` and C_Lz of shape ``alpha.shape + (len(ms),)``, with the
-        bits of ``gamma_array(num) * rgamma_array(den)`` and ``inf`` or ``nan``
-        where a Gamma overflows.  One kernel pass gives Gamma at the numerator
-        cells and 1/Gamma at the denominator cells that reuse none."""
+        bits of the array kernel's Gamma(num) times its 1/Gamma(den), and
+        ``inf`` or ``nan`` where a Gamma overflows.  One kernel pass gives Gamma
+        at the numerator cells and 1/Gamma at the denominator cells that reuse
+        none."""
         at_num = {k: i for i, k in enumerate(self.num)}
         at_den = {k: i for i, k in enumerate(self.den)}
         a = np.asarray(alpha, dtype=float)[..., None]
@@ -157,25 +157,11 @@ class _CasimirPlan:
         return c[..., : len(self.ls)], c[..., len(self.ls):]
 
 
-def _casimirs(alpha: float, ls, ms) -> tuple[list[float], list[float]]:
-    """C_L2 at each L of ``ls`` and plus-branch C_Lz at each |M| of ``ms``, with
-    the bits and exceptions of ``gamma(num) * rgamma(den)`` per value
-    (:meth:`_CasimirPlan.values`)."""
-    return _CasimirPlan(ls, ms).values(alpha)
-
-
-def _casimirs_array(alpha, ls, ms) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_casimirs` at every alpha of an array: C_L2 of shape
-    ``alpha.shape + (len(ls),)`` and C_Lz of shape ``alpha.shape + (len(ms),)``
-    (:meth:`_CasimirPlan.array`)."""
-    return _CasimirPlan(ls, ms).array(alpha)
-
-
 def casimir_L2(alpha: float, L: int) -> float:
     """Eigenvalue of the squared angular momentum: G(1+(L+1)a)/G(1+(L-1)a)."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return _casimirs(alpha, [L], ())[0][0]
+    return _CasimirPlan([L], ()).values(alpha)[0][0]
 
 
 def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
@@ -186,7 +172,7 @@ def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    return sign * _casimirs(alpha, (), [abs(M)])[1][0]
+    return sign * _CasimirPlan((), [abs(M)]).values(alpha)[1][0]
 
 
 def mass(p: FitParams, mult: Multiplet) -> float:
@@ -200,7 +186,7 @@ def _energies(p: FitParams, keys: list[tuple[int, int, int]]) -> list[float]:
     not finite (the parameters or a Casimir overflow)."""
     ls = list(dict.fromkeys(L for L, _, _ in keys))
     ms = list(dict.fromkeys(abs(M) for _, M, _ in keys))
-    c_l2, c_lz = _casimirs(p.alpha, ls, ms)
+    c_l2, c_lz = _CasimirPlan(ls, ms).values(p.alpha)
     c_l2, c_lz = dict(zip(ls, c_l2)), dict(zip(ms, c_lz))
     m0, a0, b0 = p.m0, p.a0, p.b0
     out = []

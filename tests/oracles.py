@@ -12,8 +12,9 @@ both as they stood before the merge-free and float-sampling rewrites.
 ``oracle_casimir_L2`` and ``oracle_casimir_Lz`` are the scalar Casimirs as
 one ``gamma``/``rgamma`` pair per value, as they stood before the Gamma
 evaluations were shared; ``oracle_casimir_L2_array`` and
-``oracle_casimir_Lz_array`` are the same pairs per array cell, through
-``gamma_array`` and ``rgamma_array``.  ``oracle_kernel_array`` is the array
+``oracle_casimir_Lz_array`` are the same pairs per array cell, through one
+all-Gamma and one all-reciprocal pass of the array kernel
+``specfun._kernel_array``.  ``oracle_kernel_array`` is the array
 Gamma kernel as it stood before it evaluated each branch only where it
 applies: every branch on every cell, then one ``np.where`` per branch.
 ``oracle_parse_expr`` is the expression parser as it stood before it read
@@ -43,16 +44,8 @@ from fraczee.dataset import GROUPS, DatasetError, ParticleRecord
 from fraczee.monomial import AXES, ExprSyntaxError, PolyExpr, PowerTerm, rl_derive
 from fraczee.operators import PhasedPoly
 from fraczee.rlquad import _FD_REL_STEP, roots_jacobi
-from fraczee.spectrum import Multiplet, _casimirs
-from fraczee.specfun import (
-    _FACTORIALS,
-    _lanczos,
-    _sinpi_array,
-    gamma,
-    gamma_array,
-    rgamma,
-    rgamma_array,
-)
+from fraczee.spectrum import Multiplet, _CasimirPlan
+from fraczee.specfun import _FACTORIALS, _kernel_array, _lanczos, _sinpi_array, gamma, rgamma
 
 mpmath.mp.dps = 40
 
@@ -257,16 +250,22 @@ def oracle_casimir_Lz(alpha, M, sign=+1):
     return sign * gamma(1.0 + m * alpha) * rgamma(1.0 + (m - 1) * alpha)
 
 
+def _gamma_pair_array(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Gamma(num) * 1/Gamma(den) per cell of two arrays of one shape."""
+    g = _kernel_array(num.ravel(), np.zeros(num.size, dtype=bool))
+    r = _kernel_array(den.ravel(), np.ones(den.size, dtype=bool))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (g * r).reshape(num.shape)
+
+
 def oracle_casimir_L2_array(alpha, L) -> np.ndarray:
     alpha, L = np.asarray(alpha, dtype=float), np.asarray(L, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return gamma_array(1.0 + (L + 1) * alpha) * rgamma_array(1.0 + (L - 1) * alpha)
+    return _gamma_pair_array(1.0 + (L + 1) * alpha, 1.0 + (L - 1) * alpha)
 
 
 def oracle_casimir_Lz_array(alpha, M) -> np.ndarray:
     alpha, m = np.asarray(alpha, dtype=float), np.abs(np.asarray(M, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return gamma_array(1.0 + m * alpha) * rgamma_array(1.0 + (m - 1) * alpha)
+    return _gamma_pair_array(1.0 + m * alpha, 1.0 + (m - 1) * alpha)
 
 
 def oracle_kernel_array(x, reciprocal: bool) -> np.ndarray:
@@ -372,7 +371,7 @@ def oracle_spectrum(p, mults) -> list:
     mults = list(mults)
     ls = list(dict.fromkeys(m.L for m in mults))
     ms = list(dict.fromkeys(abs(m.M) for m in mults))
-    c_l2, c_lz = _casimirs(p.alpha, ls, ms)
+    c_l2, c_lz = _CasimirPlan(ls, ms).values(p.alpha)
     c_l2, c_lz = dict(zip(ls, c_l2)), dict(zip(ms, c_lz))
     out = []
     for m in mults:

@@ -9,16 +9,18 @@ Effectively with Legacy Code*, 2004, ch. 13).  ``fixtures/golden.json`` holds
   stdout and stderr of ``fraczee derive`` with and without ``--at``, and
   the ``float.hex`` of the coefficient and exponents of every result term
   (or the exception name);
-- the ``float.hex`` of ``gamma``, ``rgamma``, ``gamma_array`` and
-  ``rgamma_array`` on a fixed argument set (poles, reflection, the
-  factorial short-cut, the overflow edge near 142.2), or the exception
-  name where a scalar call raises;
+- the ``float.hex`` of ``gamma`` and ``rgamma`` on a fixed argument set
+  (poles, reflection, the factorial short-cut, the overflow edge near
+  142.2), or the exception name where a scalar call raises, and of the
+  array kernel ``specfun._kernel_array`` on the same set with an
+  all-Gamma mask and with an all-reciprocal mask (the fixture keys
+  ``gamma_array`` and ``rgamma_array``);
 - the outcome of ``casimir_L2`` and ``casimir_Lz`` on a grid of nine alphas
   and L (or |M|) = 0..200: the ``float.hex`` of the value, ``inf``, or the
   exception name; one space-separated row per alpha keeps the fixture
-  small.  Where the array kernel that the fit's alpha scan runs,
-  ``spectrum._casimirs_array``, gives other bits than the scalar kernel,
-  those cells are pinned as well.
+  small.  Where the array body that the fit's alpha scan runs,
+  ``spectrum._CasimirPlan.array``, gives other bits than the scalar
+  Casimirs, those cells are pinned as well.
 
 ``derive`` prints 11 significant digits, so the term bits are what catch an
 ulp-level change.  A pinned cell may change only as a named bug fix.  After
@@ -40,8 +42,8 @@ import pytest
 
 from fraczee import cli
 from fraczee.monomial import AXES, parse_expr, rl_derive
-from fraczee.specfun import gamma, gamma_array, rgamma, rgamma_array
-from fraczee.spectrum import _casimirs_array, casimir_L2, casimir_Lz
+from fraczee.specfun import _kernel_array, gamma, rgamma
+from fraczee.spectrum import _CasimirPlan, casimir_L2, casimir_Lz
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden.json"
 
@@ -67,8 +69,8 @@ GAMMA_ARGS = (
 CASIMIR_ALPHAS = (0.01, 0.05, 0.112, 0.25, 0.5, 0.703, 0.75, 0.9, 1.0)
 CASIMIR_L_MAX = 200
 #: each pinned Casimir as (scalar kernel, array kernel over a list of L or |M|)
-CASIMIR_KERNELS = {"casimir_L2": (casimir_L2, lambda alpha, ns: _casimirs_array(alpha, ns, ())[0]),
-                   "casimir_Lz": (casimir_Lz, lambda alpha, ns: _casimirs_array(alpha, (), ns)[1])}
+CASIMIR_KERNELS = {"casimir_L2": (casimir_L2, lambda alpha, ns: _CasimirPlan(ns, ()).array(alpha)[0]),
+                   "casimir_Lz": (casimir_Lz, lambda alpha, ns: _CasimirPlan((), ns).array(alpha)[1])}
 
 
 def _exponent(rng: random.Random) -> float:
@@ -177,8 +179,8 @@ def gamma_bits() -> dict[str, list[str]]:
     return {
         "gamma": [_scalar(gamma, x) for x in GAMMA_ARGS],
         "rgamma": [_scalar(rgamma, x) for x in GAMMA_ARGS],
-        "gamma_array": [v.hex() for v in gamma_array(xs).tolist()],
-        "rgamma_array": [v.hex() for v in rgamma_array(xs).tolist()],
+        "gamma_array": [v.hex() for v in _kernel_array(xs, np.zeros(xs.size, bool)).tolist()],
+        "rgamma_array": [v.hex() for v in _kernel_array(xs, np.ones(xs.size, bool)).tolist()],
     }
 
 

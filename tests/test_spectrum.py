@@ -11,8 +11,7 @@ from fraczee.spectrum import (
     REFERENCE_PARAMS,
     FitParams,
     Multiplet,
-    _casimirs,
-    _casimirs_array,
+    _CasimirPlan,
     casimir_L2,
     casimir_Lz,
     mass,
@@ -203,7 +202,7 @@ def _bits(call):
 def test_casimirs_match_one_gamma_pair_per_value(alpha, ls, ms):
     want = _bits(lambda: ([oracle_casimir_L2(alpha, L) for L in ls],
                           [oracle_casimir_Lz(alpha, m) for m in ms]))
-    assert _bits(lambda: _casimirs(alpha, ls, ms)) == want
+    assert _bits(lambda: _CasimirPlan(ls, ms).values(alpha)) == want
 
 
 @settings(max_examples=300)
@@ -231,6 +230,6 @@ def _assert_same_array(got: np.ndarray, want: np.ndarray):
 @example([0.703, 1.0, 0.5, 0.25, 1.0 / 3.0, 1.5, 2.0], list(range(195, 221)), [0, 1, 2, 200])
 def test_casimirs_array_matches_gamma_array_pairs(alphas, ls, ms):
     a = np.array(alphas)
-    c_l2, c_lz = _casimirs_array(a, ls, ms)
+    c_l2, c_lz = _CasimirPlan(ls, ms).array(a)
     _assert_same_array(c_l2, oracle_casimir_L2_array(a[:, None], np.array(ls, dtype=float)))
     _assert_same_array(c_lz, oracle_casimir_Lz_array(a[:, None], np.array(ms, dtype=float)))
