@@ -29,7 +29,10 @@ same cases:
   indices in the order that ``fit`` refines them, the ``float.hex`` of the
   fitted parameters, ``rms_percent``, ``loss_rms_mev`` and every
   per-particle level, ``evals``, and the exit code, stdout, stderr and
-  ``--out`` bytes of ``fraczee fit``;
+  ``--out`` bytes of ``fraczee fit``; then, at seeds 0..10N-1, three
+  rank-deficient tables drawn from an RNG of their own (one L, one |M|,
+  and one (L, |M|) for every row), on which every scan row falls back to
+  the least-squares solve;
 - ``scan``: the ``float.hex`` of the alpha scan's profile losses on the same
   tables.  The fitted figures depend on the scan only through its minima,
   so a change that moves only the scan's roundoff reads as ``scan``
@@ -71,6 +74,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -210,11 +214,16 @@ def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> 
                 for n in ("table.csv", "plot.tsv"):
                     (rep / n).unlink(missing_ok=True)
     out["levels"] += _losses_corpus(alphas)
-    for seed in range(20 * scale):
-        for label, path in _fit_tables(workloads, seed):
-            scan, fitted = _fit_outcome(cli, path)
-            out["fit"].append((f"seed {seed} {label}", fitted))
-            out["scan"].append((f"seed {seed} {label}", scan))
+    tables = itertools.chain(
+        ((f"seed {seed} {label}", path)
+         for seed in range(20 * scale) for label, path in _fit_tables(workloads, seed)),
+        ((f"rank-deficient seed {seed} {label}", path)
+         for seed in range(10 * scale) for label, path in _rank_deficient_tables(workloads, seed)),
+    )
+    for label, path in tables:  # each table's file is written just before its fit
+        scan, fitted = _fit_outcome(cli, path)
+        out["fit"].append((label, fitted))
+        out["scan"].append((label, scan))
     out["records"] = _records_corpus(scale)
 
 
@@ -262,6 +271,31 @@ def _fit_tables(workloads, seed: int):
     yield f"built-in subset of {len(rows)} rows", path
     request = workloads.FitWorkload(_Modules(), seed, Path("."), smoke=False).request(1)
     yield f"synthetic table of {len(request['rows'])} fitted rows", request["path"]
+
+
+def _rank_deficient_tables(workloads, seed: int):
+    """(label, CSV path) of three seeded tables whose scan rows are all
+    rank-deficient, so the scan solves every row by least squares: one L for
+    every row, one |M| for every row, and one (L, |M|) for every row.  The
+    masses are the oracle's level formula near the reference region plus
+    relative noise; the draws come from an RNG of their own."""
+    oracle = workloads.oracle
+    rng = random.Random(f"rank-deficient-{seed}")
+    L, M = rng.randint(4, 9), rng.randint(0, 5)
+    keyed = (("one L", [(L, m) for m in range(L + 1)]),
+             ("one |M|", [(l, M) for l in range(max(M, 3), 10)]),
+             ("one (L, |M|)", [(L, min(M, L))] * rng.randint(5, 9)))
+    for label, keys in keyed:
+        a0, b0 = (ref * rng.uniform(0.7, 1.3) for ref in oracle.REFERENCE[2:])
+        alpha = rng.uniform(0.08, 0.4)
+        lightest = min(oracle.mass((alpha, 0.0, a0, b0), l, m)[0] for l, m in keys)
+        p = (alpha, rng.uniform(800.0, 1200.0) - lightest, a0, b0)
+        sigma = rng.uniform(0.001, 0.01)
+        rows = [(f"D{l}_{m}_{k}", l, m, oracle.mass(p, l, m)[0] * (1.0 + rng.gauss(0.0, sigma)),
+                 "", "baryon") for k, (l, m) in enumerate(keys)]
+        path = Path("rank_deficient.csv")
+        path.write_text(oracle.table_csv(rows))
+        yield f"{label}, {len(rows)} rows", path
 
 
 def _fit_outcome(cli, path: Path) -> tuple:

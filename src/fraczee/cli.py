@@ -152,7 +152,10 @@ def _parse_point(text: str) -> dict[str, float]:
             raise ValueError(f"point component {piece!r} names no axis; axes are {', '.join(AXES)}")
         if axis in point:
             raise ValueError(f"point component {piece!r} repeats axis {axis}")
-        v = float(value)
+        try:
+            v = float(value)
+        except ValueError:
+            raise ValueError(f"point component {piece!r} is not a number") from None
         if not math.isfinite(v):
             raise ValueError(f"point component {piece!r} is not finite")
         point[axis] = v

@@ -30,11 +30,17 @@ Gram-Schmidt on the two Casimir columns, centered (which projects out the
 constant column), gives the 199 least-squares residuals without a QR
 factorization, and one numpy pass finds the local minima in the order
 they are refined.  The refine and the returned (m0, a0, b0) use the
-plan's scalar body, the one behind ``spectrum._energies``, and lstsq
-on the records' design matrix [1, C_L2, C_Lz], taken from the vector
-[1, C_L2..., C_Lz...] in one indexing step, so the fitted parameters do
-not depend on the array kernel's roundoff.  An alpha where a Casimir
-overflows gets an infinite loss.
+plan's scalar body, the one behind ``spectrum._energies``, and a
+minimum-norm least-squares solve on the records' design matrix
+[1, C_L2, C_Lz], taken from the vector [1, C_L2..., C_Lz...] in one
+indexing step, so the fitted parameters do not depend on the array
+kernel's roundoff.  The solve calls numpy's ``lstsq`` gufunc (LAPACK's
+gelsd) directly, with the arguments and error state that numpy's
+wrapper gives it for ``lstsq(A, e, rcond=None)``, so it returns the same
+bits without the wrapper's per-call conversions; a refine step then pays
+for its Gamma calls and gelsd.  The gufunc is a private numpy name, which
+``tests/test_fitting.py::test_lstsq_gufunc_signature_exists`` guards.
+An alpha where a Casimir overflows gets an infinite loss.
 No random numbers are drawn; results are bit-reproducible.
 """
 
@@ -45,6 +51,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
+# the gufunc behind numpy's lstsq wrapper (a private name, see _lstsq_loss)
+from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .dataset import ParticleRecord
 # ``mass`` is unused here, but the benchmark's tracer wraps ``fraczee.fitting.mass``
@@ -83,6 +92,11 @@ _RANK_RTOL = 1e-10
 
 class FitError(RuntimeError):
     pass
+
+
+def _svd_failed(err, flag):
+    # the handler that numpy's lstsq wrapper sets for the gufunc's "invalid" flag
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 @dataclass(frozen=True)
@@ -248,30 +262,43 @@ class _Problem:
     ``plan`` is the Casimir plan of ``l_values`` and ``m_values``, built once.
     :meth:`scan_losses` evaluates the loss at many alphas at once through its
     array body and Gram-Schmidt residuals (the grid scan); :meth:`profile_loss`
-    evaluates one alpha through its scalar body and lstsq (the Brent refine
-    and the final parameters).  The scan spreads the Casimirs over the
-    records with ``l_index`` and ``m_index``, and a lstsq design matrix is
-    one take of the vector [1, C_L2..., C_Lz...] at ``cols``.
+    evaluates one alpha through its scalar body and :meth:`_lstsq_loss` (the
+    Brent refine and the final parameters), whose right-hand side ``e_col``
+    and cut-off ``rcond`` are built once here.  The scan spreads the Casimirs
+    over the records with ``l_index`` and ``m_index``, and a least-squares
+    design matrix is one take of the vector [1, C_L2..., C_Lz...] at ``cols``.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
-        l_values, l_index = np.unique([r.L for r in records], return_inverse=True)
-        m_values, m_index = np.unique([abs(r.M) for r in records], return_inverse=True)
+        ls, ms = [r.L for r in records], [abs(r.M) for r in records]
         # Python ints, so that every Gamma argument 1 + k*alpha is a Python float
-        self.l_values, self.m_values = l_values.tolist(), m_values.tolist()
+        self.l_values, self.m_values = sorted(set(ls)), sorted(set(ms))
+        l_pos = {v: i for i, v in enumerate(self.l_values)}
+        m_pos = {v: i for i, v in enumerate(self.m_values)}
+        l_index = np.array([l_pos[v] for v in ls], dtype=np.intp)
+        m_index = np.array([m_pos[v] for v in ms], dtype=np.intp)
         self.l_index, self.m_index = l_index, m_index
         #: the Casimirs at l_values and m_values, planned once
         self.plan = _CasimirPlan(self.l_values, self.m_values)
         #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...]
         self.cols = np.stack(
-            [np.zeros_like(l_index), 1 + l_index, 1 + len(l_values) + m_index], axis=1
+            [np.zeros_like(l_index), 1 + l_index, 1 + len(self.l_values) + m_index], axis=1
         )
         self.e_exp = np.array([r.mass_mev for r in records], dtype=float)
+        #: the right-hand side and the singular-value cut-off that numpy's
+        #: lstsq wrapper builds on every call for lstsq(A, e_exp, rcond=None)
+        self.e_col = self.e_exp[:, None]
+        self.rcond = np.finfo(float).eps * max(len(records), 3)
         self.evals = 0
 
     def _lstsq_loss(self, A: np.ndarray) -> tuple[float, np.ndarray]:
-        # minimum-norm least squares, so a rank-deficient A is solved too
-        coef, *_ = np.linalg.lstsq(A, self.e_exp, rcond=None)
+        # minimum-norm least squares (LAPACK's gelsd), so a rank-deficient A is
+        # solved too: the gufunc behind numpy's lstsq, called with the
+        # wrapper's arguments and error state but without its conversions
+        with np.errstate(call=_svd_failed, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            x, _, _, _ = _gelsd(A, self.e_col, self.rcond, signature="ddd->ddid")
+        coef = x.reshape(3)
         res = A @ coef - self.e_exp
         # np.sqrt(np.mean(res * res)) without its dispatch: the same pairwise
         # sum, the same division by the count and a correctly rounded sqrt
@@ -287,7 +314,7 @@ class _Problem:
             return math.inf, None
         values = [1.0, *c_l2, *c_lz]
         # the scalar Gamma raises on most overflows but returns inf on some
-        # (just above x = 142.2), which lstsq would reject
+        # (just above x = 142.2), which the solve would reject
         if not all(map(math.isfinite, values)):
             return math.inf, None
         return self._lstsq_loss(np.array(values)[self.cols])

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: the wrap points that count level evaluations; ``install`` not raising
 #: covers the tracer's other wrap points
@@ -126,6 +128,41 @@ def test_a_traced_default_fit_makes_the_pinned_gamma_calls():
         tracer.restore()
     assert result.evals == 222
     assert calls == {"specfun.gamma": 264, "specfun.rgamma": 24}
+
+
+def test_a_default_fit_makes_the_pinned_lstsq_solves(monkeypatch):
+    # the 22 Brent evaluations and the final profile loss solve once each, by
+    # the gufunc behind np.linalg.lstsq (the wrapper costs about as much again
+    # per refine step, so it must not creep back); the scan's Gram-Schmidt
+    # rows are all full-rank on the built-in selection, so none falls back to
+    # a solve.  A solve added to the refine, or a scan that starts falling
+    # back, moves these counts and the fit workload's op time
+    fitting, dataset = (importlib.import_module(f"fraczee.{m}") for m in ("fitting", "dataset"))
+    Problem = fitting._Problem
+    lstsq_loss, scan_losses = Problem._lstsq_loss, Problem.scan_losses
+    solves = []
+    stage = ["refine"]
+
+    def counted(self, A):
+        solves.append(stage[0])
+        return lstsq_loss(self, A)
+
+    def scan(self, alphas):
+        stage[0] = "scan"
+        try:
+            return scan_losses(self, alphas)
+        finally:
+            stage[0] = "refine"
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(Problem, "_lstsq_loss", counted)
+    monkeypatch.setattr(Problem, "scan_losses", scan)
+    monkeypatch.setattr(np.linalg, "lstsq", wrapper)
+    result = fitting.fit(fitting.select_records(dataset.builtin_table(), fitting.FitConfig()))
+    assert (result.evals, result.converged) == (222, True)
+    assert (solves.count("scan"), solves.count("refine")) == (0, 23)
 
 
 def test_levels_probes_still_find_their_known_defects(tmp_path):

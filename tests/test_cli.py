@@ -357,6 +357,10 @@ def test_fit_cli_default_output_is_pinned(capsys, tmp_path):
         ("seed 5", ("verify", "quad"), 2, ":1: expected 'key = value'"),
         (None, ("derive", "x", "--axis", "x", "--order", "0.5", "--at", "x=1,x=2"), 2,
          "error: point component 'x=2' repeats axis x"),
+        (None, ("derive", "x", "--axis", "x", "--order", "0.5", "--at", "x=abc,y=1"), 2,
+         "error: point component 'x=abc' is not a number"),
+        (None, ("derive", "x", "--axis", "x", "--order", "0.5", "--at", "x="), 2,
+         "error: point component 'x=' is not a number"),
     ],
 )
 def test_error_path_exits_with_its_message(capsys, tmp_path, config, argv, code, message):

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,70 @@ def test_lstsq_loss_is_numpys_rms_bit_for_bit(n, seed):
     res = A @ coef - prob.e_exp
     assert type(loss) is float
     assert loss.hex() == float(np.sqrt(np.mean(res * res))).hex()
+
+
+def _coef_bits(coef) -> list[str]:
+    return [c.hex() for c in coef.tolist()]
+
+
+def _design(rng, n: int, kind: str) -> np.ndarray:
+    """An (n, 3) matrix of full rank, with two collinear columns, or with
+    two constant columns."""
+    A = rng.normal(size=(n, 3)) * [1.0, 100.0, 10.0]
+    if kind == "collinear":
+        A[:, 2] = rng.uniform(-5.0, 5.0) * A[:, 1]
+    elif kind == "constant":
+        A[:, 0], A[:, 1] = 1.0, rng.uniform(-50.0, 50.0)
+    return A
+
+
+@settings(max_examples=300)
+@given(st.integers(5, 400), st.sampled_from(["full", "collinear", "constant"]),
+       st.integers(0, 2**32 - 1))
+def test_lstsq_loss_coefficients_are_numpys_bit_for_bit(n, kind, seed):
+    # the solve calls numpy's lstsq gufunc without the wrapper, so its
+    # arguments (the column right-hand side, rcond = eps * max(rows, 3)) and
+    # its output must give the wrapper's bits, rank-deficient A included
+    rng = np.random.default_rng(seed)
+    records = [ParticleRecord(f"r{i}", 1, 0, float(m), "", "baryon")
+               for i, m in enumerate(rng.uniform(500.0, 5000.0, n))]
+    prob = _Problem(records)
+    A = _design(rng, n, kind)
+    _, coef = prob._lstsq_loss(A)
+    assert coef.shape == (3,) and coef.dtype == np.float64
+    assert _coef_bits(coef) == _coef_bits(np.linalg.lstsq(A, prob.e_exp, rcond=None)[0])
+
+
+def test_lstsq_loss_coefficients_are_numpys_on_the_default_grid():
+    prob = _Problem(select_records(builtin_table(), FitConfig()))
+    for alpha in _ALPHA_GRID.tolist():
+        c_l2, c_lz = prob.plan.values(alpha)
+        A = np.array([1.0, *c_l2, *c_lz])[prob.cols]
+        want = np.linalg.lstsq(A, prob.e_exp, rcond=None)[0]
+        assert _coef_bits(prob._lstsq_loss(A)[1]) == _coef_bits(want), alpha
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lstsq_loss_raises_numpys_error_on_non_finite_input(bad):
+    prob = _Problem(select_records(builtin_table(), FitConfig()))
+    c_l2, c_lz = prob.plan.values(0.112)
+    A = np.array([1.0, *c_l2, *c_lz])[prob.cols]
+    A[3, 1] = bad
+    message = "SVD did not converge in Linear Least Squares"
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+        np.linalg.lstsq(A, prob.e_exp, rcond=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            prob._lstsq_loss(A)
+
+
+def test_lstsq_gufunc_signature_exists():
+    # fitting calls this private numpy gufunc directly: a numpy release that
+    # renames it or drops the float64 loop must fail here, by name
+    gufunc = importlib.import_module("numpy.linalg._umath_linalg").lstsq
+    assert "ddd->ddid" in gufunc.types
+    assert importlib.import_module("fraczee.fitting")._gelsd is gufunc
 
 
 def test_objective_homogeneity():
