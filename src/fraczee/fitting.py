@@ -25,20 +25,22 @@ bits).  The records' (L, |M|) sets are fixed for the whole fit, so the
 fit plans their Casimir arguments once (the Casimir plan of the
 :mod:`fraczee.spectrum` docstring) and both stages evaluate that plan.
 The scan is one batched evaluation: the plan's array body gives the
-Casimirs at all grid alphas in one array-kernel pass, modified
-Gram-Schmidt on the two Casimir columns, centered (which projects out the
-constant column), gives the 199 least-squares residuals without a QR
-factorization, and one numpy pass finds the local minima in the order
-they are refined.  The refine and the returned (m0, a0, b0) use the
-plan's scalar body, the one behind ``spectrum._energies``, and a
-minimum-norm least-squares solve on the records' design matrix
-[1, C_L2, C_Lz], taken from the vector [1, C_L2..., C_Lz...] in one
-indexing step, so the fitted parameters do not depend on the array
-kernel's roundoff.  The solve calls numpy's ``lstsq`` gufunc (LAPACK's
+Casimirs at all grid alphas in one array-kernel pass, one take spreads
+both Casimir columns over the records, modified Gram-Schmidt on the two
+columns, centered together (which projects out the constant column),
+gives the 199 least-squares residuals without a QR factorization, and one
+numpy pass finds the local minima in the order they are refined.  The
+refine and the returned (m0, a0, b0) use the plan's scalar body, the one
+behind ``spectrum._energies``, and a minimum-norm least-squares solve on
+the records' design matrix [1, C_L2, C_Lz], taken from the vector
+[1, C_L2..., C_Lz...] in one indexing step, so the fitted parameters do
+not depend on the array kernel's roundoff.  The solve calls numpy's ``lstsq`` gufunc (LAPACK's
 gelsd) directly, with the arguments and error state that numpy's
 wrapper gives it for ``lstsq(A, e, rcond=None)``, so it returns the same
-bits without the wrapper's per-call conversions; a refine step then pays
-for its Gamma calls and gelsd.  The gufunc is a private numpy name, which
+bits without the wrapper's per-call conversions.  The refine loop and the
+final solve run under one entry of that error state (``_SOLVE_STATE``),
+so a refine step pays for its Gamma calls and gelsd.
+The gufunc is a private numpy name, which
 ``tests/test_fitting.py::test_lstsq_gufunc_signature_exists`` guards.
 An alpha where a Casimir overflows gets an infinite loss.
 No random numbers are drawn; results are bit-reproducible.
@@ -97,6 +99,12 @@ class FitError(RuntimeError):
 def _svd_failed(err, flag):
     # the handler that numpy's lstsq wrapper sets for the gufunc's "invalid" flag
     raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+#: the error state that numpy's lstsq wrapper gives the gufunc, as
+#: ``np.errstate`` arguments (an ``errstate`` object cannot be entered twice):
+#: an SVD that does not converge raises through :func:`_svd_failed`
+_SOLVE_STATE = dict(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 @dataclass(frozen=True)
@@ -222,12 +230,18 @@ class FitConfig:
             raise ValueError("max_evals must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PerParticle:
+    """One fitted record, stored in one step; ``==``, ``hash``, ``repr`` and
+    immutability are generated."""
+
     name: str
     e_exp: float
     e_th: float
     de_percent: float
+
+    def __init__(self, name: str, e_exp: float, e_th: float, de_percent: float):
+        self.__dict__.update(name=name, e_exp=e_exp, e_th=e_th, de_percent=de_percent)
 
 
 @dataclass(frozen=True)
@@ -261,12 +275,17 @@ class _Problem:
 
     ``plan`` is the Casimir plan of ``l_values`` and ``m_values``, built once.
     :meth:`scan_losses` evaluates the loss at many alphas at once through its
-    array body and Gram-Schmidt residuals (the grid scan); :meth:`profile_loss`
-    evaluates one alpha through its scalar body and :meth:`_lstsq_loss` (the
-    Brent refine and the final parameters), whose right-hand side ``e_col``
-    and cut-off ``rcond`` are built once here.  The scan spreads the Casimirs
-    over the records with ``l_index`` and ``m_index``, and a least-squares
-    design matrix is one take of the vector [1, C_L2..., C_Lz...] at ``cols``.
+    array body and Gram-Schmidt residuals (the grid scan), taking the record
+    columns of C_L2 and C_Lz from [C_L2..., C_Lz...] at ``scan_cols``;
+    :meth:`_profile` evaluates one alpha through its scalar body and
+    :meth:`_solve` (the Brent refine and the final parameters), whose
+    right-hand side ``e_col`` and cut-off ``rcond`` are built once here, and a
+    least-squares design matrix is one take of the vector
+    [1, C_L2..., C_Lz...] at ``cols``.  ``_profile`` and ``_solve`` run under
+    the caller's ``np.errstate(**_SOLVE_STATE)``: :func:`fit` enters it once
+    for its whole refine loop and final solve.  :meth:`profile_loss` and
+    :meth:`_lstsq_loss` are the same evaluations, entering the state
+    themselves.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
@@ -277,13 +296,13 @@ class _Problem:
         m_pos = {v: i for i, v in enumerate(self.m_values)}
         l_index = np.array([l_pos[v] for v in ls], dtype=np.intp)
         m_index = np.array([m_pos[v] for v in ms], dtype=np.intp)
-        self.l_index, self.m_index = l_index, m_index
         #: the Casimirs at l_values and m_values, planned once
         self.plan = _CasimirPlan(self.l_values, self.m_values)
-        #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...]
-        self.cols = np.stack(
-            [np.zeros_like(l_index), 1 + l_index, 1 + len(self.l_values) + m_index], axis=1
-        )
+        #: (2, records) positions of C_L2 and C_Lz in [C_L2..., C_Lz...]
+        self.scan_cols = np.stack([l_index, len(self.l_values) + m_index])
+        #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...];
+        #: row-major, as the solve's bits depend on the design matrix's layout
+        self.cols = np.stack([np.zeros_like(l_index), *(1 + self.scan_cols)], axis=1)
         self.e_exp = np.array([r.mass_mev for r in records], dtype=float)
         #: the right-hand side and the singular-value cut-off that numpy's
         #: lstsq wrapper builds on every call for lstsq(A, e_exp, rcond=None)
@@ -291,22 +310,24 @@ class _Problem:
         self.rcond = np.finfo(float).eps * max(len(records), 3)
         self.evals = 0
 
-    def _lstsq_loss(self, A: np.ndarray) -> tuple[float, np.ndarray]:
+    def _solve(self, A: np.ndarray) -> tuple[float, np.ndarray]:
         # minimum-norm least squares (LAPACK's gelsd), so a rank-deficient A is
         # solved too: the gufunc behind numpy's lstsq, called with the
-        # wrapper's arguments and error state but without its conversions
-        with np.errstate(call=_svd_failed, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            x, _, _, _ = _gelsd(A, self.e_col, self.rcond, signature="ddd->ddid")
+        # wrapper's arguments but without its conversions, under _SOLVE_STATE
+        x, _, _, _ = _gelsd(A, self.e_col, self.rcond, signature="ddd->ddid")
         coef = x.reshape(3)
         res = A @ coef - self.e_exp
         # np.sqrt(np.mean(res * res)) without its dispatch: the same pairwise
         # sum, the same division by the count and a correctly rounded sqrt
         return math.sqrt(np.add.reduce(res * res) / len(res)), coef
 
-    def profile_loss(self, alpha: float) -> tuple[float, np.ndarray | None]:
-        """R.m.s. residual in MeV and (m0, a0, b0) solved exactly at alpha;
-        ``(inf, None)`` where a Casimir overflows for some record."""
+    def _lstsq_loss(self, A: np.ndarray) -> tuple[float, np.ndarray]:
+        """R.m.s. residual in MeV and coefficients of the least-squares solve of
+        ``A`` against the masses, with numpy's ``lstsq`` errors."""
+        with np.errstate(**_SOLVE_STATE):
+            return self._solve(A)
+
+    def _profile(self, alpha: float) -> tuple[float, np.ndarray | None]:
         self.evals += 1
         try:
             c_l2, c_lz = self.plan.values(alpha)
@@ -317,7 +338,13 @@ class _Problem:
         # (just above x = 142.2), which the solve would reject
         if not all(map(math.isfinite, values)):
             return math.inf, None
-        return self._lstsq_loss(np.array(values)[self.cols])
+        return self._solve(np.array(values)[self.cols])
+
+    def profile_loss(self, alpha: float) -> tuple[float, np.ndarray | None]:
+        """R.m.s. residual in MeV and (m0, a0, b0) solved exactly at alpha;
+        ``(inf, None)`` where a Casimir overflows for some record."""
+        with np.errstate(**_SOLVE_STATE):
+            return self._profile(alpha)
 
     def scan_losses(self, alphas: np.ndarray) -> np.ndarray:
         """The profile loss (first item of :meth:`profile_loss`) at every alpha,
@@ -327,19 +354,25 @@ class _Problem:
         to the masses too, gives each residual directly (Björck, BIT 7 (1967)
         1): projecting out the constant column is centering, then C_Lz is
         orthogonalized against the centered C_L2.  A row whose pivot norms
-        flag rank deficiency is solved by :meth:`_lstsq_loss` instead."""
+        flag rank deficiency is solved by :meth:`_solve` instead."""
         alphas = np.asarray(alphas, dtype=float)
         self.evals += len(alphas)
-        c_l2, c_lz = self.plan.array(alphas)
-        feasible = np.isfinite(c_l2).all(axis=1) & np.isfinite(c_lz).all(axis=1)
-        c_l2, c_lz = c_l2[feasible], c_lz[feasible]
-        u, v = c_l2[:, self.l_index], c_lz[:, self.m_index]
+        c = np.concatenate(self.plan.array(alphas), axis=1)
+        feasible = np.isfinite(c).all(axis=1)
+        all_feasible = feasible.all()
+        if not all_feasible:
+            c = c[feasible]
+        # (k, 2, records): the C_L2 and C_Lz columns of the records at each alpha,
+        # column-major as the take makes them; the sums below, and so the scan's
+        # bits, follow that layout
+        uv = c[:, self.scan_cols]
+        u, v = uv[:, 0], uv[:, 1]
         n = len(self.e_exp)
+        sqrt_n = math.sqrt(n)
         # a zero pivot gives 0/0 = nan and an overflowing one inf: neither passes
-        # the rank test, so those rows go to lstsq below
+        # the rank test, so those rows go to the solve below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            u -= u.mean(axis=1, keepdims=True)
-            v -= v.mean(axis=1, keepdims=True)
+            uv -= uv.mean(axis=2, keepdims=True)
             u_norm = np.sqrt(np.einsum("ij,ij->i", u, u))
             u /= u_norm[:, None]
             v -= np.einsum("ij,ij->i", u, v)[:, None] * u
@@ -349,12 +382,17 @@ class _Problem:
             res = e - (u @ e)[:, None] * u
             res -= np.einsum("ij,ij->i", v, res)[:, None] * v
             losses = np.sqrt(np.einsum("ij,ij->i", res, res) / n)
-            # the pivots, which are |diag R| of a QR of the design matrix
-            pivots = np.stack([np.full_like(u_norm, math.sqrt(n)), u_norm, v_norm])
-            full = pivots.min(axis=0) > _RANK_RTOL * pivots.max(axis=0)
-        for k in np.flatnonzero(~full):
-            values = np.concatenate([[1.0], c_l2[k], c_lz[k]])
-            losses[k] = self._lstsq_loss(values[self.cols])[0]
+            # the pivots [sqrt(n), |u|, |v|], which are |diag R| of a QR of the
+            # design matrix
+            low = np.minimum(np.minimum(u_norm, v_norm), sqrt_n)
+            high = np.maximum(np.maximum(u_norm, v_norm), sqrt_n)
+            full = low > _RANK_RTOL * high
+        if not full.all():
+            with np.errstate(**_SOLVE_STATE):
+                for k in np.flatnonzero(~full):
+                    losses[k] = self._solve(np.concatenate([[1.0], c[k]])[self.cols])[0]
+        if all_feasible:
+            return losses
         out = np.full(len(alphas), math.inf)
         out[feasible] = losses
         return out
@@ -429,30 +467,32 @@ def fit(records: Sequence[ParticleRecord], cfg: FitConfig = FitConfig()) -> FitR
 
     refined = []  # (loss, scan index, alpha): ties on loss go to the lower index
     converged = False
-    for i in _local_minima(scan)[: cfg.starts]:
-        budget = cfg.max_evals - prob.evals
-        if budget < 1:
-            break
-        # Brent's stopping test adds sqrt(eps)*|x| to xatol; refining the offset
-        # from the grid point keeps that term near 1e-10 in alpha instead of 2e-9
-        a_i = float(_ALPHA_GRID[i])
-        res = minimize_scalar(
-            lambda t: prob.profile_loss(a_i + t)[0],
-            float(_ALPHA_GRID[max(i - 1, 0)]) - a_i,
-            float(_ALPHA_GRID[min(i + 1, last)]) - a_i,
-            xatol=1e-12,
-            maxiter=budget,
-        )
-        converged = converged or res.success
-        refined.append((res.fun, i, a_i + res.x))
-    if not converged:
-        raise FitError(
-            f"no scan minimum converged within {cfg.max_evals} profile evaluations; "
-            f"the alpha scan alone takes {len(_ALPHA_GRID)} of them"
-        )
+    starts = _local_minima(scan)[: cfg.starts]
+    with np.errstate(**_SOLVE_STATE):
+        for i in starts:
+            budget = cfg.max_evals - prob.evals
+            if budget < 1:
+                break
+            # Brent's stopping test adds sqrt(eps)*|x| to xatol; refining the offset
+            # from the grid point keeps that term near 1e-10 in alpha instead of 2e-9
+            a_i = float(_ALPHA_GRID[i])
+            res = minimize_scalar(
+                lambda t: prob._profile(a_i + t)[0],
+                float(_ALPHA_GRID[max(i - 1, 0)]) - a_i,
+                float(_ALPHA_GRID[min(i + 1, last)]) - a_i,
+                xatol=1e-12,
+                maxiter=budget,
+            )
+            converged = converged or res.success
+            refined.append((res.fun, i, a_i + res.x))
+        if not converged:
+            raise FitError(
+                f"no scan minimum converged within {cfg.max_evals} profile evaluations; "
+                f"the alpha scan alone takes {len(_ALPHA_GRID)} of them"
+            )
 
-    alpha = min(refined)[2]
-    _, coef = prob.profile_loss(alpha)
+        alpha = min(refined)[2]
+        _, coef = prob._profile(alpha)
     params = FitParams(alpha, float(coef[0]), float(coef[1]), float(coef[2]))
     levels, _ = _levels(params, records)
     return FitResult(

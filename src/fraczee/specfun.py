@@ -102,6 +102,15 @@ def gamma(x: float) -> float:
     Raises:
         GammaPoleError: at the poles x = 0, -1, -2, ...
         ValueError: for non-finite x.
+        OverflowError: where ``t ** (z + 0.5)`` in the series overflows
+            before ``exp(-t)`` scales it down: every x above about 142.37
+            except the integers up to 171 (so also every x above 171.6,
+            where Gamma itself overflows), and every non-integer x below
+            about -141.37, through the reflection.  From about 142.22 to
+            142.37 it returns ``inf`` where Gamma is about 1e245, and from
+            about -141.22 to -141.37 it returns 0.0.  The golden corpus pins
+            these cases; ROADMAP item 1's overflow fallback will narrow the
+            raising range to where Gamma itself leaves the float range.
     """
     if not math.isfinite(x):
         raise ValueError(f"gamma requires a finite argument, got {x!r}")

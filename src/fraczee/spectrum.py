@@ -147,12 +147,13 @@ class _CasimirPlan:
         j = np.array([*(at_den[L - 1] for L in self.ls), *(at_den[m - 1] for m in self.ms)], np.intp)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             g, x = 1.0 + num * a, 1.0 + den * a
-            reuse = (slot >= 0) & (x >= 0.5)
-            cells = np.concatenate([g.reshape(-1), x[~reuse]])
+            # the denominator cells that reuse no numerator cell
+            fresh = ~((slot >= 0) & (x >= 0.5))
+            cells = np.concatenate([g.reshape(-1), x[fresh]])
             out = _kernel_array(cells, np.arange(cells.size) >= g.size)
             g = out[: g.size].reshape(g.shape)
-            r = np.where(reuse, 1.0 / g[..., slot], 0.0)
-            r[~reuse] = out[g.size:]
+            r = 1.0 / g[..., slot]
+            r[fresh] = out[g.size:]
             c = g[..., i] * r[..., j]
         return c[..., : len(self.ls)], c[..., len(self.ls):]
 

@@ -139,13 +139,13 @@ def test_a_default_fit_makes_the_pinned_lstsq_solves(monkeypatch):
     # back, moves these counts and the fit workload's op time
     fitting, dataset = (importlib.import_module(f"fraczee.{m}") for m in ("fitting", "dataset"))
     Problem = fitting._Problem
-    lstsq_loss, scan_losses = Problem._lstsq_loss, Problem.scan_losses
+    solve, scan_losses = Problem._solve, Problem.scan_losses
     solves = []
     stage = ["refine"]
 
     def counted(self, A):
         solves.append(stage[0])
-        return lstsq_loss(self, A)
+        return solve(self, A)
 
     def scan(self, alphas):
         stage[0] = "scan"
@@ -157,7 +157,7 @@ def test_a_default_fit_makes_the_pinned_lstsq_solves(monkeypatch):
     def wrapper(*args, **kwargs):
         raise AssertionError("np.linalg.lstsq called")
 
-    monkeypatch.setattr(Problem, "_lstsq_loss", counted)
+    monkeypatch.setattr(Problem, "_solve", counted)
     monkeypatch.setattr(Problem, "scan_losses", scan)
     monkeypatch.setattr(np.linalg, "lstsq", wrapper)
     result = fitting.fit(fitting.select_records(dataset.builtin_table(), fitting.FitConfig()))
@@ -165,10 +165,7 @@ def test_a_default_fit_makes_the_pinned_lstsq_solves(monkeypatch):
     assert (solves.count("scan"), solves.count("refine")) == (0, 23)
 
 
-def test_levels_probes_still_find_their_known_defects(tmp_path):
-    # perfbench/test_smoke.py pins three known-defect probes on the levels
-    # workload but is not part of this suite; a record-contract change that
-    # fixed one (say, rejecting the inf mass) would break the benchmark
+def _workloads_and_modules():
     sys.path.insert(0, str(PERFBENCH))
     try:
         workloads = importlib.import_module("workloads")
@@ -177,6 +174,46 @@ def test_levels_probes_still_find_their_known_defects(tmp_path):
     fz = SimpleNamespace(
         **{m: importlib.import_module(f"fraczee.{m}") for m in _benchmark_modules()}
     )
+    return workloads, fz
+
+
+#: (evals, refines) of a default fit of the fit workload's first synthetic
+#: table at seeds 0..9 (the tables of scripts/same_numbers.py's fit corpus):
+#: the 199 scan alphas, the Brent evaluations of each refine and the final
+#: profile loss
+FIT_WORKLOAD_BUDGETS = [(233, 1), (229, 1), (220, 1), (214, 1), (227, 1),
+                        (226, 1), (223, 1), (219, 1), (221, 1), (231, 1)]
+
+
+def test_fits_of_the_fit_workload_make_the_pinned_evaluations_and_refines(tmp_path, monkeypatch):
+    # a count that rises here costs the fit workload op time on every table;
+    # a change that means to move it updates the pin and says why
+    workloads, fz = _workloads_and_modules()
+    fitting = fz.fitting
+    minimize_scalar, refines = fitting.minimize_scalar, []
+
+    def counted(*args, **kwargs):
+        refines.append(args)
+        return minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "minimize_scalar", counted)
+    budgets = []
+    for seed in range(10):
+        request = workloads.FitWorkload(fz, seed, tmp_path, smoke=False).request(1)
+        cfg = fitting.FitConfig()
+        records = fitting.select_records(fz.dataset.load_records(request["path"]), cfg)
+        refines.clear()
+        result = fitting.fit(records, cfg)
+        assert result.converged and len(records) == len(request["rows"])
+        budgets.append((result.evals, len(refines)))
+    assert budgets == FIT_WORKLOAD_BUDGETS
+
+
+def test_levels_probes_still_find_their_known_defects(tmp_path):
+    # perfbench/test_smoke.py pins three known-defect probes on the levels
+    # workload but is not part of this suite; a record-contract change that
+    # fixed one (say, rejecting the inf mass) would break the benchmark
+    workloads, fz = _workloads_and_modules()
     wl = workloads.LevelsWorkload(fz, 7, tmp_path, smoke=True)
     statuses = {}
     for req in wl.probes():  # as perfbench/run.py's _probe sends them

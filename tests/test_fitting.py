@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import json
 import math
+import pickle
 import random
 import warnings
 from pathlib import Path
@@ -16,6 +18,7 @@ from fraczee.fitting import (
     DEFAULT_EXCLUDE,
     FitConfig,
     FitError,
+    PerParticle,
     _Problem,
     _levels,
     _local_minima,
@@ -644,6 +647,66 @@ def test_fit_raises_when_every_alpha_overflows():
     records = [ParticleRecord(f"big-{M}", 20000, M, 1000.0, "", "baryon") for M in range(5)]
     with pytest.raises(FitError, match="not finite"):
         fit(records)
+
+
+def _fit_raising_after_two_refine_steps():
+    # the scan and two Brent evaluations fit in the budget, a converged refine does not
+    with pytest.raises(FitError, match="converged"):
+        fit(select_records(builtin_table(), FitConfig()), FitConfig(max_evals=len(_ALPHA_GRID) + 2))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: fit(select_records(builtin_table(), FitConfig())), id="fit"),
+    pytest.param(_fit_raising_after_two_refine_steps, id="fit-raises"),
+    pytest.param(lambda: _Problem(_scan_table("single-L")).scan_losses(_ALPHA_GRID),
+                 id="scan-with-fallback-rows"),
+])
+def test_fit_and_scan_leave_numpys_error_state_as_they_found_it(call, monkeypatch):
+    # the refine loop and the scan's fallback rows run under the solve's error
+    # state (over, divide and under ignored, invalid calling a raising
+    # handler); it must end with them, also when the fit raises
+    solve, solves = _Problem._solve, []
+
+    def counted(self, A):
+        solves.append(A.shape)
+        return solve(self, A)
+
+    def handler(err, flag):  # the caller's own, so that a leaked _svd_failed shows
+        raise AssertionError(f"floating-point error {err!r}")
+
+    monkeypatch.setattr(_Problem, "_solve", counted)
+    with np.errstate(all="warn", call=handler):
+        before = np.geterr(), np.geterrcall()
+        call()
+        assert (np.geterr(), np.geterrcall()) == before
+    assert solves, "the call made no least-squares solve"
+
+
+def test_per_particle_is_a_plain_frozen_dataclass():
+    @dataclasses.dataclass(frozen=True)
+    class Plain:
+        name: str
+        e_exp: float
+        e_th: float
+        de_percent: float
+
+    fields = ("Lambda", 1116.0, 1117.25, 0.112)
+    p, plain = PerParticle(*fields), Plain(*fields)
+    assert [f.name for f in dataclasses.fields(PerParticle)] == [
+        f.name for f in dataclasses.fields(Plain)]
+    assert p == PerParticle(name="Lambda", e_exp=1116.0, e_th=1117.25, de_percent=0.112)
+    assert p != PerParticle("Lambda", 1116.0, 1117.5, 0.112)
+    assert p != plain
+    assert hash(p) == hash(plain) == hash(fields)
+    assert repr(p) == repr(plain).replace(type(plain).__qualname__, "PerParticle")
+    assert dataclasses.astuple(p) == dataclasses.astuple(plain) == fields
+    assert dataclasses.replace(p, e_th=1118.0) == PerParticle("Lambda", 1116.0, 1118.0, 0.112)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.e_th = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.name
+    twin = pickle.loads(pickle.dumps(p))
+    assert twin == p and type(twin) is PerParticle and twin.__dict__ == p.__dict__
 
 
 def test_regression_reference_params_reproduce_table():
