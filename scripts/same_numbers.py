@@ -59,7 +59,7 @@ same cases:
 - ``operators``: ``OperatorExpr.apply`` of 500N seeded operator sums whose
   term images share exponent vectors (one derivative pattern under several
   prefactors and phases, ``build_H(a) + build_H(b)``, ``build_Kz`` families
-  over masses and orders, and concatenations of these) on seeded
+  over seeded scale factors and orders, and concatenations of these) on seeded
   polynomials of 2-6 terms whose exponents differ by those orders; the
   ``float.hex`` of every term of both parts, so a changed order of
   summation over the operator's terms shows.
@@ -403,12 +403,12 @@ def _operators_corpus(scale: int) -> list:
 
     def hamiltonians() -> OperatorExpr:
         a, b = rng.choice(OPERATOR_ORDERS), rng.choice(OPERATOR_ORDERS)
-        m, s = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
-        return build_H(a) + build_H(b, m) + build_H(a).scaled(s)
+        r, s = rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0)
+        return build_H(a) + build_H(b).scaled(r) + build_H(a).scaled(s)
 
     def kz_family() -> OperatorExpr:
         betas = [rng.choice(OPERATOR_ORDERS) for _ in range(rng.randint(1, 2))]
-        family = [build_Kz(rng.choice(betas), rng.uniform(0.5, 2.0))
+        family = [build_Kz(rng.choice(betas)).scaled(rng.uniform(0.5, 2.0))
                   for _ in range(rng.randint(3, 5))]
         return OperatorExpr(tuple(t for kz in family for t in kz.terms))
 

@@ -149,12 +149,9 @@ class PolyExpr:
     def zero() -> "PolyExpr":
         return _normalized(())
 
-    @staticmethod
-    def const(c: float) -> "PolyExpr":
-        return PolyExpr.from_terms([term(c)])
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(t.coeff) <= tol for t in self.terms)
+    def is_zero(self) -> bool:
+        # normalized: no kept coefficient is at or below DROP_TOL
+        return not self.terms
 
     def max_abs_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)

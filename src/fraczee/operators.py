@@ -11,7 +11,7 @@ real; factors of i are tracked as a phase exponent mod 4, and
 applications return a :class:`PhasedPoly` split into real and imaginary
 parts.
 
-Operator builders use natural units (hbar = c = 1, default mass 1).  The
+Operator builders use natural units with unit mass (hbar = c = m = 1).  The
 angular-momentum convention throughout is
 
     K_z(beta) = i (y D_x^beta - x D_y^beta)
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import rlquad
 from .monomial import (
@@ -43,8 +43,6 @@ __all__ = [
     "GaugeField",
     "CheckReport",
     "op_term",
-    "identity_op",
-    "partial_op",
     "build_H",
     "build_Kx",
     "build_Ky",
@@ -158,10 +156,6 @@ class OperatorExpr:
 
     terms: tuple[OperatorTerm, ...]
 
-    @staticmethod
-    def from_terms(terms: Iterable[OperatorTerm]) -> "OperatorExpr":
-        return OperatorExpr(tuple(terms))
-
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
         return OperatorExpr(self.terms + other.terms)
 
@@ -241,49 +235,37 @@ def commutator(a: OperatorExpr, b: OperatorExpr, f: PolyExpr) -> PhasedPoly:
 # ----------------------------------------------------------------------
 
 
-def identity_op() -> OperatorExpr:
-    return OperatorExpr((op_term(1.0),))
-
-
-def partial_op(axis: str, order: float, coeff: float = 1.0, iphase: int = 0) -> OperatorExpr:
-    return OperatorExpr((op_term(coeff, iphase, orders={axis: order}),))
-
-
-def build_H(alpha: float, m: float = 1.0) -> OperatorExpr:
-    """Free Hamiltonian -1/(2 m^(2a-1)) * sum_i D_i^a D_i^a, spatial axes."""
+def build_H(alpha: float) -> OperatorExpr:
+    """Free Hamiltonian -1/2 * sum_i D_i^a D_i^a over the spatial axes, unit mass."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if m <= 0.0:
-        raise ValueError("mass must be positive")
-    c = -1.0 / (2.0 * m ** (2.0 * alpha - 1.0))
     return OperatorExpr(
-        tuple(op_term(c, orders={axis: (alpha, alpha)}) for axis in ("x", "y", "z"))
+        tuple(op_term(-0.5, orders={axis: (alpha, alpha)}) for axis in ("x", "y", "z"))
     )
 
 
-def _k_component(axes_pair: tuple[str, str], beta: float, m: float) -> OperatorExpr:
+def _k_component(axes_pair: tuple[str, str], beta: float) -> OperatorExpr:
     # i (u D_v^beta - v D_u^beta) with (v, u) = axes_pair, e.g. Kz: (x, y)
     v, u = axes_pair
-    c = m ** (1.0 - beta)
     return OperatorExpr(
         (
-            op_term(c, 1, pre={u: 1.0}, orders={v: beta}),
-            op_term(-c, 1, pre={v: 1.0}, orders={u: beta}),
+            op_term(1.0, 1, pre={u: 1.0}, orders={v: beta}),
+            op_term(-1.0, 1, pre={v: 1.0}, orders={u: beta}),
         )
     )
 
 
-def build_Kz(beta: float, m: float = 1.0) -> OperatorExpr:
-    """Generalized angular momentum K_z(beta) = i (y D_x^beta - x D_y^beta)."""
-    return _k_component(("x", "y"), beta, m)
+def build_Kz(beta: float) -> OperatorExpr:
+    """Generalized angular momentum K_z(beta) = i (y D_x^beta - x D_y^beta), unit mass."""
+    return _k_component(("x", "y"), beta)
 
 
-def build_Kx(beta: float, m: float = 1.0) -> OperatorExpr:
-    return _k_component(("y", "z"), beta, m)
+def build_Kx(beta: float) -> OperatorExpr:
+    return _k_component(("y", "z"), beta)
 
 
-def build_Ky(beta: float, m: float = 1.0) -> OperatorExpr:
-    return _k_component(("z", "x"), beta, m)
+def build_Ky(beta: float) -> OperatorExpr:
+    return _k_component(("z", "x"), beta)
 
 
 def build_Lz(alpha: float) -> OperatorExpr:
@@ -300,28 +282,27 @@ def build_Lz(alpha: float) -> OperatorExpr:
     )
 
 
-def build_Jz(alpha: float, m: float = 1.0) -> OperatorExpr:
+def build_Jz(alpha: float) -> OperatorExpr:
     """Total angular momentum J_z = K_z(2 alpha - 1); commutes with H^alpha."""
-    return build_Kz(2.0 * alpha - 1.0, m)
+    return build_Kz(2.0 * alpha - 1.0)
 
 
-def build_Jx(alpha: float, m: float = 1.0) -> OperatorExpr:
-    return build_Kx(2.0 * alpha - 1.0, m)
+def build_Jx(alpha: float) -> OperatorExpr:
+    return build_Kx(2.0 * alpha - 1.0)
 
 
-def build_Jy(alpha: float, m: float = 1.0) -> OperatorExpr:
-    return build_Ky(2.0 * alpha - 1.0, m)
+def build_Jy(alpha: float) -> OperatorExpr:
+    return build_Ky(2.0 * alpha - 1.0)
 
 
-def build_Sz(alpha: float, m: float = 1.0) -> OperatorExpr:
+def build_Sz(alpha: float) -> OperatorExpr:
     """Intrinsic part S_z = J_z(alpha) - K_z(1); vanishes at alpha = 1."""
-    return (build_Jz(alpha, m) - build_Kz(1.0, m)).canonical()
+    return (build_Jz(alpha) - build_Kz(1.0)).canonical()
 
 
-def build_p(axis: str, beta: float, m: float = 1.0) -> OperatorExpr:
-    """Fractional translation generator p_axis(beta) = i D_axis^beta."""
-    c = m ** (1.0 - beta)
-    return OperatorExpr((op_term(c, 1, orders={axis: beta}),))
+def build_p(axis: str, beta: float) -> OperatorExpr:
+    """Fractional translation generator p_axis(beta) = i D_axis^beta, unit mass."""
+    return OperatorExpr((op_term(1.0, 1, orders={axis: beta}),))
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +401,7 @@ def _connection(A: GaugeField, K: int, multiplier: str) -> tuple[OperatorExpr, .
             for t in dk.terms:
                 field_exps = {multiplier: dict(zip(AXES, t.exps))}
                 terms.append(op_term(c_k * t.coeff, orders={axis: a - k}, **field_exps))
-        out.append(OperatorExpr.from_terms(terms))
+        out.append(OperatorExpr(tuple(terms)))
     return tuple(out)
 
 

@@ -224,3 +224,54 @@ def test_levels_probes_still_find_their_known_defects(tmp_path):
         statuses[req["kind"]] = wl.check(req, out)
     assert sorted(statuses) == sorted(workloads.PROBES) == ["inf-mass", "overflow", "params-no-m0"]
     assert all(status == workloads.KNOWN for status, _ in statuses.values()), statuses
+
+
+#: tracer counts of the algebra workload's requests 0..39 at seed 0: 32
+#: derives (their quadratures included) and one identity check of each kind
+ALGEBRA_BUDGETS = {"specfun.gamma": 278, "specfun.rgamma": 285, "monomial.from_terms": 150,
+                   "monomial.rl_derive": 115, "monomial.rl_derive.terms_in": 168,
+                   "monomial.rl_derive.terms_out": 116, "operators.build": 16,
+                   "operators.commutator": 6}
+
+
+def test_algebra_requests_make_the_pinned_calls(tmp_path):
+    # a count that rises here costs the algebra workload op time; a change
+    # that means to move one updates the pin and says why
+    workloads, fz = _workloads_and_modules()
+    layers, tracer, _ = _layers_tracer_and_modules()
+    wl = workloads.AlgebraWorkload(fz, 0, tmp_path, smoke=False)
+    requests = [wl.request(i) for i in range(40)]
+    try:
+        layers.install(tracer, fz)
+        outs = [wl.run(req) for req in requests]
+    finally:
+        tracer.restore()
+    counts = {**tracer.calls, **tracer.counts}
+    assert {name: counts[name] for name in ALGEBRA_BUDGETS} == ALGEBRA_BUDGETS
+    assert all(wl.check(req, out)[0] == workloads.OK for req, out in zip(requests, outs))
+
+
+def test_level_requests_make_the_pinned_gamma_calls_and_plans(tmp_path, monkeypatch):
+    # requests 1..10 at seed 0 as the levels workload sends them: spectrum,
+    # predict, objective, loss_rms_mev and an in-process report, each level
+    # pass with a Casimir plan of its own
+    workloads, fz = _workloads_and_modules()
+    layers, tracer, _ = _layers_tracer_and_modules()
+    Plan = fz.spectrum._CasimirPlan
+    init, plans = Plan.__init__, []
+
+    def counted(self, *args):
+        plans.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Plan, "__init__", counted)
+    wl = workloads.LevelsWorkload(fz, 0, tmp_path, smoke=False)
+    try:
+        layers.install(tracer, fz)
+        for i in range(1, 11):
+            req = wl.request(i)
+            assert wl.check(req, wl.run(req))[0] == workloads.OK
+    finally:
+        tracer.restore()
+    calls = {name: tracer.calls[name] for name in ("specfun.gamma", "specfun.rgamma")}
+    assert (calls, len(plans)) == ({"specfun.gamma": 657, "specfun.rgamma": 108}, 50)

@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraczee.operators as operators
-from fraczee.monomial import AXES, PolyExpr, PowerTerm, parse_expr, rl_derive, term
+from fraczee.monomial import AXES, DROP_TOL, PolyExpr, PowerTerm, parse_expr, rl_derive, term
 from fraczee.operators import (
     OperatorExpr,
+    OperatorTerm,
     build_H,
     build_Jx,
     build_Jy,
     build_Jz,
+    build_Kx,
+    build_Ky,
     build_Kz,
     build_Lz,
+    build_p,
     build_Sz,
     check_classical_Lz,
     check_commutation,
@@ -32,10 +36,8 @@ from fraczee.operators import (
     curl_frac,
     gamma_connection,
     gauge_field_A,
-    identity_op,
     omega_connection,
     op_term,
-    partial_op,
     verify_J_algebra,
 )
 from fraczee.specfun import gamma
@@ -43,6 +45,7 @@ from fraczee.specfun import gamma
 from oracles import oracle_apply
 
 ALPHAS = (0.3, 0.5, 0.75, 0.9)
+_Z4 = (0.0, 0.0, 0.0, 0.0)
 
 
 def mono(c=1.0, **exps):
@@ -62,12 +65,12 @@ def random_monomials(seed, n, lo=2, hi=6):
 
 def test_identity_application():
     f = parse_expr("x^2")
-    out = identity_op().apply(f)
+    out = OperatorExpr((op_term(1.0),)).apply(f)
     assert (out.re - f).is_zero() and out.im.is_zero()
 
 
 def test_single_partial():
-    out = partial_op("x", 1.0).apply(parse_expr("x*y"))
+    out = OperatorExpr((op_term(1.0, orders={"x": 1.0}),)).apply(parse_expr("x*y"))
     assert (out.re - parse_expr("y")).is_zero()
 
 
@@ -96,12 +99,12 @@ def test_zero_order_of_a_bare_term_is_the_identity():
 
 def test_canonical_commutator():
     # [d_x, x .] f = f
-    dx = partial_op("x", 1.0)
+    dx = OperatorExpr((op_term(1.0, orders={"x": 1.0}),))
     mul_x = OperatorExpr((op_term(1.0, pre={"x": 1.0}),))
     for n in (1, 2, 5):
         f = mono(1.0, x=n)
         out = commutator(dx, mul_x, f)
-        assert (out.re - f).is_zero(1e-12) and out.im.is_zero()
+        assert (out.re - f).max_abs_coeff() <= 1e-12 and out.im.is_zero()
 
 
 # Generic exponents: points of the 1e-9 merge grid, at most 1e-12 off it,
@@ -174,6 +177,28 @@ def test_apply_equals_the_merging_oracle(data):
     assert _image_bits(op.apply, f) == _image_bits(lambda g: oracle_apply(op, g), f)
 
 
+# the example is the boundary itself, in every stage: 2e-12 * 0.5, 2e-12 *
+# Gamma(2)/Gamma(3) and 1.0 * 1e-12 are exactly DROP_TOL, and each phase part
+# holds one image
+@settings(max_examples=100)
+@example([PowerTerm(2e-12, (1.0, 0.0, 0.0, 0.0)), PowerTerm(1.0, _Z4)], [PowerTerm(0.5, _Z4)],
+         0.5, "x", -1.0, [op_term(0.5), op_term(1e-12, 1, pre={"y": 1.0})])
+@given(operands(), operands(), st.one_of(_COEFFS, st.sampled_from([1e-12, -1e-12, 1e-11])),
+       st.sampled_from(AXES), _NONZERO_SHIFTS, st.lists(operator_terms(), min_size=1, max_size=2))
+def test_no_expression_keeps_a_coefficient_at_or_below_drop_tol(f, g, s, axis, q, op):
+    # PolyExpr.is_zero reads "no terms" as zero: that holds only while every
+    # way of building an expression drops the coefficients at or below DROP_TOL
+    f, g, op = PolyExpr.from_terms(f), PolyExpr.from_terms(g), OperatorExpr(tuple(op))
+    built = [f, g, f.scaled(s), f * s, f + g, f - g, -f, f * g]
+    for make in (lambda: [rl_derive(f, axis, q)], lambda: [op.apply(f).re, op.apply(f).im]):
+        try:
+            built += make()
+        except ValueError:  # DomainError included
+            pass
+    for e in built:
+        assert all(abs(t.coeff) > DROP_TOL for t in e.terms), e.terms
+
+
 def test_a_bare_operand_is_its_merged_twin():
     # unsorted, with like terms on one merge key, a cancelling pair and dust
     terms = (term(2.0, x=1.5), term(1e-13, y=2), term(-1.0, x=0.5),
@@ -200,12 +225,11 @@ def test_apply_drops_a_small_coefficient_between_stages():
 
 def test_H_classical_on_square():
     out = build_H(1.0).apply(parse_expr("x^2")).re
-    assert (out - PolyExpr.const(-1.0)).is_zero(1e-13)
+    assert (out - PolyExpr.from_terms([term(-1.0)])).max_abs_coeff() <= 1e-13
 
 
 def test_H_on_x_to_2alpha_at_half():
-    # alpha = 0.5: H x^(2a) = -Gamma(1+2a)/(2 m^(2a-1)); y/z parts die on
-    # the rgamma(0) pole
+    # alpha = 0.5: H x^(2a) = -Gamma(1+2a)/2; y/z parts die on the rgamma(0) pole
     alpha = 0.5
     out = build_H(alpha).apply(mono(1.0, x=2 * alpha)).re
     assert len(out.terms) == 1
@@ -213,10 +237,45 @@ def test_H_on_x_to_2alpha_at_half():
     assert out.terms[0].coeff == pytest.approx(-0.5 * gamma(2.0), rel=1e-12)
 
 
-def test_H_mass_scaling():
-    out1 = build_H(0.75, m=1.0).apply(mono(1.0, x=2, y=2, z=2)).re
-    out2 = build_H(0.75, m=2.0).apply(mono(1.0, x=2, y=2, z=2)).re
-    assert (out1 - out2.scaled(2.0 ** (2 * 0.75 - 1))).max_abs_coeff() < 1e-12
+def _unit(axis, e=1.0):
+    return tuple(e if a == axis else 0.0 for a in AXES)
+
+
+def _on(axis, *orders):
+    # as op_term keeps them: a zero order is the identity and is dropped
+    return tuple(tuple(q for q in orders if q) if a == axis else () for a in AXES)
+
+
+def _k(v, u, beta):
+    # i (u D_v^beta - v D_u^beta)
+    return (OperatorTerm(1.0, 1, _unit(u), _Z4, _on(v, beta)),
+            OperatorTerm(-1.0, 1, _unit(v), _Z4, _on(u, beta)))
+
+
+@pytest.mark.parametrize("alpha", (0.3, 0.5, 0.75, 1.0))
+def test_builders_make_their_exact_unit_mass_terms(alpha):
+    # natural units with unit mass: H's coefficient is exactly -1/2, those
+    # of K, J, S and p exactly +-1
+    b = 2.0 * alpha - 1.0
+    assert build_H(alpha).terms == tuple(
+        OperatorTerm(-0.5, 0, _Z4, _Z4, _on(axis, alpha, alpha)) for axis in "xyz")
+    for beta in (alpha, b):
+        assert build_Kx(beta).terms == _k("y", "z", beta)
+        assert build_Ky(beta).terms == _k("z", "x", beta)
+        assert build_Kz(beta).terms == _k("x", "y", beta)
+        assert build_p("y", beta).terms == (OperatorTerm(1.0, 1, _Z4, _Z4, _on("y", beta)),)
+    assert build_Jx(alpha).terms == _k("y", "z", b)
+    assert build_Jy(alpha).terms == _k("z", "x", b)
+    assert build_Jz(alpha).terms == _k("x", "y", b)
+    assert build_Lz(alpha).terms == (
+        OperatorTerm(1.0, 1, _unit("y", alpha), _Z4, _on("x", alpha)),
+        OperatorTerm(-1.0, 1, _unit("x", alpha), _Z4, _on("y", alpha)))
+    # canonical order: prefactor y before x, and the order b < 1 (or none) first
+    assert build_Sz(alpha).terms == (() if alpha == 1.0 else (
+        OperatorTerm(1.0, 1, _unit("y"), _Z4, _on("x", b)),
+        OperatorTerm(-1.0, 1, _unit("y"), _Z4, _on("x", 1.0)),
+        OperatorTerm(-1.0, 1, _unit("x"), _Z4, _on("y", b)),
+        OperatorTerm(1.0, 1, _unit("x"), _Z4, _on("y", 1.0))))
 
 
 # ------------------------------------------------------- angular momentum
@@ -323,7 +382,7 @@ def test_check_commutation_worst(monkeypatch):
     assert rep.passed and rep.residuals["worst_max_coeff"] < 1e-10
     assert rep.details == {"alpha": 0.5, "monomials": 50}
     # with the classical K_z(1) in place of J_z the worst operand shows it
-    monkeypatch.setattr(operators, "build_Jz", lambda alpha, m=1.0: build_Kz(1.0))
+    monkeypatch.setattr(operators, "build_Jz", lambda alpha: build_Kz(1.0))
     rep = check_commutation_worst(0.5, monos)
     assert not rep.passed and rep.residuals["worst_max_coeff"] > 1e-6
 
@@ -341,7 +400,7 @@ def test_check_Sz_vanishes(monkeypatch):
     rep = check_Sz_vanishes()
     assert rep.passed and rep.residuals == {"terms": 0.0}
     build = operators.build_Sz
-    monkeypatch.setattr(operators, "build_Sz", lambda alpha, m=1.0: build(0.5))
+    monkeypatch.setattr(operators, "build_Sz", lambda alpha: build(0.5))
     rep = check_Sz_vanishes()
     assert not rep.passed and rep.residuals["terms"] > 0
 
@@ -351,7 +410,7 @@ def test_check_spin_decomposition(monkeypatch):
         rep = check_spin_decomposition(alpha)
         assert rep.passed and rep.residuals["max_coeff"] < 1e-12
     build = operators.build_Sz
-    monkeypatch.setattr(operators, "build_Sz", lambda alpha, m=1.0: build(0.5))
+    monkeypatch.setattr(operators, "build_Sz", lambda alpha: build(0.5))
     rep = check_spin_decomposition(0.75)
     assert not rep.passed and rep.residuals["max_coeff"] > 1e-6
 
@@ -378,15 +437,15 @@ def test_check_quadrature():
 
 def test_gauge_field_classical_limit():
     A = gauge_field_A(2.0, 1.0)
-    assert (A.components[0] - parse_expr("-y")).is_zero(1e-13)
-    assert (A.components[1] - parse_expr("x")).is_zero(1e-13)
+    assert (A.components[0] - parse_expr("-y")).max_abs_coeff() <= 1e-13
+    assert (A.components[1] - parse_expr("x")).max_abs_coeff() <= 1e-13
     assert A.components[2].is_zero()
 
 
 def test_gauge_field_half_order():
     A = gauge_field_A(1.0, 0.5)
-    assert (A.components[0] - PolyExpr.from_terms([term(-0.5, x=0.5, z=-0.5)])).is_zero(1e-13)
-    assert (A.components[1] - PolyExpr.from_terms([term(0.5, y=0.5, z=-0.5)])).is_zero(1e-13)
+    assert (A.components[0] - mono(-0.5, x=0.5, z=-0.5)).max_abs_coeff() <= 1e-13
+    assert (A.components[1] - mono(0.5, y=0.5, z=-0.5)).max_abs_coeff() <= 1e-13
 
 
 def test_gauge_field_zero():
@@ -400,8 +459,6 @@ def test_gauge_field_zero():
         (lambda: op_term(1.0, orders={"w": 0.5}), "unknown axis 'w'"),
         (lambda: build_H(0.0), r"alpha must lie in \(0, 1\]"),
         (lambda: build_H(1.5), r"alpha must lie in \(0, 1\]"),
-        (lambda: build_H(0.5, 0.0), "mass must be positive"),
-        (lambda: build_H(0.5, -1.0), "mass must be positive"),
         (lambda: gamma_connection(gauge_field_A(1.0, 0.5), 0), "series order K must be >= 1"),
     ],
 )
@@ -424,7 +481,7 @@ def test_curl_closed_form(alpha):
 def test_curl_classical_constant_field():
     bx, by, bz = curl_frac(gauge_field_A(2.0, 1.0))
     assert bx.is_zero() and by.is_zero()
-    assert (bz - PolyExpr.const(2.0)).is_zero(1e-13)
+    assert (bz - PolyExpr.from_terms([term(2.0)])).max_abs_coeff() <= 1e-13
 
 
 def test_curl_of_zero_field():
@@ -521,7 +578,7 @@ def test_semigroup_agreement_on_valid_domain():
 
 def test_semigroup_disagreement_is_reported():
     # D^1 then D^-1 loses the constant; the direct order-0 derivative keeps it
-    f = PolyExpr.const(1.0)
+    f = PolyExpr.from_terms([term(1.0)])
     rep = check_semigroup(f, "x", (1.0, -1.0))
     assert not rep.passed
     assert rep.residuals["max_coeff"] == pytest.approx(1.0)
