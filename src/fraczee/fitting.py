@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.linalg import LinAlgError
-# the gufunc behind numpy's lstsq wrapper (a private name, see _lstsq_loss)
+# the gufunc behind numpy's lstsq wrapper (a private name, see _Problem._solve)
 from numpy.linalg._umath_linalg import lstsq as _gelsd
 
 from .dataset import ParticleRecord
@@ -273,33 +273,31 @@ def select_records(
 class _Problem:
     """Record arrays and the profile loss over alpha.
 
-    ``plan`` is the Casimir plan of ``l_values`` and ``m_values``, built once.
-    :meth:`scan_losses` evaluates the loss at many alphas at once through its
-    array body and Gram-Schmidt residuals (the grid scan), taking the record
-    columns of C_L2 and C_Lz from [C_L2..., C_Lz...] at ``scan_cols``;
-    :meth:`_profile` evaluates one alpha through its scalar body and
-    :meth:`_solve` (the Brent refine and the final parameters), whose
+    ``plan`` is the Casimir plan of the records' distinct L and |M|, built
+    once.  :meth:`scan_losses` evaluates the loss at many alphas at once
+    through its array body and Gram-Schmidt residuals (the grid scan), taking
+    the record columns of C_L2 and C_Lz from [C_L2..., C_Lz...] at
+    ``scan_cols``; :meth:`_profile` evaluates one alpha through its scalar
+    body and :meth:`_solve` (the Brent refine and the final parameters), whose
     right-hand side ``e_col`` and cut-off ``rcond`` are built once here, and a
     least-squares design matrix is one take of the vector
     [1, C_L2..., C_Lz...] at ``cols``.  ``_profile`` and ``_solve`` run under
     the caller's ``np.errstate(**_SOLVE_STATE)``: :func:`fit` enters it once
-    for its whole refine loop and final solve.  :meth:`profile_loss` and
-    :meth:`_lstsq_loss` are the same evaluations, entering the state
-    themselves.
+    for its whole refine loop and final solve.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
         ls, ms = [r.L for r in records], [abs(r.M) for r in records]
         # Python ints, so that every Gamma argument 1 + k*alpha is a Python float
-        self.l_values, self.m_values = sorted(set(ls)), sorted(set(ms))
-        l_pos = {v: i for i, v in enumerate(self.l_values)}
-        m_pos = {v: i for i, v in enumerate(self.m_values)}
+        l_values, m_values = sorted(set(ls)), sorted(set(ms))
+        l_pos = {v: i for i, v in enumerate(l_values)}
+        m_pos = {v: i for i, v in enumerate(m_values)}
         l_index = np.array([l_pos[v] for v in ls], dtype=np.intp)
         m_index = np.array([m_pos[v] for v in ms], dtype=np.intp)
-        #: the Casimirs at l_values and m_values, planned once
-        self.plan = _CasimirPlan(self.l_values, self.m_values)
+        #: the Casimirs at the distinct L (plan.ls) and |M| (plan.ms), planned once
+        self.plan = _CasimirPlan(l_values, m_values)
         #: (2, records) positions of C_L2 and C_Lz in [C_L2..., C_Lz...]
-        self.scan_cols = np.stack([l_index, len(self.l_values) + m_index])
+        self.scan_cols = np.stack([l_index, len(l_values) + m_index])
         #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...];
         #: row-major, as the solve's bits depend on the design matrix's layout
         self.cols = np.stack([np.zeros_like(l_index), *(1 + self.scan_cols)], axis=1)
@@ -321,13 +319,9 @@ class _Problem:
         # sum, the same division by the count and a correctly rounded sqrt
         return math.sqrt(np.add.reduce(res * res) / len(res)), coef
 
-    def _lstsq_loss(self, A: np.ndarray) -> tuple[float, np.ndarray]:
-        """R.m.s. residual in MeV and coefficients of the least-squares solve of
-        ``A`` against the masses, with numpy's ``lstsq`` errors."""
-        with np.errstate(**_SOLVE_STATE):
-            return self._solve(A)
-
     def _profile(self, alpha: float) -> tuple[float, np.ndarray | None]:
+        """R.m.s. residual in MeV and (m0, a0, b0) solved exactly at alpha;
+        ``(inf, None)`` where a Casimir overflows for some record."""
         self.evals += 1
         try:
             c_l2, c_lz = self.plan.values(alpha)
@@ -340,14 +334,8 @@ class _Problem:
             return math.inf, None
         return self._solve(np.array(values)[self.cols])
 
-    def profile_loss(self, alpha: float) -> tuple[float, np.ndarray | None]:
-        """R.m.s. residual in MeV and (m0, a0, b0) solved exactly at alpha;
-        ``(inf, None)`` where a Casimir overflows for some record."""
-        with np.errstate(**_SOLVE_STATE):
-            return self._profile(alpha)
-
     def scan_losses(self, alphas: np.ndarray) -> np.ndarray:
-        """The profile loss (first item of :meth:`profile_loss`) at every alpha,
+        """The profile loss (first item of :meth:`_profile`) at every alpha,
         ``inf`` where a Casimir is not finite.
 
         Modified Gram-Schmidt on the design columns [1, C_L2, C_Lz], applied

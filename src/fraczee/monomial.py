@@ -77,11 +77,6 @@ class PowerTerm:
     def exponent(self, axis: str) -> float:
         return self.exps[_AXIS_INDEX[axis]]
 
-    @property
-    def exponents(self) -> dict[str, float]:
-        """Axis -> exponent map, nonzero entries only."""
-        return {a: e for a, e in zip(AXES, self.exps) if e != 0.0}
-
     def with_coeff(self, coeff: float) -> "PowerTerm":
         return PowerTerm(coeff, self.exps)
 
@@ -111,8 +106,8 @@ def _merge(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
     # integer-valued exponent (float or int) is its own snap: round gives it
     # back, or for -0.0 a zero that compares and hashes equal
     terms = tuple(terms)
-    if len(terms) == 1:
-        return terms if abs(terms[0].coeff) > DROP_TOL else ()
+    if len(terms) == 1 and abs(terms[0].coeff) > DROP_TOL:
+        return terms
     groups: dict[tuple[float, ...], PowerTerm] = {}
     for t in terms:
         a, b, c, d = t.exps
@@ -124,7 +119,11 @@ def _merge(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
         )
         g = groups.get(key)
         groups[key] = t if g is None else g.with_coeff(g.coeff + t.coeff)
-    kept = (t for t in groups.values() if abs(t.coeff) > DROP_TOL)
+    kept = [t for t in groups.values() if abs(t.coeff) > DROP_TOL]
+    # a NaN sum (inf + -inf) fails the drop test as well; dropped, it would
+    # turn the expression into the zero sum, so it is refused
+    if len(kept) < len(groups) and any(t.coeff != t.coeff for t in groups.values()):
+        raise ValueError("like terms sum to a NaN coefficient")
     return tuple(sorted(kept, key=lambda t: t.exps))
 
 
@@ -133,7 +132,8 @@ class PolyExpr:
     """Normalized finite sum of :class:`PowerTerm`.
 
     Construction merges terms with equal exponent vectors and drops
-    coefficients below ``DROP_TOL``; instances are immutable.
+    coefficients below ``DROP_TOL``, but raises ``ValueError`` where like
+    terms sum to NaN; instances are immutable.
     """
 
     terms: tuple[PowerTerm, ...]

@@ -162,9 +162,6 @@ class OperatorExpr:
     def __sub__(self, other: "OperatorExpr") -> "OperatorExpr":
         return self + other.scaled(-1.0)
 
-    def __neg__(self) -> "OperatorExpr":
-        return self.scaled(-1.0)
-
     def scaled(self, s: float, iphase_shift: int = 0) -> "OperatorExpr":
         return OperatorExpr(
             tuple(
@@ -219,10 +216,10 @@ class OperatorExpr:
             for (p, pre, inner, orders), c in sorted(normalized.items())
             if abs(c) > DROP_TOL
         ]
+        # as in monomial._merge: a NaN sum is refused, not dropped
+        if len(kept) < len(normalized) and any(c != c for c in normalized.values()):
+            raise ValueError("like terms sum to a NaN coefficient")
         return OperatorExpr(tuple(kept))
-
-    def is_zero(self) -> bool:
-        return not self.canonical().terms
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr, f: PolyExpr) -> PhasedPoly:

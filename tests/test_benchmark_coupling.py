@@ -275,3 +275,45 @@ def test_level_requests_make_the_pinned_gamma_calls_and_plans(tmp_path, monkeypa
         tracer.restore()
     calls = {name: tracer.calls[name] for name in ("specfun.gamma", "specfun.rgamma")}
     assert (calls, len(plans)) == ({"specfun.gamma": 657, "specfun.rgamma": 108}, 50)
+
+
+#: tracer counts of each suite of ``verify all --seed 1729`` at the default
+#: nodes; the suite functions bind the checks at import, so only the checks
+#: that other checks call through ``fraczee.operators`` reach operators.check
+_VERIFY_NAMES = ("operators.build", "operators.commutator", "operators.check",
+                 "monomial.rl_derive", "monomial.rl_derive.terms_in",
+                 "monomial.rl_derive.terms_out", "monomial.from_terms",
+                 "specfun.gamma", "specfun.rgamma", "rlquad.roots_jacobi")
+VERIFY_BUDGETS = {
+    "quad": (0, 0, 0, 0, 0, 0, 0, 144, 0, 4),
+    "zeeman-field": (0, 0, 0, 51, 48, 18, 36, 24, 18, 0),
+    "connection": (0, 0, 0, 225, 147, 63, 57, 130, 175, 0),
+    "commutators": (632, 216, 200, 0, 0, 0, 2678, 5248, 5248, 0),
+    "spin-algebra": (66, 12, 0, 0, 0, 0, 180, 138, 138, 0),
+}
+
+
+def test_verify_all_suites_make_the_pinned_calls(monkeypatch):
+    # a count that rises here costs `fraczee verify` time; a change that
+    # means to move one updates the pin and says why
+    layers, tracer, fz = _layers_tracer_and_modules()
+    suites = importlib.import_module("fraczee.checks").SUITES
+    budgets = {}
+
+    def counted(name, suite):
+        def run(seed, nodes):
+            before = {**tracer.calls, **tracer.counts}
+            reports = suite(seed, nodes)
+            after = {**tracer.calls, **tracer.counts}
+            budgets[name] = tuple(int(after.get(k, 0) - before.get(k, 0)) for k in _VERIFY_NAMES)
+            return reports
+        return run
+
+    for name, suite in list(suites.items()):
+        monkeypatch.setitem(suites, name, counted(name, suite))
+    try:
+        layers.install(tracer, fz)
+        assert fz.cli.main(["verify", "all", "--seed", "1729"]) == 0
+    finally:
+        tracer.restore()
+    assert budgets == VERIFY_BUDGETS
