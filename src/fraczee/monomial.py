@@ -16,7 +16,8 @@ Exponents are identified at a resolution of 1e-9: terms whose exponent
 vectors agree after rounding to 9 decimals merge, and Gamma arguments
 that close to a pole count as the pole.  Every :class:`PolyExpr` is
 normalized on that grid: terms distinct, sorted by exponent vector,
-coefficients above ``DROP_TOL``.  Construction and ``from_terms`` merge
+coefficients above ``DROP_TOL`` (``_kept`` drops the rest, and refuses a
+NaN among them).  Construction and ``from_terms`` merge
 through ``_merge``; ``scaled`` keeps the exponents, and :func:`rl_derive`
 and ``operators.OperatorTerm.apply_to`` shift them all by one amount, so
 these build through ``_normalized`` without a merge.  Exponents within an
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .specfun import gamma, rgamma
 
@@ -106,8 +107,8 @@ def _merge(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
     # integer-valued exponent (float or int) is its own snap: round gives it
     # back, or for -0.0 a zero that compares and hashes equal
     terms = tuple(terms)
-    if len(terms) == 1 and abs(terms[0].coeff) > DROP_TOL:
-        return terms
+    if len(terms) == 1:
+        return _kept(terms)
     groups: dict[tuple[float, ...], PowerTerm] = {}
     for t in terms:
         a, b, c, d = t.exps
@@ -119,12 +120,25 @@ def _merge(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
         )
         g = groups.get(key)
         groups[key] = t if g is None else g.with_coeff(g.coeff + t.coeff)
-    kept = [t for t in groups.values() if abs(t.coeff) > DROP_TOL]
-    # a NaN sum (inf + -inf) fails the drop test as well; dropped, it would
-    # turn the expression into the zero sum, so it is refused
-    if len(kept) < len(groups) and any(t.coeff != t.coeff for t in groups.values()):
-        raise ValueError("like terms sum to a NaN coefficient")
-    return tuple(sorted(kept, key=lambda t: t.exps))
+    return tuple(sorted(_kept(groups.values()), key=lambda t: t.exps))
+
+
+def _kept(terms: Collection) -> tuple:
+    """``terms`` (each with a ``coeff``) without those whose coefficient is at
+    or below ``DROP_TOL``, the one drop rule of the algebra.
+
+    A NaN (``inf * 0``, ``inf - inf``) fails the drop test as well; dropped,
+    it would turn the expression into the zero sum, so it raises
+    ``ValueError`` instead.
+    """
+    for t in terms:
+        if not abs(t.coeff) > DROP_TOL:
+            break
+    else:
+        return tuple(terms)
+    if any(t.coeff != t.coeff for t in terms):
+        raise ValueError("a coefficient is NaN (from inf * 0 or inf - inf) and cannot be dropped")
+    return tuple(t for t in terms if abs(t.coeff) > DROP_TOL)
 
 
 @dataclass(frozen=True)
@@ -132,8 +146,8 @@ class PolyExpr:
     """Normalized finite sum of :class:`PowerTerm`.
 
     Construction merges terms with equal exponent vectors and drops
-    coefficients below ``DROP_TOL``, but raises ``ValueError`` where like
-    terms sum to NaN; instances are immutable.
+    coefficients at or below ``DROP_TOL``, but raises ``ValueError`` where
+    a dropped one is NaN; instances are immutable.
     """
 
     terms: tuple[PowerTerm, ...]
@@ -157,15 +171,10 @@ class PolyExpr:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
 
     def scaled(self, s: float) -> "PolyExpr":
-        # a NaN factor is refused: the drop would turn it into the zero sum
+        # a NaN factor is refused even where _kept has nothing to drop (zero)
         if s != s:
             raise ValueError("cannot scale an expression by NaN")
-        out = []
-        for t in self.terms:
-            c = t.coeff * s
-            if abs(c) > DROP_TOL:
-                out.append(PowerTerm(c, t.exps))
-        return _normalized(tuple(out))
+        return _normalized(_kept([PowerTerm(t.coeff * s, t.exps) for t in self.terms]))
 
     def __add__(self, other: "PolyExpr") -> "PolyExpr":
         return PolyExpr.from_terms(self.terms + other.terms)
@@ -249,11 +258,13 @@ def _normalized(terms: tuple[PowerTerm, ...]) -> PolyExpr:
 
 
 def _shifted(terms: Iterable[PowerTerm], coeff: float, exps: tuple) -> tuple[PowerTerm, ...]:
-    """Each term times ``coeff * x^exps``, without those at or below ``DROP_TOL``."""
+    """Each term times ``coeff * x^exps``, through :func:`_kept`."""
     u0, u1, u2, u3 = exps
-    scaled = ((t.coeff * coeff, t.exps) for t in terms)
-    return tuple(PowerTerm(c, (e0 + u0, e1 + u1, e2 + u2, e3 + u3))
-                 for c, (e0, e1, e2, e3) in scaled if abs(c) > DROP_TOL)
+    out = []
+    for t in terms:
+        e0, e1, e2, e3 = t.exps
+        out.append(PowerTerm(t.coeff * coeff, (e0 + u0, e1 + u1, e2 + u2, e3 + u3)))
+    return _kept(out)
 
 
 def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
@@ -263,7 +274,9 @@ def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
     Terms whose denominator Gamma sits at a pole are annihilated; the pole
     test snaps ``1+v-order`` to the same 1e-9 grid used for exponent
     merging, so cancellations that are exact in real arithmetic stay exact
-    under floating-point drift of the exponents.  Surviving terms must
+    under floating-point drift of the exponents.  The pole removes a term
+    before its coefficient is formed, even an infinite one, as intended:
+    D^3 of ``c x^2`` is 0 for every finite c.  Surviving terms must
     satisfy ``v - order >= -1``.
 
     Raises:

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 from . import rlquad
 from .monomial import (
-    _AXIS_INDEX, AXES, DROP_TOL, PolyExpr, _derive_terms, _exps_tuple, _normalized, _shifted,
+    _AXIS_INDEX, AXES, PolyExpr, _derive_terms, _exps_tuple, _kept, _normalized, _shifted,
     rl_derive, term,
 )
 from .specfun import frac_binomial, gamma
@@ -141,6 +141,8 @@ def op_term(
     inner: Mapping[str, float] | None = None,
     orders: Mapping[str, float | Sequence[float]] | None = None,
 ) -> OperatorTerm:
+    if coeff != coeff:
+        raise ValueError("NaN operator coefficient")
     return OperatorTerm(
         float(coeff),
         iphase % 4,
@@ -163,6 +165,8 @@ class OperatorExpr:
         return self + other.scaled(-1.0)
 
     def scaled(self, s: float, iphase_shift: int = 0) -> "OperatorExpr":
+        if s != s:
+            raise ValueError("cannot scale an operator by NaN")
         return OperatorExpr(
             tuple(
                 OperatorTerm(
@@ -211,15 +215,10 @@ class OperatorExpr:
                     inner[i] = 0.0
             key = (p, tuple(pre), tuple(inner), t.orders)
             normalized[key] = normalized.get(key, 0.0) + coeff
-        kept = [
+        return OperatorExpr(_kept([
             OperatorTerm(c, p, pre, inner, orders)
             for (p, pre, inner, orders), c in sorted(normalized.items())
-            if abs(c) > DROP_TOL
-        ]
-        # as in monomial._merge: a NaN sum is refused, not dropped
-        if len(kept) < len(normalized) and any(c != c for c in normalized.values()):
-            raise ValueError("like terms sum to a NaN coefficient")
-        return OperatorExpr(tuple(kept))
+        ]))
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr, f: PolyExpr) -> PhasedPoly:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -971,28 +972,56 @@ def test_missing_data_file_exit_4(capsys, tmp_path):
 
 # ----------------------------------------------------------------- imports
 
+#: the modules whose presence in ``sys.modules`` at exit the table pins
+_BUDGET_MODULES = ("numpy", "scipy.special", "fraczee.operators", "fraczee.checks",
+                   "fraczee.fitting", "fraczee.dataset", "fraczee.rlquad")
+_DERIVE = ("derive", "x^-0.7", "--axis", "x", "--order", "0.3")
+#: per command: its arguments ("{out}" is a fresh directory), then 1 where
+#: the module of ``_BUDGET_MODULES`` in that place is loaded at exit, else 0
+_IMPORT_BUDGET = {
+    "derive": (_DERIVE, (1, 0, 1, 1, 1, 1, 1)),
+    "derive --at": ((*_DERIVE, "--at", "x=1"), (1, 1, 1, 1, 1, 1, 1)),
+    "spectrum": (("spectrum",), (1, 0, 1, 1, 1, 1, 1)),
+    "predict": (("predict",), (1, 0, 1, 1, 1, 1, 1)),
+    "report": (("report", "--out-dir", "{out}"), (1, 0, 1, 1, 1, 1, 1)),
+    "fit": (("fit",), (1, 0, 1, 1, 1, 1, 1)),
+    "verify all": (("verify", "all"), (1, 1, 1, 1, 1, 1, 1)),
+    "verify quad": (("verify", "quad"), (1, 1, 1, 1, 1, 1, 1)),
+}
+
 _IMPORT_PROBE = """
 import json, sys
-import fraczee, fraczee.cli
-from fraczee import FitConfig, builtin_table, fit, select_records
+from fraczee.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
-fit(select_records(builtin_table(), FitConfig()))
-assert fraczee.cli.main(["spectrum"]) == 0
-before = scipy_modules()
-assert fraczee.cli.main(["derive", "x^-0.7", "--axis", "x", "--order", "0.3", "--at", "x=1"]) == 0
-print(json.dumps([before, scipy_modules()]))
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def test_scipy_is_loaded_only_for_quadrature_nodes():
-    # the fit's Brent is in-repo; only the Gauss-Jacobi nodes come from scipy
-    proc = run_child(_IMPORT_PROBE)
+@pytest.fixture(scope="module")
+def import_budget_runs(tmp_path_factory):
+    """Each command of ``_IMPORT_BUDGET`` in a fresh interpreter, two at a time."""
+
+    out = str(tmp_path_factory.mktemp("report"))
+
+    def probe(argv):
+        return run_child(_IMPORT_PROBE, *(a.format(out=out) for a in argv))
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = pool.map(probe, (argv for argv, _ in _IMPORT_BUDGET.values()))
+        return dict(zip(_IMPORT_BUDGET, procs))
+
+
+@pytest.mark.parametrize("name", _IMPORT_BUDGET)
+def test_import_budget(import_budget_runs, name):
+    proc = import_budget_runs[name]
     assert proc.returncode == 0, proc.stderr
-    before, after = json.loads(proc.stdout.splitlines()[-1])
-    assert before == []
-    assert "scipy.special" in after
-    assert not [m for m in after if m.startswith(("scipy.optimize", "scipy.integrate"))]
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    loaded = tuple(int(m in modules) for m in _BUDGET_MODULES)
+    assert loaded == _IMPORT_BUDGET[name][1]
+    # the fit's Brent is in-repo; only the Gauss-Jacobi nodes come from scipy
+    scipy = [m for m in modules if m.partition(".")[0] == "scipy"]
+    assert bool(scipy) == ("scipy.special" in modules)
+    assert not [m for m in scipy if m.startswith(("scipy.optimize", "scipy.integrate"))]
     assert "Warning" not in proc.stderr

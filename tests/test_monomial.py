@@ -211,6 +211,16 @@ def test_boundary_pole_drops_term_exactly():
     assert rl_derive(poly(term(1.0, z=a - 1)), "z", a).is_zero()
 
 
+def test_a_pole_annihilates_a_non_finite_coefficient():
+    # D^3 of c*x^2 is 0 for every finite c: the pole at 1 + v - q = 0 removes
+    # the term before a coefficient is formed, so nothing NaN is dropped
+    hh = parse_expr("1e300*x") * parse_expr("1e300*x")
+    assert hh.render() == "inf*x^2"
+    assert rl_derive(hh, "x", 3.0).is_zero()
+    with pytest.raises(ValueError, match="is not finite"):
+        rl_derive(hh, "x", 0.5)
+
+
 def test_domain_violation_reported_with_term():
     with pytest.raises(DomainError) as err:
         rl_derive(parse_expr("x^0.2"), "x", 1.5)

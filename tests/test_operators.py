@@ -42,7 +42,7 @@ from fraczee.operators import (
 )
 from fraczee.specfun import gamma
 
-from oracles import oracle_apply
+from oracles import merge_key, oracle_apply
 
 ALPHAS = (0.3, 0.5, 0.75, 0.9)
 _Z4 = (0.0, 0.0, 0.0, 0.0)
@@ -197,6 +197,109 @@ def test_no_expression_keeps_a_coefficient_at_or_below_drop_tol(f, g, s, axis, q
             pass
     for e in built:
         assert all(abs(t.coeff) > DROP_TOL for t in e.terms), e.terms
+
+
+def test_a_nan_product_is_refused():
+    # inf * 0 is NaN, which fails the drop test: dropped, each would be zero
+    hh = parse_expr("1e300*x") * parse_expr("1e300*x")
+    for make in (lambda: hh.scaled(0.0), lambda: hh * 0.0, lambda: 0.0 * hh,
+                 lambda: OperatorExpr((op_term(0.0),)).apply(hh),
+                 lambda: OperatorExpr((op_term(0.0, pre={"y": 1.0}),)).apply(hh)):
+        with pytest.raises(ValueError, match="NaN"):
+            make()
+
+
+def test_nan_operator_coefficient_is_refused():
+    f = parse_expr("x^2*y")
+    for make in (lambda: op_term(math.nan, orders={"x": 0.5}),
+                 lambda: build_Kz(1.0).scaled(math.nan),
+                 lambda: OperatorExpr((OperatorTerm(math.nan),)).apply(f)):
+        with pytest.raises(ValueError, match="NaN"):
+            make()
+    # an infinite one stays allowed
+    assert OperatorExpr((op_term(math.inf),)).apply(f).re.render() == "inf*x^2*y"
+    assert build_Kz(1.0).scaled(math.inf).apply(f).im.render() == "-inf*x^3 + inf*x*y^2"
+
+
+_INF = st.sampled_from([math.inf, -math.inf])
+_FACTORS = st.sampled_from([0.0, -0.0, 1e-13, -1.0, 2.5, math.inf, -math.inf])
+
+
+@st.composite
+def inf_operands(draw):
+    """``operands`` with one or two coefficients made infinite."""
+    terms = draw(operands())
+    for i in draw(st.lists(st.integers(0, len(terms) - 1), min_size=1, max_size=2)):
+        terms[i] = terms[i].with_coeff(draw(_INF))
+    return terms
+
+
+def _shifts():
+    return st.dictionaries(st.sampled_from(AXES), _SHIFTS, max_size=2)
+
+
+_DERIVATIVE_FREE = st.builds(lambda c, p, pre, inner: op_term(c, p, pre=pre, inner=inner),
+                             _FACTORS, st.integers(0, 3), _shifts(), _shifts())
+
+
+def _sums_to_nan(parts):
+    """Whether some merge-key group of the raw ``(coeff, exps)`` pairs sums to
+    NaN.  No finite coefficient here comes near overflow, so a sum is NaN
+    exactly when a pair is NaN or a group holds both infinities, whatever
+    the order of the additions."""
+    sums = {}
+    for c, exps in parts:
+        key = merge_key(exps)
+        sums[key] = sums.get(key, 0.0) + c
+    return any(c != c for c in sums.values())
+
+
+def _image_parts(op, f):
+    """The raw ``(coeff, exps)`` pairs of each phase part of ``op.apply(f)``
+    for a derivative-free ``op``, before any drop or merge."""
+    parts = ([], [])
+    for t in op.terms:
+        sign = -1.0 if t.iphase % 4 >= 2 else 1.0
+        for u in f.terms:
+            exps = u.exps
+            if any(t.inner):
+                exps = tuple(e + i for e, i in zip(exps, t.inner))
+            parts[t.iphase % 2].append(
+                (sign * (u.coeff * t.coeff), tuple(e + q for e, q in zip(exps, t.pre))))
+    return parts
+
+
+@settings(max_examples=50)
+@given(inf_operands(), st.one_of(inf_operands(), operands()), _FACTORS,
+       st.lists(_DERIVATIVE_FREE, min_size=1, max_size=3))
+def test_no_operation_drops_a_nan_coefficient(f, g, s, op):
+    # a NaN fails the drop test too: every operation on infinite coefficients
+    # raises where a raw coefficient it would drop is NaN (inf * 0, inf - inf),
+    # and returns where none is
+    def outcome(make, nan):
+        if nan:
+            with pytest.raises(ValueError, match="NaN"):
+                make()
+            return None
+        return make()
+
+    f = outcome(lambda: PolyExpr.from_terms(f), _sums_to_nan((t.coeff, t.exps) for t in f))
+    g = outcome(lambda: PolyExpr.from_terms(g), _sums_to_nan((t.coeff, t.exps) for t in g))
+    if f is None or g is None:
+        return
+    op = OperatorExpr(tuple(op))
+    for make, parts in (
+        (lambda: f + g, [(t.coeff, t.exps) for t in f.terms + g.terms]),
+        (lambda: f - g, [(t.coeff, t.exps) for t in f.terms]
+         + [(-t.coeff, t.exps) for t in g.terms]),
+        (lambda: f * g, [(a.coeff * b.coeff, tuple(x + y for x, y in zip(a.exps, b.exps)))
+                         for a in f.terms for b in g.terms]),
+        (lambda: f.scaled(s), [(t.coeff * s, t.exps) for t in f.terms]),
+        (lambda: f * s, [(t.coeff * s, t.exps) for t in f.terms]),
+    ):
+        outcome(make, _sums_to_nan(parts))
+    re, im = _image_parts(op, f)
+    outcome(lambda: op.apply(f), _sums_to_nan(re) or _sums_to_nan(im))
 
 
 def test_a_bare_operand_is_its_merged_twin():
