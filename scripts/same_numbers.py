@@ -40,8 +40,8 @@ same cases:
 - ``casimir``: the Casimir plan's scalar body
   ``spectrum._CasimirPlan(ls, ms).values`` at each of 1-4 seeded alphas in
   (0, 1.5] (0.703 and 1.0 among them) and its array body ``.array`` at all
-  of them, for L and |M| sets up to 220, 400N cases; the ``float.hex`` of
-  every value or the exception;
+  of them, for L and |M| sets up to 220, 400N cases, then 100N cases at
+  alphas in [-1.5, 0]; the ``float.hex`` of every value or the exception;
 - ``parse``: ``parse_expr`` on 4,000N seeded strings: random ones of up to
   24 characters over the tokenizer's alphabet, sums whose like terms differ
   near the merge grid, and strings of up to about 80 characters built from
@@ -55,7 +55,13 @@ same cases:
   records for each ``ParticleRecord`` check that each breaks (an empty
   name, a bool or float L or M, a bool mass, a negative L or M, M > L, an
   int mass beyond the float range, a zero, negative or NaN mass, an unknown
-  group), with the exception's type and message;
+  group), with the exception's type and message; then 10N seeded records
+  for each pair of those checks that break both, so that the order of the
+  checks shows; then what ``load_records`` reads or raises on 100N seeded
+  CSV and 100N seeded JSON files, most with a malformed row, cell or
+  column (missing, extra and repeated columns, blank, short and long rows,
+  odd cells, JSON booleans, fractional and huge numbers, strings for
+  numbers, ``null``, missing keys, entries that are not objects);
 - ``operators``: ``OperatorExpr.apply`` of 500N seeded operator sums whose
   term images share exponent vectors (one derivative pattern under several
   prefactors and phases, ``build_H(a) + build_H(b)``, ``build_Kz`` families
@@ -66,12 +72,16 @@ same cases:
 
 It prints each corpus's case count and the first mismatches, and exits 1 on
 any mismatch (2 when a tree's run fails).  The harness itself uses the
-standard library only.
+standard library only.  The ``casimir``, ``parse``, ``records`` and
+``operators`` corpora at ``--scale 1`` are also pinned in Tier-1, as the
+slices of ``tests/fixtures/golden.json`` that ``tests/test_golden.py``
+builds with this file's corpus functions.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib
 import io
 import itertools
@@ -106,6 +116,19 @@ PARSE_FRAGMENTS = ("+", "-", " - - ", "+-+", "^", "^+-2", "^ - ", "*", " * ", "1
                    "2", "0.25", "٣", "１.５", "　", "\x1c", "²", " ", "q", ")", ".")
 #: name and status characters that CSV must quote or that JSON escapes
 RECORD_TEXT = 'ab,"\n\r \t\\é'
+#: the columns of a record file, and names that CSV must quote
+RECORD_COLUMNS = ("name", "L", "M", "mass_mev", "status", "group")
+RECORD_NAMES = ("foo", "Xi", "a,b", 'q"t', "a\nb", "\u00e9")
+#: cells and JSON values that break a record or that convert in a way of their own
+ODD_CSV_CELLS = {"name": ("foo", "", "a,b"), "L": ("0", "3", "-1", "3.0", "x", "", " 4"),
+                 "M": ("0", "9", "-1", "1.0", "y", ""),
+                 "mass_mev": ("1000", "0", "-5", "nan", "1e400", "x", ""),
+                 "status": ("", "th"), "group": ("baryon", "lepton", ""), "extra": ("", "z")}
+ODD_JSON_VALUES = {"name": ('""', "3", "null", "true"),
+                   "L": ("-1", "3.5", "1e400", "true", "false", '"x"', "null", "[]"),
+                   "M": ("9", "0.5", "false", "null"),
+                   "mass_mev": ("0", "-5", "true", '"x"', "null"),
+                   "status": ("null", "1"), "group": ('"lepton"', "null")}
 #: derivative orders of the operator corpus, and polynomial exponents that
 #: differ by them, so that the images of different terms land on one power
 #: (none below 1, where two order-1 derivatives would leave the admissible class)
@@ -345,16 +368,25 @@ def _casimir_corpus(scale: int) -> list:
         top = rng.choice((12, 40, 220))
         return [rng.randint(0, top) for _ in range(rng.randint(0, 10))]
 
+    def case(alphas: list[float]) -> tuple:
+        ls, ms = ns(), ns()
+        scalar = [_outcome(lambda: _CasimirPlan(ls, ms).values(a)) for a in alphas]
+        array = _outcome(lambda: [c.tolist() for c in _CasimirPlan(ls, ms).array(alphas)])
+        return f"alphas {alphas!r} L {ls} |M| {ms}", [scalar, array]
+
     rng = random.Random("casimir")
     out = []
     for i in range(400 * scale):
         alphas = [CASIMIR_EDGES[i // 4 % len(CASIMIR_EDGES)]] if i % 4 == 0 else []
         for _ in range(rng.randint(1, 4) - len(alphas)):
             alphas.append(rng.choice((1.5 - 1.5 * rng.random(), rng.randint(1, 30) / 20)))
-        ls, ms = ns(), ns()
-        scalar = [_outcome(lambda: _CasimirPlan(ls, ms).values(a)) for a in alphas]
-        array = _outcome(lambda: [c.tolist() for c in _CasimirPlan(ls, ms).array(alphas)])
-        out.append((f"alphas {alphas!r} L {ls} |M| {ms}", [scalar, array]))
+        out.append(case(alphas))
+    # only at a negative alpha does a denominator argument that is also a
+    # numerator argument fall below 0.5, into the reflection
+    rng = random.Random("casimir negative")
+    for _ in range(100 * scale):
+        out.append(case([-rng.choice((1.5 * rng.random(), rng.randint(1, 30) / 20))
+                         for _ in range(rng.randint(1, 4))]))
     return out
 
 
@@ -442,10 +474,6 @@ def _records_corpus(scale: int) -> list:
     def text(k: int) -> str:
         return "".join(rng.choice(RECORD_TEXT) for _ in range(k))
 
-    def loaded(path: Path):
-        return [[r.name, r.L, r.M, r.mass_mev, r.status, r.group]
-                for r in dataset.load_records(path)]
-
     rng = random.Random("records")
     out = []
     for _ in range(400 * scale):
@@ -462,9 +490,16 @@ def _records_corpus(scale: int) -> list:
                             ("records.json", dataset.records_to_json)):
             path, data = Path(name), write(records)
             path.write_text(data, newline="")
-            written += [data, _outcome(lambda: loaded(path))]
+            written += [data, _outcome(lambda: _loaded(path))]
         out.append((repr(records), written))
-    return out + _rejected_records(scale)
+    return (out + _rejected_records(scale) + _twice_rejected_records(scale)
+            + _malformed_files(scale))
+
+
+def _loaded(path: Path) -> list:
+    from fraczee import dataset
+
+    return [[r.name, r.L, r.M, r.mass_mev, r.status, r.group] for r in dataset.load_records(path)]
 
 
 def _rejected_records(scale: int) -> list:
@@ -491,6 +526,114 @@ def _rejected_records(scale: int) -> list:
         out.append((f"rejected group {group!r}",
                     _outcome(lambda: dataset.ParticleRecord(name, L, M, mass, "", group))))
     return out
+
+
+def _twice_rejected_records(scale: int) -> list:
+    """Seeded ``ParticleRecord`` arguments that break two checks at once, for
+    each pair of checks, with the exception that each raises; the check that
+    comes first names the error, so a reordered check shows."""
+    from fraczee import dataset
+
+    rng = random.Random("records rejected twice")
+    out = []
+    for i in range(10 * scale):
+        L = rng.randint(0, 20)
+        M = rng.randint(0, L)
+        mass = rng.uniform(1, 6000)
+        k = rng.randint(1, 20)
+        # each check's ways to break it, as the fields they set
+        breaks = {
+            "name": [{"name": ""}],
+            "type": [{"L": rng.choice((True, float(L)))}, {"M": rng.choice((False, float(M)))},
+                     {"mass_mev": True}],
+            "range": [{"L": -k, "M": 0}, {"M": -k}, {"M": L + k}],
+            "int mass": [{"mass_mev": rng.choice((10**400, 2**1024))}],
+            "mass": [{"mass_mev": rng.choice((0, 0.0, -mass, math.nan))}],
+            "group": [{"group": rng.choice(("", "Baryon", "lepton", "baryon "))}],
+        }
+        for a, b in itertools.combinations(breaks, 2):
+            # the two mass checks share a field: -10**400 breaks both
+            ways = [{**x, **y} for x in breaks[a] for y in breaks[b] if not x.keys() & y.keys()]
+            args = {"name": f"r{i}", "L": L, "M": M, "mass_mev": mass, "status": "",
+                    "group": "baryon", **(rng.choice(ways) if ways else {"mass_mev": -(10**400)})}
+            out.append((f"rejected by {a} and {b}: {args!r}",
+                        _outcome(lambda: dataset.ParticleRecord(**args))))
+    return out
+
+
+def _malformed_files(scale: int) -> list:
+    """``load_records`` on 100N seeded CSV files and 100N JSON files, most of
+    them with a malformed row, cell or column, and what it reads or raises."""
+    rng = random.Random("records malformed")
+    out = []
+    for i in range(200 * scale):
+        path = Path("malformed.json" if i % 2 else "malformed.csv")
+        text = _malformed_json(rng) if i % 2 else _malformed_csv(rng)
+        path.write_text(text, newline="")
+        out.append((f"{path} {text!r}", _outcome(lambda: _loaded(path))))
+    return out
+
+
+def _malformed_csv(rng: random.Random) -> str:
+    """A CSV file: a header with missing, extra or repeated columns in one of
+    four, rows of which one in five has an odd cell and one in five is
+    short, long or blank, with quoted commas and newlines, ending in "\n"
+    or "\r\n"."""
+    from fraczee.dataset import GROUPS
+
+    header = [rng.choice((*RECORD_COLUMNS, "extra")) for _ in range(rng.randint(5, 8))]
+    if rng.random() < 0.75:
+        header = [*RECORD_COLUMNS, *header[:rng.randint(0, 2)]]
+    rows = []
+    for _ in range(rng.randint(0, 12)):
+        L = rng.randint(0, 12)
+        # a valid record, some numbers with blanks around them
+        cells = {"name": f"{rng.choice(RECORD_NAMES)}{rng.randint(0, 40)}",
+                 "L": rng.choice(("{}", " {}", "{} ")).format(L), "M": str(rng.randint(0, L)),
+                 "mass_mev": rng.choice(("1000", "938.5", "1e3", " 2452", "inf", "1e400")),
+                 "status": rng.choice(("", "*", "th")), "group": rng.choice(GROUPS)}
+        row = [cells.get(key, "") for key in header]
+        if rng.random() < 0.2:
+            j = rng.randrange(len(row))
+            row[j] = rng.choice(ODD_CSV_CELLS[header[j]])
+        shape = rng.choice(("full",) * 12 + ("short", "long", "blank"))
+        if shape == "short":
+            row = row[:rng.randint(1, len(row) - 1)]
+        elif shape == "long":
+            row += rng.choices(("", "1", "x,y"), k=rng.randint(1, 2))
+        elif shape == "blank":
+            row = []
+        rows.append(row)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=rng.choice(("\n", "\r\n"))).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _malformed_json(rng: random.Random) -> str:
+    """A JSON array of records, of which one in 20 is no object, each other
+    key but the optional status is missing in one of 40, and one in five has
+    an odd value: a boolean, a fractional, integral or huge number, a string
+    for a number, or ``null``."""
+    from fraczee.dataset import GROUPS
+
+    entries = []
+    for _ in range(rng.randint(0, 12)):
+        if rng.random() < 0.05:
+            entries.append(rng.choice(("[]", "[1, 2]", '"foo"', "3", "null", "true")))
+            continue
+        L = rng.randint(0, 12)
+        values = {"name": json.dumps(f"{rng.choice(RECORD_NAMES)}{rng.randint(0, 40)}"),
+                  "L": rng.choice(("{}", "{}.0", '"{}"')).format(L),
+                  "M": rng.choice(("{}", "{}.0", '"{}"')).format(rng.randint(0, L)),
+                  "mass_mev": rng.choice(("1000", "938.5", "1e3", "1e400", '"2452"')),
+                  "status": rng.choice(('""', '"*"', '"th"')),
+                  "group": json.dumps(rng.choice(GROUPS))}
+        keys = [k for k in RECORD_COLUMNS if rng.random() < (0.75 if k == "status" else 39 / 40)]
+        if keys and rng.random() < 0.2:
+            key = rng.choice(keys)
+            values[key] = rng.choice(ODD_JSON_VALUES[key])
+        entries.append("{" + ", ".join(f'"{k}": {values[k]}' for k in keys) + "}")
+    return "[" + ", ".join(entries) + "]"
 
 
 def _run_tree(src: Path, scale: int) -> subprocess.Popen:

@@ -449,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
             args = parser.parse_args(argv)
         if not 1 <= getattr(args, "nodes", 1) <= _MAX_NODES:
             raise ValueError(f"--nodes must lie in 1..{_MAX_NODES}, got {args.nodes}")
+        if args.command == "verify" and args.seed < 0:
+            raise ValueError(f"--seed must be a nonnegative integer, got {args.seed}")
         return args.func(args)
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

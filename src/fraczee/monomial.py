@@ -100,12 +100,18 @@ def term(coeff: float, **exponents: float) -> PowerTerm:
     return PowerTerm(float(coeff), _exps_tuple(exponents))
 
 
+def _snapped(exps: Iterable[float]) -> tuple[float, ...]:
+    """Exponents snapped to 9 decimals: the key on which like terms merge, so
+    that roundoff-sized disagreements between computation paths still cancel.
+    An integer-valued exponent (float or int) is its own snap: round gives it
+    back, or for -0.0 a zero that compares and hashes equal."""
+    return tuple(round(e, 9) if e % 1.0 else e for e in exps)
+
+
 def _merge(terms: Iterable[PowerTerm]) -> tuple[PowerTerm, ...]:
-    # group on exponents snapped to 9 decimals so that roundoff-sized
-    # disagreements between computation paths still cancel; the first term
-    # seen keeps its raw exponents as the cluster representative.  An
-    # integer-valued exponent (float or int) is its own snap: round gives it
-    # back, or for -0.0 a zero that compares and hashes equal
+    # group on the :func:`_snapped` exponents, spelled out for the four axes
+    # on this hot path; the first term seen keeps its raw exponents as the
+    # cluster representative
     terms = tuple(terms)
     if len(terms) == 1:
         return _kept(terms)

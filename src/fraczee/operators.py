@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 from . import rlquad
 from .monomial import (
     _AXIS_INDEX, AXES, PolyExpr, _derive_terms, _exps_tuple, _kept, _normalized, _shifted,
-    rl_derive, term,
+    _snapped, rl_derive, term,
 )
 from .specfun import frac_binomial, gamma
 
@@ -199,9 +199,12 @@ class OperatorExpr:
         return PhasedPoly(a.re - b.im, a.im + b.re)
 
     def canonical(self) -> "OperatorExpr":
-        """Merge equal terms; fold phases 2, 3 into the sign; move inner
-        multipliers past derivative-free axes into the prefactor."""
-        normalized: dict[tuple, float] = {}
+        """Merge like terms; fold phases 2, 3 into the sign; move inner
+        multipliers past derivative-free axes into the prefactor.  Terms are
+        alike where their exponents and orders agree on the grid on which
+        ``PolyExpr`` merges (:func:`~fraczee.monomial._snapped`); the first
+        term seen keeps its raw values."""
+        groups: dict[tuple, list] = {}
         for t in self.terms:
             coeff = t.coeff
             p = t.iphase % 4
@@ -213,11 +216,14 @@ class OperatorExpr:
                 if inner[i] != 0.0 and not t.orders[i]:
                     pre[i] += inner[i]
                     inner[i] = 0.0
-            key = (p, tuple(pre), tuple(inner), t.orders)
-            normalized[key] = normalized.get(key, 0.0) + coeff
+            key = (p, _snapped(pre), _snapped(inner), tuple(map(_snapped, t.orders)))
+            g = groups.get(key)
+            if g is None:
+                groups[key] = [(p, tuple(pre), tuple(inner), t.orders), coeff]
+            else:
+                g[1] += coeff
         return OperatorExpr(_kept([
-            OperatorTerm(c, p, pre, inner, orders)
-            for (p, pre, inner, orders), c in sorted(normalized.items())
+            OperatorTerm(c, *raw) for raw, c in sorted(groups.values())
         ]))
 
 

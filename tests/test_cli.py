@@ -792,6 +792,24 @@ def test_bad_env_seed_exits_2(capsys, monkeypatch):
     assert "FRACZEE_SEED" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_verify_seed_exits_2_before_any_suite(capsys, tmp_path, monkeypatch, source):
+    # numpy refuses a negative seed with a message that names no option
+    argv = ["verify", "commutators"]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "config":
+        (tmp_path / "fraczee.conf").write_text("seed = -1\n")
+        argv = ["--config", str(tmp_path / "fraczee.conf"), *argv]
+    else:
+        monkeypatch.setenv("FRACZEE_SEED", "-1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be a nonnegative integer, got -1\n"
+    if source == "flag":  # the fit's seed is a flag without effect, so any int goes
+        assert run(capsys, "fit", "--seed", "-1")[0] == 0
+
+
 def test_unknown_config_keys_are_ignored(capsys, tmp_path):
     cfg = tmp_path / "fraczee.conf"
     # 'colour' is no option at all; 'groups' and 'out-dir' belong to other commands

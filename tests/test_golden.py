@@ -20,20 +20,34 @@ Effectively with Legacy Code*, 2004, ch. 13).  ``fixtures/golden.json`` holds
   exception name; one space-separated row per alpha keeps the fixture
   small.  Where the array body that the fit's alpha scan runs,
   ``spectrum._CasimirPlan.array``, gives other bits than the scalar
-  Casimirs, those cells are pinned as well.
+  Casimirs, those cells are pinned as well;
+- the ``slices`` of the same-numbers harness ``scripts/same_numbers.py``:
+  its ``operators``, ``parse``, ``records`` and ``casimir`` corpora at
+  ``--scale 1``, built by the harness's own corpus functions.  Each slice
+  holds its scale, its case count, a digest of its case labels and one
+  8-hex-digit digest of each case's outcome bits, so a changed number
+  names its corpus and case without a second source tree.
 
 ``derive`` prints 11 significant digits, so the term bits are what catch an
 ulp-level change.  A pinned cell may change only as a named bug fix.  After
-such a fix, regenerate the fixture from the same case generator with
+such a fix, regenerate the fixture from the same case generators with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints the cells, and the slice cases, that differ from the
+file on disk.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import io
 import json
+import os
 import random
+import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -45,7 +59,11 @@ from fraczee.monomial import AXES, parse_expr, rl_derive
 from fraczee.specfun import _kernel_array, gamma, rgamma
 from fraczee.spectrum import _CasimirPlan, casimir_L2, casimir_Lz
 
-GOLDEN = Path(__file__).parent / "fixtures" / "golden.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "fixtures" / "golden.json"
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import same_numbers  # noqa: E402
 
 _SEED = 2026
 _N_CASES = 200
@@ -71,6 +89,12 @@ CASIMIR_L_MAX = 200
 #: each pinned Casimir as (scalar kernel, array kernel over a list of L or |M|)
 CASIMIR_KERNELS = {"casimir_L2": (casimir_L2, lambda alpha, ns: _CasimirPlan(ns, ()).array(alpha)[0]),
                    "casimir_Lz": (casimir_Lz, lambda alpha, ns: _CasimirPlan((), ns).array(alpha)[1])}
+
+#: the harness corpora pinned as slices, each run at --scale SLICE_SCALE
+SLICES = {"operators": same_numbers._operators_corpus, "parse": same_numbers._parse_corpus,
+          "records": same_numbers._records_corpus, "casimir": same_numbers._casimir_corpus}
+SLICE_SCALE = 1
+_DIGESTS_PER_ROW = 50
 
 
 def _exponent(rng: random.Random) -> float:
@@ -203,8 +227,45 @@ def casimir_grid() -> dict:
     return grid
 
 
-def build_corpus() -> dict:
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:8]
+
+
+@functools.cache
+def run_slice(name: str) -> list:
+    """The (label, outcome) pairs of one harness corpus, run in a scratch
+    working directory, where the ``records`` corpus writes its files."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            return SLICES[name](SLICE_SCALE)
+        finally:
+            os.chdir(home)
+
+
+def slice_cell(name: str) -> dict:
+    cases = run_slice(name)
+    digests = [_digest(outcome) for _, outcome in cases]
     return {
+        "scale": SLICE_SCALE,
+        "cases": len(cases),
+        "labels": _digest([label for label, _ in cases]),
+        "digests": [" ".join(digests[i:i + _DIGESTS_PER_ROW])
+                    for i in range(0, len(digests), _DIGESTS_PER_ROW)],
+    }
+
+
+def slice_mismatches(name: str, pinned: dict) -> list[str]:
+    """The labels of the cases of one slice whose outcome digest is not the pinned one."""
+    digests = " ".join(pinned["digests"]).split()
+    return [label for (label, outcome), d in zip(run_slice(name), digests) if _digest(outcome) != d]
+
+
+def build_corpus() -> dict:
+    # the slices come first, so that adding them left every other line as it was
+    return {
+        "slices": {name: slice_cell(name) for name in SLICES},
         "derive": [{**case, **outcome(case)} for case in cases()],
         "gamma": {"args": [x.hex() for x in GAMMA_ARGS], **gamma_bits()},
         "casimir": casimir_grid(),
@@ -212,7 +273,7 @@ def build_corpus() -> dict:
 
 
 CORPUS = (json.loads(GOLDEN.read_text()) if GOLDEN.exists()
-          else {"derive": [], "gamma": {}, "casimir": {}})
+          else {"slices": {}, "derive": [], "gamma": {}, "casimir": {}})
 _INPUT_KEYS = ("expr", "axis", "order", "at")
 
 
@@ -221,6 +282,20 @@ def test_corpus_inputs_come_from_the_generator():
     assert CORPUS["gamma"]["args"] == [x.hex() for x in GAMMA_ARGS]
     assert CORPUS["casimir"]["alphas"] == [a.hex() for a in CASIMIR_ALPHAS]
     assert CORPUS["casimir"]["l_max"] == CASIMIR_L_MAX
+
+
+@pytest.mark.parametrize("name", list(SLICES))
+def test_slice_cases_come_from_the_generator(name):
+    # a changed harness generator reads as a stale fixture, not as changed numbers
+    got = {k: v for k, v in slice_cell(name).items() if k != "digests"}
+    pinned = {k: v for k, v in CORPUS["slices"][name].items() if k != "digests"}
+    assert got == pinned, f"the harness's {name} corpus has other cases: regenerate golden.json"
+
+
+@pytest.mark.parametrize("name", list(SLICES))
+def test_slice_matches_golden(name):
+    bad = slice_mismatches(name, CORPUS["slices"][name])
+    assert not bad, f"{name}: {len(bad)} cases differ, the first is {bad[0]}"
 
 
 @pytest.mark.parametrize(
@@ -253,6 +328,29 @@ def test_casimir_grid_holds_the_known_edges():
     assert float.fromhex(L2[1.0].split()[150]) == 22649.999999999996
 
 
+def _changed_cells(old, new, path: str = ""):
+    """The paths of the cells in which two fixture documents differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for k in dict.fromkeys([*old, *new]):
+            yield from _changed_cells(old.get(k), new.get(k), f"{path}.{k}" if path else k)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _changed_cells(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(build_corpus(), indent=1) + "\n")
+    corpus = build_corpus()
+    for path in _changed_cells({k: v for k, v in CORPUS.items() if k != "slices"},
+                               {k: v for k, v in corpus.items() if k != "slices"}):
+        print(f"changed: {path}")
+    for name, cell in corpus["slices"].items():
+        pinned = CORPUS.get("slices", {}).get(name)
+        if pinned is None or any(pinned[k] != cell[k] for k in ("scale", "cases", "labels")):
+            print(f"changed: slices.{name} is new or has other cases")
+            continue
+        for label in slice_mismatches(name, pinned):
+            print(f"changed: slices.{name} case {label}")
+    GOLDEN.write_text(json.dumps(corpus, indent=1) + "\n")
     print(f"wrote {GOLDEN}")

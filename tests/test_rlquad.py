@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 
 import numpy as np
@@ -10,8 +9,6 @@ from hypothesis import given, strategies as st
 from fraczee.monomial import PolyExpr, parse_expr, rl_derive, term
 from fraczee.rlquad import leibniz_series, rl_derivative_quad, roots_jacobi
 from fraczee.specfun import gamma
-
-from oracles import oracle_rl_derivative_quad
 
 
 def test_quad_identity_function():
@@ -89,43 +86,15 @@ def test_quad_calls_f_with_python_floats(left_exponent):
     assert seen == {float}
 
 
-def _outcome(quad, *args):
-    try:
-        return quad(*args).hex()
-    except ValueError as exc:
-        return str(exc)
-
-
-def test_quad_is_bit_identical_to_numpy_scalar_sampling():
-    # Python float arithmetic in f and in the terminal factor is the same
-    # libm pow and the same IEEE products as on numpy scalars
-    rng = random.Random(16)
-    expr = parse_expr("2*x^2.3 - 0.7*x^0.5*y + 1.5 + x^-0.4")
-    for _ in range(150):
-        alpha = rng.uniform(0.01, 0.99)
-        x = 10.0 ** rng.uniform(-3.0, 3.0)
-        nodes = rng.randint(1, 128)
-        nu = rng.choice([0.0, 1.0, 2.0, rng.uniform(-0.9, 3.0)])
-        left = rng.choice([0.0, nu, rng.uniform(-0.9, 3.0)])
-        f = rng.choice([
-            lambda s: s**nu,
-            lambda s: math.exp(-s) * s * s,
-            lambda s: expr.evaluate({"x": s, "y": 1.3}),
-        ])
-        args = (f, alpha, x, nodes, left)
-        assert _outcome(rl_derivative_quad, *args) == _outcome(oracle_rl_derivative_quad, *args)
-
-
 def test_quad_rejects_an_overflowing_terminal_factor():
     # s^-5 at the smallest node passes the float range: a Python float power
-    # raises where numpy gave inf, and both end in the same ValueError
+    # raises where numpy gave inf, and it ends in the same ValueError
     x, alpha = 1e-62, 0.5
     t, _ = roots_jacobi(64, -alpha, 5.0)
     with pytest.raises(OverflowError):
         (x * (float(t[0]) + 1.0) / 2.0) ** -5.0
-    for quad in (rl_derivative_quad, oracle_rl_derivative_quad):
-        with pytest.raises(ValueError, match="non-finite sample"):
-            quad(lambda s: 1.0, alpha, x, 64, 5.0)
+    with pytest.raises(ValueError, match="non-finite sample"):
+        rl_derivative_quad(lambda s: 1.0, alpha, x, 64, 5.0)
 
 
 @pytest.mark.parametrize("left_exponent", [0.0, 0.5])

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from fraczee.specfun import GammaPoleError, _kernel_array, frac_binomial, gamma, rgamma
 from fraczee.spectrum import casimir_L2
 
-from oracles import oracle_kernel_array, spouge_gamma
+from oracles import spouge_gamma
 from reference_values import GAMMA_1_448
 
 
@@ -209,54 +209,3 @@ def test_array_gamma_matches_oracle():
     for x, g in zip(xs.tolist(), _uniform(xs, False).tolist()):
         want = spouge_gamma(x)
         assert abs((g - want) / want) <= 1e-12, x
-
-
-def _kernel_arguments() -> np.ndarray:
-    """20,480 seeded arguments over every branch of the array kernel: poles,
-    integers and half-integers, the non-finite values, the overflow band
-    (141, 172), reflection down to -200, and the fit's 1 + k*alpha."""
-    rng = np.random.default_rng(2121)
-    special = np.concatenate([
-        -np.arange(0.0, 201.0),
-        np.arange(1.0, 201.0),
-        np.arange(-200.5, 200.0),
-        [math.inf, -math.inf, math.nan, -0.0, 0.5, 171.0, 171.5, 172.0, 1e6, -1e6],
-    ])
-    scan = 1.0 + np.arange(-1.0, 30.0) * np.linspace(0.01, 1.0, 199)[:, None]
-    draws = [
-        rng.uniform(141.0, 172.0, 4000),
-        rng.uniform(-200.0, 0.5, 4000),
-        rng.uniform(0.5, 141.0, 3000),
-        rng.uniform(-1.0, 2.0, 2000),
-    ]
-    xs = np.concatenate([special, scan.ravel(), *draws])
-    n = 20480
-    return np.concatenate([xs, rng.uniform(-200.0, 200.0, n - len(xs))])
-
-
-def _bits(a) -> list[tuple[str, float]]:
-    # float.hex tells -0.0 from 0.0 but calls every nan "nan"; copysign reads
-    # the sign bit of both
-    return [(v.hex(), math.copysign(1.0, v)) for v in np.asarray(a).ravel().tolist()]
-
-
-@pytest.mark.parametrize("mask", ["gamma", "rgamma", "mixed"])
-def test_array_kernel_keeps_the_all_branches_bits(mask):
-    xs = _kernel_arguments()
-    assert len(xs) == 20480
-    if mask == "mixed":
-        # every other cell reciprocal: poles, factorials, reflection, overflow
-        # and non-finite input each fall on both sides of the mask
-        recip = np.arange(len(xs)) % 2 == 1
-        integer = xs == np.floor(xs)
-        for cells in (integer & (xs <= 0.0), integer & (xs >= 1.0) & (xs <= 171.0), xs < 0.5,
-                      ~integer & (xs > 143.0) & np.isfinite(xs), ~np.isfinite(xs)):
-            assert recip[cells].any() and not recip[cells].all()
-    else:
-        recip = np.full(len(xs), mask == "rgamma")
-    want = np.where(recip, oracle_kernel_array(xs, True), oracle_kernel_array(xs, False))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = _kernel_array(xs, recip)
-    assert got.shape == xs.shape
-    assert _bits(got) == _bits(want)
