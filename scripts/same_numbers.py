@@ -9,10 +9,18 @@ checkout.  Each tree runs in a subprocess of its own with only that directory
 on ``PYTHONPATH``; the corpora come from this checkout, so both trees see the
 same cases:
 
-- ``derive``: the golden generator ``tests/test_golden.py::_case`` at seeds
-  0..20N-1, 200 cases a seed; exit code, stdout and stderr of
+- ``derive``: seeded cases of ``_case`` (all four axes, pole and near-pole
+  orders, like terms near the 1e-9 merge grid), the 200 of seed 2026, then
+  200 for each of the seeds 0..25(N-1)-1; exit code, stdout and stderr of
   ``fraczee derive`` with and without ``--at``, and the ``float.hex`` of
-  every result term;
+  every term of ``rl_derive``'s result;
+- ``gamma``: ``gamma`` and ``rgamma`` on the 56 ``GAMMA_ARGS`` (poles,
+  reflection, the factorial short-cut, the overflow edge near 142.2), and
+  the array kernel ``specfun._kernel_array`` on all of them with an
+  all-Gamma and an all-reciprocal mask; one case per kernel and argument;
+- ``casimir_grid``: ``casimir_L2`` and ``casimir_Lz`` at the nine
+  ``CASIMIR_ALPHAS`` and L (or |M|) = 0..200, each case with the value of
+  the array body ``spectrum._CasimirPlan.array`` run over all L at once;
 - ``verify``: ``fraczee verify all`` at seeds 1729, 2024 and 0..10N-3;
 - ``checks``: the algebra workload's identity checks, drawn by
   ``perfbench/workloads.py::AlgebraWorkload`` at seeds 0..10N-1, 80 a seed,
@@ -71,11 +79,13 @@ same cases:
   summation over the operator's terms shows.
 
 It prints each corpus's case count and the first mismatches, and exits 1 on
-any mismatch (2 when a tree's run fails).  The harness itself uses the
-standard library only.  The ``casimir``, ``parse``, ``records`` and
-``operators`` corpora at ``--scale 1`` are also pinned in Tier-1, as the
-slices of ``tests/fixtures/golden.json`` that ``tests/test_golden.py``
-builds with this file's corpus functions.
+any mismatch (2 when a tree's run fails).  At module level the harness
+imports the standard library only (its corpora import fraczee, and numpy,
+where they run), and it imports nothing from ``tests/``.  The
+``derive``, ``gamma``, ``casimir_grid``, ``casimir``, ``parse``,
+``records`` and ``operators`` corpora at ``--scale 1`` are also pinned in
+Tier-1, as the slices of ``tests/fixtures/golden.json`` that
+``tests/test_golden.py`` builds with this file's corpus functions.
 """
 
 from __future__ import annotations
@@ -129,6 +139,28 @@ ODD_JSON_VALUES = {"name": ('""', "3", "null", "true"),
                    "M": ("9", "0.5", "false", "null"),
                    "mass_mev": ("0", "-5", "true", '"x"', "null"),
                    "status": ("null", "1"), "group": ('"lepton"', "null")}
+#: the derive corpus: the seed of its scale-1 cases, and cases per seed
+DERIVE_SEED = 2026
+DERIVE_CASES = 200
+#: Gamma arguments: poles, near-poles, reflection, the factorial short-cut
+#: (integers up to 171), the overflow edge near 142.2 and non-finite input
+GAMMA_ARGS = (
+    0.0, -1.0, -2.0, -5.0, -170.0, -1.0 + 1e-9, -1e-10, 1e-10, 1e-300,
+    0.1, 0.25, 0.4999, 0.5, -0.3, -0.5, -1.5, -2.5, -3.7, -10.5, -100.25,
+    -141.3, -150.5, -170.5, -171.5, -180.2,
+    1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 100.0, 170.0, 171.0, 172.0,
+    1.448, 1.5, 2.3, 7.7, 50.25, 100.5, 141.9, 142.0, 142.2, 142.22, 142.25,
+    142.3, 142.37, 142.4, 143.0, 150.5, 171.5, 200.5,
+    float("inf"), float("-inf"), float("nan"),
+)
+GAMMA_KERNELS = ("gamma", "rgamma", "gamma_array", "rgamma_array")
+#: the Casimir grid: alphas across the fit's range [0.01, 1] with the
+#: reference 0.112, 0.703 (where L = 200 overflows to inf) and 1 (where the
+#: value should be L(L+1) and overflows from L = 170); L (or |M|) runs over
+#: 0..CASIMIR_L_MAX
+CASIMIR_ALPHAS = (0.01, 0.05, 0.112, 0.25, 0.5, 0.703, 0.75, 0.9, 1.0)
+CASIMIR_L_MAX = 200
+CASIMIR_KERNELS = ("casimir_L2", "casimir_Lz")
 #: derivative orders of the operator corpus, and polynomial exponents that
 #: differ by them, so that the images of different terms land on one power
 #: (none below 1, where two order-1 derivatives would leave the admissible class)
@@ -183,19 +215,15 @@ class _Modules:
 
 def corpora(scale: int) -> dict[str, list]:
     """(label, outcome) pairs of every corpus, run on the importable fraczee."""
-    sys.path[1:1] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
-    import test_golden
+    sys.path.insert(1, str(ROOT / "perfbench"))
     import workloads
     from fraczee import cli
 
-    out: dict[str, list] = {"derive": [], "verify": [], "checks": [], "levels": [], "fit": [],
-                            "scan": [], "casimir": _casimir_corpus(scale),
-                            "parse": _parse_corpus(scale), "operators": _operators_corpus(scale)}
-    for seed in range(20 * scale):
-        rng = random.Random(seed)
-        for i in range(test_golden._N_CASES):
-            case = test_golden._case(rng, i)
-            out["derive"].append((f"seed {seed} case {i}: {case}", test_golden.outcome(case)))
+    out: dict[str, list] = {"derive": _derive_corpus(scale), "verify": [], "checks": [],
+                            "levels": [], "fit": [], "scan": [], "casimir": _casimir_corpus(scale),
+                            "parse": _parse_corpus(scale), "operators": _operators_corpus(scale),
+                            "gamma": _gamma_corpus(scale),
+                            "casimir_grid": _casimir_grid_corpus(scale)}
     for seed in (1729, 2024, *range(10 * scale - 2)):
         out["verify"].append((f"verify all --seed {seed}",
                               _cli(cli, ["verify", "all", "--seed", str(seed)])))
@@ -358,6 +386,135 @@ def _scan_minima(losses: list[float]) -> list[int]:
             if math.isfinite(v) and v <= min(losses[max(i - 1, 0)], losses[min(i + 1, last)])
         )
     ]
+
+
+def _exponent(rng: random.Random) -> float:
+    u = rng.random()
+    if u < 0.3:
+        return float(rng.randint(0, 3))
+    if u < 0.5:
+        return rng.choice((-0.9, -0.5, 0.5, 1.5, 2.5))
+    return round(rng.uniform(-0.9, 3.0), 3)
+
+
+def _coeff(rng: random.Random) -> str:
+    return rng.choice(("1", "3", "0.25", "2.5", "1.5e-3", "7e2", str(round(rng.uniform(0.1, 9), 3))))
+
+
+def _product(coeff: str, exps: dict[str, float]) -> str:
+    factors = [coeff] + [a if e == 1.0 else f"{a}^{e!r}" for a, e in exps.items()]
+    return "*".join(factors)
+
+
+def _case(rng: random.Random, i: int) -> dict[str, str]:
+    """One ``derive`` case; ``i % 10`` picks a family (0 pole, 1 near-like
+    exponents, 2 near-pole order), the rest are random sums."""
+    axes = "xyzt"
+    axis = axes[i % len(axes)]
+    others = [a for a in axes if a != axis]
+    u = rng.random()
+    if u < 0.2:
+        order = rng.choice((-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0))
+    else:
+        # a third of the orders fall in (0, 1), where --at runs the quadrature
+        order = round(rng.uniform(0.0, 1.0) if u < 0.5 else rng.uniform(-1.5, 2.5), 3)
+    products = []
+    family = i % 10
+    if family in (0, 2):
+        # 1 + v - order = -k annihilates the term (exactly, or within 1e-9)
+        v, k = rng.choice(((-0.5, 0), (-0.5, 1), (0.25, 0), (0.25, 1), (0.3, 1), (0.5, 0), (1.0, 0)))
+        order = 1.0 + v + k
+        if family == 2:
+            order += rng.choice((3e-10, -3e-10, 5e-9, -5e-9))
+        products.append(_product(_coeff(rng), {axis: v, rng.choice(others): _exponent(rng)}))
+    elif family == 1:
+        # like terms whose exponents differ at, below and above the merge grid
+        v = _exponent(rng)
+        d = rng.choice((3e-9, -3e-9, 2e-10, 4e-8))
+        products.append(_product(_coeff(rng), {axis: v}))
+        products.append(_product(_coeff(rng), {axis: v + d}))
+    for _ in range(rng.randint(0 if products else 1, 2)):
+        exps = {axis: _exponent(rng)} if rng.random() < 0.8 else {}
+        if exps and exps[axis] - order < -1.0 and rng.random() < 0.8:
+            # most terms stay admissible, so most cases print a derivative
+            exps[axis] = round(order - 1.0 + rng.uniform(0.05, 2.0), 3)
+        for a in rng.sample(others, rng.randint(0, 2)):
+            exps[a] = _exponent(rng)
+        products.append(_product(_coeff(rng), exps))
+    expr = products[0]
+    for p in products[1:]:
+        expr += rng.choice((" + ", " - ")) + p
+    # the point supplies every axis; the derivative axis stays positive
+    point = {a: round(rng.uniform(0.2, 3.0), 3) for a in axes}
+    for a in others:
+        if rng.random() < 0.15:
+            point[a] = -point[a]
+    at = ",".join(f"{a}={v!r}" for a, v in point.items())
+    return {"expr": expr, "axis": axis, "order": repr(order), "at": at}
+
+
+def _derive_corpus(scale: int) -> list:
+    """``fraczee derive`` with and without ``--at``, and the result of
+    ``rl_derive``, on the ``DERIVE_CASES`` cases of seed ``DERIVE_SEED``, then
+    on as many cases for each of the seeds 0..25(N-1)-1."""
+    from fraczee import cli
+    from fraczee.monomial import parse_expr, rl_derive
+
+    out = []
+    for seed in (DERIVE_SEED, *range(25 * (scale - 1))):
+        rng = random.Random(seed)
+        for i in range(DERIVE_CASES):
+            case = _case(rng, i)
+            argv = ["derive", case["expr"], "--axis", case["axis"], "--order", case["order"]]
+            derived = _outcome(lambda: rl_derive(parse_expr(case["expr"]), case["axis"],
+                                                 float(case["order"])))
+            out.append((f"seed {seed} case {i}: {case}",
+                        [_cli(cli, argv), _cli(cli, argv + ["--at", case["at"]]), derived]))
+    return out
+
+
+def _each(values, n: int) -> list:
+    """The items of an outcome that is a list of ``n`` items, or its refusal
+    ``n`` times."""
+    return [values] * n if values[:1] == ["raised"] else values
+
+
+def _gamma_corpus(scale: int) -> list:
+    """``gamma`` and ``rgamma`` at each of ``GAMMA_ARGS``, and the array kernel
+    ``specfun._kernel_array`` with an all-Gamma and an all-reciprocal mask,
+    run once over all of them: one case per kernel and argument."""
+    import numpy as np
+
+    from fraczee.specfun import _kernel_array, gamma, rgamma
+
+    xs = np.array(GAMMA_ARGS)
+    out = []
+    for name, f in (("gamma", gamma), ("rgamma", rgamma)):
+        out += [(f"{name}({x!r})", _outcome(lambda: f(x))) for x in GAMMA_ARGS]
+    for name, reciprocal in (("gamma_array", False), ("rgamma_array", True)):
+        values = _outcome(lambda: _kernel_array(xs, np.full(xs.size, reciprocal)).tolist())
+        out += [(f"{name}({x!r})", v) for x, v in zip(GAMMA_ARGS, _each(values, xs.size))]
+    return out
+
+
+def _casimir_grid_corpus(scale: int) -> list:
+    """``casimir_L2`` and ``casimir_Lz`` at each of ``CASIMIR_ALPHAS`` and L (or
+    |M|) = 0..CASIMIR_L_MAX, next to the array body ``_CasimirPlan.array``
+    that the fit's alpha scan runs, once per alpha over all L: one case per
+    kernel, alpha and L."""
+    from fraczee.spectrum import _CasimirPlan, casimir_L2, casimir_Lz
+
+    kernels = {"casimir_L2": (casimir_L2, lambda alpha, ns: _CasimirPlan(ns, ()).array(alpha)[0]),
+               "casimir_Lz": (casimir_Lz, lambda alpha, ns: _CasimirPlan((), ns).array(alpha)[1])}
+    ns = range(CASIMIR_L_MAX + 1)
+    out = []
+    for name in CASIMIR_KERNELS:
+        scalar, array = kernels[name]
+        for alpha in CASIMIR_ALPHAS:
+            values = _each(_outcome(lambda: array(alpha, ns).tolist()), len(ns))
+            out += [(f"{name}({alpha!r}, {n})", [_outcome(lambda: scalar(alpha, n)), v])
+                    for n, v in zip(ns, values)]
+    return out
 
 
 def _casimir_corpus(scale: int) -> list:
@@ -636,6 +793,14 @@ def _malformed_json(rng: random.Random) -> str:
     return "[" + ", ".join(entries) + "]"
 
 
+def _require_tree(src: Path) -> None:
+    """Exit, naming the path found, unless ``fraczee`` is imported from ``src``."""
+    import fraczee
+
+    if Path(fraczee.__file__).resolve().parent.parent != src.resolve():
+        raise SystemExit(f"fraczee came from {fraczee.__file__}, not {src}")
+
+
 def _run_tree(src: Path, scale: int) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.Popen(
@@ -661,10 +826,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.scale < 1:
         ap.error("--scale must be >= 1")
     if args.child:
-        import fraczee
-
-        if Path(fraczee.__file__).resolve().parent.parent != args.child.resolve():
-            raise SystemExit(f"fraczee came from {fraczee.__file__}, not {args.child}")
+        _require_tree(args.child)
         json.dump(corpora(args.scale), sys.stdout)
         return 0
     if args.base_src is None or args.new_src is None:

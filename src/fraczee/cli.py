@@ -299,8 +299,8 @@ def _fit_json(result) -> str:
 def cmd_fit(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {args.tol!r}")
-    records = _records_from_args(args)
     fit_cfg = _fit_config(args)
+    records = _records_from_args(args)
     selected = select_records(records, fit_cfg)
     result = fit(selected, fit_cfg)
     p = result.params

@@ -151,6 +151,20 @@ def _number(obj: dict, key: str, kind: type):
         raise DatasetError(f"{key}: {exc}") from exc
 
 
+def _json_records(data: list):
+    """The records of the entries of a JSON array, in field order; a ``null``
+    name or status is refused, not read as the text "None"."""
+    for obj in data:
+        name = obj["name"]
+        if name is None:
+            raise DatasetError("name = null is not a string")
+        L, M, mass = _number(obj, "L", int), _number(obj, "M", int), _number(obj, "mass_mev", float)
+        status = obj.get("status", "")
+        if status is None:
+            raise DatasetError("status = null is not a string")
+        yield ParticleRecord(str(name), L, M, mass, str(status), str(obj["group"]))
+
+
 def load_records(path: str | Path) -> list[ParticleRecord]:
     """Load particle records from a JSON array (``.json`` suffix) or else CSV
     with a header.
@@ -158,8 +172,8 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
     Every malformed file raises ``DatasetError``.  Duplicate names,
     invariant violations (M > L, nonpositive mass), cells that do not
     convert and JSON values of the wrong type (a boolean, a fractional L or
-    M) name the offending line (the physical line of the file on which the
-    CSV row ends) or entry (counted from 0).
+    M, a ``null`` name or status) name the offending line (the physical
+    line of the file on which the CSV row ends) or entry (counted from 0).
     """
     p = Path(path)
     try:
@@ -177,10 +191,7 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
             raise DatasetError(f"{p}: invalid JSON: {exc}") from exc
         if not isinstance(data, list):
             raise DatasetError(f"{p}: expected a JSON array of records")
-        rows = (ParticleRecord(str(obj["name"]), _number(obj, "L", int), _number(obj, "M", int),
-                               _number(obj, "mass_mev", float), str(obj.get("status", "")),
-                               str(obj["group"]))
-                for obj in data)
+        rows = _json_records(data)
     else:
         reader = csv.reader(io.StringIO(text, newline=""))
         try:

@@ -726,6 +726,9 @@ def test_bad_config_value_exits_2_before_output(capsys, tmp_path, entry, argv):
         (("derive", "x", "--axis", "x", "--order", "0.5"), "nodes", "100000000"),
         (("verify", "connection"), "nodes", "4097"),
         (("fit",), "tol", "0"),
+        # checked before the data file is read
+        (("fit", "--data", "nope.csv"), "starts", "0"),
+        (("fit", "--data", "nope.csv"), "max-evals", "0"),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])

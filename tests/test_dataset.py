@@ -199,7 +199,7 @@ def test_json_wrong_number_type_is_rejected_in_a_full_entry(tmp_path, key, value
 
 
 @pytest.mark.parametrize("key, value, field", [
-    ("name", 3, "3"), ("name", True, "True"), ("status", None, "None"), ("status", 1, "1"),
+    ("name", 3, "3"), ("name", True, "True"), ("status", 1, "1"),
     ("L", "4", 4), ("L", 3.0, 3), ("M", "1", 1), ("mass_mev", "2452", 2452.0),
     ("mass_mev", 1e400, math.inf), ("mass_mev", 10**3, 1000.0),
 ])
@@ -210,6 +210,18 @@ def test_json_odd_but_accepted_values_convert_as_before(tmp_path, key, value, fi
     path.write_text(json.dumps([row]).replace("Infinity", "1e400"))  # the JSON text 1e400
     got = getattr(load_records(path)[0], key)
     assert (type(got), got) == (type(field), field)
+
+
+@pytest.mark.parametrize("key", ["name", "status"])
+def test_json_null_name_or_status_is_rejected_with_its_entry(tmp_path, key):
+    # str() would make these the text "None"
+    rows = [dict(name="ok", L=3, M=1, mass_mev=1000.0, status="", group="baryon"),
+            dict(name="bad", L=3, M=1, mass_mev=1000.0, status="", group="baryon")]
+    rows[1][key] = None
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(DatasetError, match=rf"rows\.json entry 1: {key} = null is not a string$"):
+        load_records(path)
 
 
 def test_json_integral_float_L_is_accepted(tmp_path):

@@ -170,6 +170,19 @@ def test_array_kernel_overflow_is_not_an_error():
         assert abs(_uniform([-200.5], True)[0]) == math.inf
 
 
+def test_scalar_kernel_holds_the_known_overflow_edges():
+    # Gamma is finite here (about 1e244 at 142.3), but the Lanczos power
+    # overflows: gamma reads inf and rgamma 0.0 at 142.3, and both raise from
+    # about 142.37 up and, by reflection, below about -141.37; a total kernel
+    # would change these only as a named bug fix
+    assert gamma(142.3) == math.inf and rgamma(142.3) == 0.0
+    for x in (142.37, 150.5, -150.5):
+        with pytest.raises(OverflowError):
+            gamma(x)
+        with pytest.raises(OverflowError):
+            rgamma(x)
+
+
 @pytest.mark.parametrize("x", [5.0, 1.0, 171.0, 1.448, 40.5, -2.5, 0.25])
 def test_scalar_kernel_returns_python_floats(x):
     # integer (factorial table), Lanczos and reflected arguments: a numpy

@@ -28,6 +28,15 @@ def test_casimir_L2_positive():
             assert casimir_L2(alpha, L) > 0.0
 
 
+def test_casimir_L2_holds_the_known_edges():
+    # the overflow, the inf and the inexact integer case that a total Gamma
+    # kernel would change, each only as a named bug fix
+    with pytest.raises(OverflowError):
+        casimir_L2(1.0, 170)
+    assert casimir_L2(0.703, 200) == math.inf
+    assert casimir_L2(1.0, 150) == 22649.999999999996
+
+
 def test_casimir_Lz_classical():
     assert casimir_Lz(1.0, 2) == pytest.approx(2.0, rel=1e-13)
     assert casimir_Lz(1.0, 0) == 0.0
