@@ -85,12 +85,19 @@ where they run), and it imports nothing from ``tests/``.  The
 ``derive``, ``gamma``, ``casimir_grid``, ``casimir``, ``parse``,
 ``records`` and ``operators`` corpora at ``--scale 1`` are also pinned in
 Tier-1, as the slices of ``tests/fixtures/golden.json`` that
-``tests/test_golden.py`` builds with this file's corpus functions.
+``tests/test_golden.py`` builds with this file's corpus functions, run in
+``_scratch_workdir``.  This file is the one home of the inputs, oracles and
+encoders that the tests share with it: ``tests/test_fitting.py`` takes
+``_scan_minima`` (the order of the scan's minima), ``_outcome`` (a result's
+float bits, or its exception) and ``_fit_workload_table`` (the fit
+workload's synthetic table at a seed, read back as records), which
+``tests/test_benchmark_coupling.py`` also takes.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib
 import io
@@ -213,10 +220,30 @@ class _Modules:
         return importlib.import_module(f"fraczee.{name}")
 
 
+def _workloads():
+    """``perfbench/workloads.py``, the benchmark's request generators."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+
+
+@contextlib.contextmanager
+def _scratch_workdir():
+    """A new temporary directory as the working directory, where the corpora
+    that write files name them by relative paths that read the same in both trees."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield Path(tmp)
+        finally:
+            os.chdir(home)
+
+
 def corpora(scale: int) -> dict[str, list]:
     """(label, outcome) pairs of every corpus, run on the importable fraczee."""
-    sys.path.insert(1, str(ROOT / "perfbench"))
-    import workloads
     from fraczee import cli
 
     out: dict[str, list] = {"derive": _derive_corpus(scale), "verify": [], "checks": [],
@@ -227,13 +254,8 @@ def corpora(scale: int) -> dict[str, list]:
     for seed in (1729, 2024, *range(10 * scale - 2)):
         out["verify"].append((f"verify all --seed {seed}",
                               _cli(cli, ["verify", "all", "--seed", str(seed)])))
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)  # report prints its out-dir: a relative one reads the same in both trees
-        try:
-            _in_workdir(out, scale, cli, workloads, Path(tmp))
-        finally:
-            os.chdir(home)
+    with _scratch_workdir() as tmp:  # report prints its out-dir, relative to it
+        _in_workdir(out, scale, cli, _workloads(), tmp)
     return out
 
 
@@ -320,8 +342,18 @@ def _fit_tables(workloads, seed: int):
     path = Path("subset.csv")
     path.write_text(workloads.oracle.table_csv(rows))
     yield f"built-in subset of {len(rows)} rows", path
-    request = workloads.FitWorkload(_Modules(), seed, Path("."), smoke=False).request(1)
+    request, _ = _fit_workload_table(seed)
     yield f"synthetic table of {len(request['rows'])} fitted rows", request["path"]
+
+
+def _fit_workload_table(seed: int, workdir: Path = Path(".")) -> tuple[dict, list]:
+    """The fit workload's first synthetic table at ``seed``: the request of
+    ``perfbench/workloads.py::FitWorkload``, which writes the table's CSV file
+    in ``workdir``, and the records that ``load_records`` reads back from it."""
+    from fraczee import dataset
+
+    request = _workloads().FitWorkload(_Modules(), seed, workdir, smoke=False).request(1)
+    return request, dataset.load_records(request["path"])
 
 
 def _rank_deficient_tables(workloads, seed: int):
@@ -794,8 +826,13 @@ def _malformed_json(rng: random.Random) -> str:
 
 
 def _require_tree(src: Path) -> None:
-    """Exit, naming the path found, unless ``fraczee`` is imported from ``src``."""
-    import fraczee
+    """Exit with one line, naming the path found, unless ``fraczee`` is imported from ``src``."""
+    try:
+        import fraczee
+    except ModuleNotFoundError as exc:
+        if exc.name == "fraczee":
+            raise SystemExit(f"no fraczee package to import: set PYTHONPATH to {src}")
+        raise
 
     if Path(fraczee.__file__).resolve().parent.parent != src.resolve():
         raise SystemExit(f"fraczee came from {fraczee.__file__}, not {src}")

@@ -153,7 +153,7 @@ def _number(obj: dict, key: str, kind: type):
 
 def _json_records(data: list):
     """The records of the entries of a JSON array, in field order; a ``null``
-    name or status is refused, not read as the text "None"."""
+    name, status or group is refused, not read as the text "None"."""
     for obj in data:
         name = obj["name"]
         if name is None:
@@ -162,7 +162,10 @@ def _json_records(data: list):
         status = obj.get("status", "")
         if status is None:
             raise DatasetError("status = null is not a string")
-        yield ParticleRecord(str(name), L, M, mass, str(status), str(obj["group"]))
+        group = obj["group"]
+        if group is None:
+            raise DatasetError("group = null is not a string")
+        yield ParticleRecord(str(name), L, M, mass, str(status), str(group))
 
 
 def load_records(path: str | Path) -> list[ParticleRecord]:
@@ -172,7 +175,7 @@ def load_records(path: str | Path) -> list[ParticleRecord]:
     Every malformed file raises ``DatasetError``.  Duplicate names,
     invariant violations (M > L, nonpositive mass), cells that do not
     convert and JSON values of the wrong type (a boolean, a fractional L or
-    M, a ``null`` name or status) name the offending line (the physical
+    M, a ``null`` name, status or group) name the offending line (the physical
     line of the file on which the CSV row ends) or entry (counted from 0).
     """
     p = Path(path)

@@ -210,11 +210,13 @@ class PolyExpr:
         """Numeric value at ``point`` under the sign(x)|x|^v convention.
 
         Axes with zero exponent need not be supplied.  A zero coordinate
-        under a negative exponent is a domain error.
+        under a negative exponent is a domain error, checked on every axis
+        before a zero factor makes the term 0.0.
         """
         total = 0.0
         for t in self.terms:
             v = t.coeff
+            zero = False
             for axis, e in zip(AXES, t.exps):
                 if e == 0.0:
                     continue
@@ -226,10 +228,10 @@ class PolyExpr:
                         raise DomainError(
                             f"zero coordinate on axis {axis!r} raised to exponent {e}"
                         )
-                    v = 0.0
-                    break
-                v *= math.copysign(abs(c) ** e, c)
-            total += v
+                    zero = True
+                elif not zero:
+                    v *= math.copysign(abs(c) ** e, c)
+            total += 0.0 if zero else v
         return total
 
     def render(self) -> str:

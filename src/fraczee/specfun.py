@@ -13,8 +13,7 @@ reciprocal mask makes one pass return Gamma on some cells and 1/Gamma on
 the others.  It never raises: overflow gives ``inf``.  It evaluates each
 branch only where it applies: the Lanczos series on every cell, then the
 reflection (with its ``sin(pi x)``), the factorial table, the poles and the
-non-finite arguments through masks, so a scan whose arguments 1 + k*alpha
-never fall below 0.5 computes no sine.
+non-finite arguments on the cells of their masks.
 
 One Lanczos series and one factorial table serve both kernels.  The kernels
 stay two: numpy's ``pow``/``exp`` differ from libm's by an ulp on about 5%
@@ -62,10 +61,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def _sinpi(x: float) -> float:
     """sin(pi*x) with exact argument reduction (no large-angle error)."""
-    r = math.fmod(x, 2.0)
-    if r > 1.0:
-        r -= 2.0
-    elif r < -1.0:
+    r = math.fmod(x, 2.0)  # every caller's x < 0.5, so r lies in (-2, 0.5)
+    if r < -1.0:
         r += 2.0
     if r > 0.5:
         r = 1.0 - r
@@ -160,8 +157,8 @@ def rgamma(x: float) -> float:
 
 
 def _sinpi_array(x: np.ndarray) -> np.ndarray:
-    r = np.fmod(x, 2.0)
-    r = np.where(r > 1.0, r - 2.0, np.where(r < -1.0, r + 2.0, r))
+    r = np.fmod(x, 2.0)  # the reflected cells' x < 0.5, so r lies in (-2, 0.5)
+    r = np.where(r < -1.0, r + 2.0, r)
     r = np.where(r > 0.5, 1.0 - r, np.where(r < -0.5, -1.0 - r, r))
     return np.sin(np.pi * r)
 
@@ -176,24 +173,21 @@ def _kernel_array(x: np.ndarray, reciprocal: np.ndarray) -> np.ndarray:
         # every cell takes the Lanczos value, then the cells of each other
         # branch are overwritten through their mask
         reflect = x < 0.5
-        any_reflect = reflect.any()
-        lanczos = _lanczos(np.where(reflect, 1.0 - x, x) if any_reflect else x, np.exp)
+        lanczos = _lanczos(np.where(reflect, 1.0 - x, x), np.exp)
         # t ** (z + 0.5) overflowed: inf, or nan against an underflowed exp(-t)
         lanczos[~np.isfinite(lanczos)] = np.inf
         out = np.where(reciprocal, 1.0 / lanczos, lanczos)
-        if any_reflect:
-            sinpi, series = _sinpi_array(x[reflect]), lanczos[reflect]
-            # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
-            out[reflect] = np.where(
-                reciprocal[reflect], sinpi * series / math.pi, math.pi / (sinpi * series)
-            )
+        sinpi, series = _sinpi_array(x[reflect]), lanczos[reflect]
+        # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi
+        out[reflect] = np.where(
+            reciprocal[reflect], sinpi * series / math.pi, math.pi / (sinpi * series)
+        )
         integer = x == np.floor(x)
-        if integer.any():
-            factorial = integer & (x >= 1.0) & (x <= 171.0)
-            exact = _FACTORIALS[x[factorial].astype(np.intp) - 1]
-            out[factorial] = np.where(reciprocal[factorial], 1.0 / exact, exact)
-            pole = integer & (x <= 0.0)
-            out[pole] = np.where(reciprocal[pole], 0.0, np.nan)
+        factorial = integer & (x >= 1.0) & (x <= 171.0)
+        exact = _FACTORIALS[x[factorial].astype(np.intp) - 1]
+        out[factorial] = np.where(reciprocal[factorial], 1.0 / exact, exact)
+        pole = integer & (x <= 0.0)
+        out[pole] = np.where(reciprocal[pole], 0.0, np.nan)
         out[~np.isfinite(x)] = np.nan
         return out
 

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+# the tests' own helpers, and the same-numbers harness, which owns the shared test inputs
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(1, str(Path(__file__).parent.parent / "scripts"))
 
 from fraczee import FitConfig, builtin_table, cli, fit, select_records
 

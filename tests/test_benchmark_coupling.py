@@ -1,7 +1,7 @@
 """The benchmark's traced run wraps fraczee names by module attribute
 (``perfbench/layers.py``), with no guard for a missing name: a refactor that
-drops one breaks the benchmark, so it fails here too.  Reads ``perfbench/``
-only."""
+drops one breaks the benchmark, so it fails here too.  Reads ``perfbench/``,
+and the fit workload's tables through ``scripts/same_numbers.py``."""
 
 import ast
 import importlib
@@ -10,6 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+from same_numbers import _fit_workload_table, _workloads
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 #: the wrap points that count level evaluations; ``install`` not raising
@@ -166,15 +167,10 @@ def test_a_default_fit_makes_the_pinned_lstsq_solves(monkeypatch):
 
 
 def _workloads_and_modules():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(PERFBENCH))
     fz = SimpleNamespace(
         **{m: importlib.import_module(f"fraczee.{m}") for m in _benchmark_modules()}
     )
-    return workloads, fz
+    return _workloads(), fz
 
 
 #: (evals, refines) of a default fit of the fit workload's first synthetic
@@ -188,8 +184,7 @@ FIT_WORKLOAD_BUDGETS = [(233, 1), (229, 1), (220, 1), (214, 1), (227, 1),
 def test_fits_of_the_fit_workload_make_the_pinned_evaluations_and_refines(tmp_path, monkeypatch):
     # a count that rises here costs the fit workload op time on every table;
     # a change that means to move it updates the pin and says why
-    workloads, fz = _workloads_and_modules()
-    fitting = fz.fitting
+    fitting = importlib.import_module("fraczee.fitting")
     minimize_scalar, refines = fitting.minimize_scalar, []
 
     def counted(*args, **kwargs):
@@ -199,9 +194,9 @@ def test_fits_of_the_fit_workload_make_the_pinned_evaluations_and_refines(tmp_pa
     monkeypatch.setattr(fitting, "minimize_scalar", counted)
     budgets = []
     for seed in range(10):
-        request = workloads.FitWorkload(fz, seed, tmp_path, smoke=False).request(1)
+        request, table = _fit_workload_table(seed, tmp_path)
         cfg = fitting.FitConfig()
-        records = fitting.select_records(fz.dataset.load_records(request["path"]), cfg)
+        records = fitting.select_records(table, cfg)
         refines.clear()
         result = fitting.fit(records, cfg)
         assert result.converged and len(records) == len(request["rows"])

@@ -125,6 +125,12 @@ def test_derive_smallest_normal_points_keep_the_cross_check(capsys):
         assert label == "quadrature relative deviation" and float(deviation) < 1e-9
 
 
+def test_derive_point_skips_empty_components(capsys):
+    argv = ("derive", "x^2*y", "--axis", "x", "--order", "0.5", "--at")
+    got = run(capsys, *argv, "x=1,,y=2,")
+    assert got == run(capsys, *argv, "x=1,y=2") and got[0] == 0
+
+
 @pytest.mark.parametrize(
     "expr, axis, at, want",
     [
@@ -132,6 +138,8 @@ def test_derive_smallest_normal_points_keep_the_cross_check(capsys):
         pytest.param("x", "x", "y=1", 2, id="missing axis"),
         # a zero coordinate under a negative exponent
         pytest.param("x^-0.5", "y", "x=0,y=1", 3, id="domain error"),
+        # the same, on an axis after a zero factor
+        pytest.param("x^2*y^-0.5", "x", "x=0,y=0", 3, id="domain error after a zero factor"),
         # the quadrature nodes overflow
         pytest.param("x^0.5", "x", "x=1e308", 2, id="quadrature overflow"),
     ],

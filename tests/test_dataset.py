@@ -212,7 +212,7 @@ def test_json_odd_but_accepted_values_convert_as_before(tmp_path, key, value, fi
     assert (type(got), got) == (type(field), field)
 
 
-@pytest.mark.parametrize("key", ["name", "status"])
+@pytest.mark.parametrize("key", ["name", "status", "group"])
 def test_json_null_name_or_status_is_rejected_with_its_entry(tmp_path, key):
     # str() would make these the text "None"
     rows = [dict(name="ok", L=3, M=1, mass_mev=1000.0, status="", group="baryon"),

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from fraczee.specfun import gamma
 from fraczee.spectrum import REFERENCE_PARAMS, FitParams, Multiplet, mass, spectrum
 
 from reference_values import E_TH
+from same_numbers import _fit_workload_table, _outcome, _scan_minima
 
 FIT_PINS = Path(__file__).parent / "fixtures" / "fit_full_precision.json"
 
@@ -80,6 +82,42 @@ def lstsq_loss_curve(records, alphas) -> np.ndarray:
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         out.append(math.sqrt(np.mean((A @ coef - y) ** 2)))
     return np.array(out)
+
+
+def fit_table(name: str) -> list[ParticleRecord]:
+    """The fit tables these tests name: ``default`` (the default selection of
+    the built-in table), ``noisy`` and ``noisy-SEED`` (noisy synthetic tables),
+    ``single-L`` and ``single-M`` (the rows of ``noisy`` at one L or one M),
+    ``L200`` (``default`` and one L = 200 row), ``single-L-and-M`` (eight rows
+    at one L and |M|) and ``workload-SEED`` (the fit workload's first synthetic
+    table at a seed, selected)."""
+    group, _, seed = name.partition("-")
+    if group == "noisy" and seed:
+        rng = np.random.default_rng(int(seed))
+        p = FitParams(rng.uniform(0.05, 0.9), -100.0, 500.0, 200.0)
+        return noisy_records(p, seed=int(seed), sigma=0.02)
+    if group == "workload":
+        with tempfile.TemporaryDirectory() as tmp:
+            return select_records(_fit_workload_table(int(seed), Path(tmp))[1], FitConfig())
+    if name == "single-L-and-M":
+        # one L and one |M|: both Casimir columns are constant, so every scan
+        # row is rank-deficient and the loss is the same at every alpha
+        return [ParticleRecord(f"flat-{k}", 5, 2, 1500.0 + 7.0 * k, "", "baryon") for k in range(8)]
+    default = select_records(builtin_table(), FitConfig())
+    noisy = noisy_records(FitParams(0.5, -100.0, 500.0, 200.0), seed=9, sigma=0.02)
+    return {
+        "default": default,
+        "noisy": noisy,
+        "single-L": [r for r in noisy if r.L == 7],
+        "single-M": [r for r in noisy if r.M == 2],
+        # Gamma(1 + 201*alpha) overflows for alpha above about 0.70
+        "L200": default + [ParticleRecord("heavy", 200, 0, 50000.0, "", "baryon")],
+    }[name]
+
+
+#: the tables of the scan and Brent comparisons
+SCAN_TABLES = ("default", "noisy", "single-M", "single-L", "L200")
+BRENT_TABLES = ("default", *(f"noisy-{seed}" for seed in range(6)), "L200")
 
 
 # ------------------------------------------------------------- selection
@@ -367,10 +405,7 @@ def test_fit_default_set_budget(default_fit):
 
 @pytest.mark.parametrize("table", ["default", "noisy"])
 def test_fit_is_global_optimum_over_alpha(table):
-    if table == "default":
-        records = select_records(builtin_table(), FitConfig())
-    else:
-        records = noisy_records(FitParams(0.5, -100.0, 500.0, 200.0), seed=9, sigma=0.02)
+    records = fit_table(table)
     curve = lstsq_loss_curve(records, np.linspace(0.01, 1.0, 991))
     if table == "noisy":
         last = len(curve) - 1
@@ -383,14 +418,6 @@ def test_fit_is_global_optimum_over_alpha(table):
     assert res.loss_rms_mev <= curve.min() * (1.0 + 1e-9)
 
 
-def _pinned_tables():
-    yield "default", select_records(builtin_table(), FitConfig())
-    for seed in (11, 12, 13):
-        rng = np.random.default_rng(seed)
-        p = FitParams(rng.uniform(0.05, 0.9), -100.0, 500.0, 200.0)
-        yield f"noisy-{seed}", noisy_records(p, seed=seed, sigma=0.02)
-
-
 def fit_pin(records) -> dict:
     """The fitted figures of the default config, every float as ``float.hex``."""
     res = fit(records)
@@ -399,31 +426,16 @@ def fit_pin(records) -> dict:
     return {**{k: v.hex() for k, v in figures.items()}, "evals": res.evals}
 
 
-@pytest.mark.parametrize("name, records", [pytest.param(*t, id=t[0]) for t in _pinned_tables()])
-def test_fit_is_pinned_to_the_bit(name, records):
+@pytest.mark.parametrize("name", ["default", "noisy-11", "noisy-12", "noisy-13"])
+def test_fit_is_pinned_to_the_bit(name):
     # b0 of the default fit sits 0.0007 MeV from a rounding boundary of
     # `fit --out`, so the loss path must not move one bit of any figure
-    assert fit_pin(records) == json.loads(FIT_PINS.read_text())[name]
+    assert fit_pin(fit_table(name)) == json.loads(FIT_PINS.read_text())[name]
 
 
-def _scan_table(table):
-    noisy = noisy_records(FitParams(0.5, -100.0, 500.0, 200.0), seed=9, sigma=0.02)
-    default = select_records(builtin_table(), FitConfig())
-    if table == "default":
-        return default
-    if table == "noisy":
-        return noisy
-    if table == "single-M":
-        return [r for r in noisy if r.M == 2]
-    if table == "single-L":
-        return [r for r in noisy if r.L == 7]
-    # Gamma(1 + 201*alpha) overflows for alpha above about 0.70
-    return default + [ParticleRecord("heavy", 200, 0, 50000.0, "", "baryon")]
-
-
-@pytest.mark.parametrize("table", ["default", "noisy", "single-M", "single-L", "L200"])
+@pytest.mark.parametrize("table", SCAN_TABLES)
 def test_scan_losses_match_scalar_profile_loss(table):
-    prob = _Problem(_scan_table(table))
+    prob = _Problem(fit_table(table))
     if table.startswith("single"):
         # one distinct Casimir value makes a column parallel to the constant
         assert min(len(prob.plan.ls), len(prob.plan.ms)) == 1
@@ -474,24 +486,13 @@ def test_brent_matches_scipy_on_plain_functions(func, lo, hi, maxiter):
     _same_as_scipy(func, lo, hi, 1e-12, maxiter)
 
 
-def _brent_tables():
-    default = select_records(builtin_table(), FitConfig())
-    yield "default", default
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        p = FitParams(rng.uniform(0.05, 0.9), -100.0, 500.0, 200.0)
-        yield f"noisy-{seed}", noisy_records(p, seed=seed, sigma=0.02)
-    # Gamma(1 + 201*alpha) overflows for alpha above about 0.70
-    yield "L200", default + [ParticleRecord("heavy", 200, 0, 50000.0, "", "baryon")]
-
-
 @pytest.mark.parametrize("maxiter", [5, FitConfig().max_evals - len(_ALPHA_GRID)])
-@pytest.mark.parametrize("name, records", [pytest.param(*t, id=t[0]) for t in _brent_tables()])
-def test_brent_matches_scipy_on_the_fit_refines(name, records, maxiter):
+@pytest.mark.parametrize("name", BRENT_TABLES)
+def test_brent_matches_scipy_on_the_fit_refines(name, maxiter):
     # every refine the fit would run: each scan minimum, offset from its grid
     # point, between the neighbouring grid points; on the L200 table also the
     # brackets around the overflow edge, which hold infinite losses
-    prob = _Problem(records)
+    prob = _Problem(fit_table(name))
     scan = prob.scan_losses(_ALPHA_GRID).tolist()
     last = len(scan) - 1
     centers = _scan_minima(scan)
@@ -515,62 +516,16 @@ def test_brent_matches_scipy_on_the_fit_refines(name, records, maxiter):
     assert any(math.isinf(v) for v in seen) == (name == "L200")
 
 
-def _scan_minima(losses) -> list[int]:
-    """Indices of the finite local minima of a loss list, in the order that
-    ``fit`` refines them: by loss, ties to the lower index."""
-    last = len(losses) - 1
-    return [
-        i
-        for _, i in sorted(
-            (v, i)
-            for i, v in enumerate(losses)
-            if math.isfinite(v) and v <= min(losses[max(i - 1, 0)], losses[min(i + 1, last)])
-        )
-    ]
-
-
-def _workload_table(seed):
-    """A synthetic table drawn like the benchmark's fit workload: the level
-    formula near the reference region, a random L band and relative noise,
-    then the default selection."""
-    rng = random.Random(seed)
-    alpha = rng.uniform(0.08, 0.4)
-    a0 = REFERENCE_PARAMS.a0 * rng.uniform(0.7, 1.3)
-    b0 = REFERENCE_PARAMS.b0 * rng.uniform(0.7, 1.3)
-    band = [
-        Multiplet(L, M)
-        for L in range(rng.randint(1, 3), rng.randint(9, 12) + 1)
-        for M in range(L + 1)
-    ]
-    lightest = min(e for _, e in predict(FitParams(alpha, 0.0, a0, b0), band))
-    p = FitParams(alpha, rng.uniform(800.0, 1200.0) - lightest, a0, b0)
-    sigma = rng.uniform(0.0, 0.01)
-    records = [
-        ParticleRecord(f"S{m.L}_{m.M}", m.L, m.M, e * (1.0 + rng.gauss(0.0, sigma)), "", "baryon")
-        for m, e in predict(p, band)
-    ]
-    return select_records(records, FitConfig())
-
-
-def _minima_tables():
-    for table in ("default", "noisy", "single-M", "single-L", "L200"):
-        yield f"scan-{table}", _scan_table(table)
-    for name, records in _brent_tables():
-        yield f"brent-{name}", records
-    for seed in range(20):
-        yield f"workload-{seed}", _workload_table(seed)
-    # one L and one |M|: both Casimir columns are constant, so every scan row
-    # is rank-deficient and the loss is the same at every alpha
-    yield "single-L-and-M", [
-        ParticleRecord(f"flat-{k}", 5, 2, 1500.0 + 7.0 * k, "", "baryon") for k in range(8)
-    ]
-
-
-@pytest.mark.parametrize("name, records", [pytest.param(*t, id=t[0]) for t in _minima_tables()])
-def test_scan_minima_match_the_scalar_profile_loss(name, records):
+@pytest.mark.parametrize("name", [
+    *(pytest.param(t, id=f"scan-{t}") for t in SCAN_TABLES),
+    *(pytest.param(t, id=f"brent-{t}") for t in BRENT_TABLES),
+    *(f"workload-{seed}" for seed in range(20)),
+    "single-L-and-M",
+])
+def test_scan_minima_match_the_scalar_profile_loss(name):
     # the scan reaches a fit result only through the order of its local
     # minima, which the refines start from
-    prob = _Problem(records)
+    prob = _Problem(fit_table(name))
     scan = prob.scan_losses(_ALPHA_GRID)
     with np.errstate(**_SOLVE_STATE):
         scalar = [prob._profile(float(a))[0] for a in _ALPHA_GRID]
@@ -616,7 +571,7 @@ def test_profile_loss_is_infinite_where_gamma_returns_inf():
     # the scalar Gamma returns inf, without raising, just above x = 142.2
     alpha = 0.703
     assert gamma(1.0 + 201 * alpha) == math.inf
-    prob = _Problem(_scan_table("L200"))
+    prob = _Problem(fit_table("L200"))
     with np.errstate(**_SOLVE_STATE):
         assert prob._profile(alpha) == (math.inf, None)
     assert prob.scan_losses(np.array([alpha])).tolist() == [math.inf]
@@ -625,7 +580,7 @@ def test_profile_loss_is_infinite_where_gamma_returns_inf():
 def test_scan_losses_of_one_alpha_and_of_none():
     # one feasible alpha, a scan where no alpha is feasible, and an empty
     # scan: no RuntimeWarning (an error under this suite) and the right shapes
-    prob = _Problem(_scan_table("default"))
+    prob = _Problem(fit_table("default"))
     (loss,) = prob.scan_losses(np.array([0.112])).tolist()
     with np.errstate(**_SOLVE_STATE):
         want = prob._profile(0.112)[0]
@@ -670,7 +625,7 @@ def _fit_raising_after_two_refine_steps():
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: fit(select_records(builtin_table(), FitConfig())), id="fit"),
     pytest.param(_fit_raising_after_two_refine_steps, id="fit-raises"),
-    pytest.param(lambda: _Problem(_scan_table("single-L")).scan_losses(_ALPHA_GRID),
+    pytest.param(lambda: _Problem(fit_table("single-L")).scan_losses(_ALPHA_GRID),
                  id="scan-with-fallback-rows"),
 ])
 def test_fit_and_scan_leave_numpys_error_state_as_they_found_it(call, monkeypatch):
@@ -741,21 +696,6 @@ def test_predict_meson_band():
 # ------------------------------------- the level pass against the Multiplet-per-record one
 
 
-def _hex_outcome(call):
-    """The result with every float as its ``float.hex``, or the exception's type and text."""
-    def bits(v):
-        if isinstance(v, float):
-            return v.hex()
-        if isinstance(v, (list, tuple)):
-            return [bits(x) for x in v]
-        return v
-
-    try:
-        return bits(call())
-    except Exception as exc:
-        return "raised", type(exc), str(exc)
-
-
 def _level_cases():
     rng = random.Random("levels")
     table = builtin_table()
@@ -790,18 +730,17 @@ def test_level_pass_matches_the_multiplet_per_record_pass(p, records, band):
     def rms(column):
         return _rms([row[column] for row in _multiplet_levels(p, records)[0]])
 
-    assert _hex_outcome(lambda: _levels(p, records, band)) == _hex_outcome(
+    assert _outcome(lambda: _levels(p, records, band)) == _outcome(
         lambda: _multiplet_levels(p, records, band))
-    assert _hex_outcome(lambda: _levels(p, records)) == _hex_outcome(
+    assert _outcome(lambda: _levels(p, records)) == _outcome(
         lambda: _multiplet_levels(p, records))
-    assert _hex_outcome(lambda: objective(p, records)) == _hex_outcome(lambda: rms(2))
-    assert _hex_outcome(lambda: loss_rms_mev(p, records)) == _hex_outcome(lambda: rms(1))
+    assert _outcome(lambda: objective(p, records)) == _outcome(lambda: rms(2))
+    assert _outcome(lambda: loss_rms_mev(p, records)) == _outcome(lambda: rms(1))
 
 
 def test_level_pass_cases_reach_the_overflow_and_both_signs():
     cases = [c.values for c in _level_cases()]
-    raised = [isinstance(_hex_outcome(lambda: _levels(p, records)), tuple)
-              for p, records, _ in cases]
+    raised = [_outcome(lambda: _levels(p, records))[0] == "raised" for p, records, _ in cases]
     assert any(raised) and not all(raised)
     bands = [m for _, _, band in cases for m in band]
     assert {m.sign for m in bands} == {1, -1} and min(m.M for m in bands) < 0

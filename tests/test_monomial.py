@@ -263,6 +263,20 @@ def test_eval_zero_to_negative_exponent():
         parse_expr("x^-0.5").evaluate({"x": 0.0})
 
 
+@pytest.mark.parametrize("expr, zero, other", [("x^2*y^-0.5", "x", "y"), ("x^-0.5*y^2", "y", "x")])
+def test_eval_checks_every_axis_after_a_zero_factor(expr, zero, other):
+    # the refusal does not depend on the axis order of the zero factor
+    with pytest.raises(DomainError, match=f"axis '{other}'"):
+        parse_expr(expr).evaluate({"x": 0.0, "y": 0.0})
+    with pytest.raises(ValueError, match=f"does not supply axis '{other}'"):
+        parse_expr(expr).evaluate({zero: 0.0})
+
+
+def test_eval_zero_factor_skips_an_overflowing_later_one():
+    # 10^400 overflows a float, but the product holds a zero factor
+    assert parse_expr("x^2*y^400 + 3").evaluate({"x": 0.0, "y": 10.0}) == 3.0
+
+
 # ---------------------------------------------------------------- rendering
 
 

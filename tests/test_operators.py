@@ -381,6 +381,16 @@ def test_Sz_vanishes_at_alpha_one():
     assert not build_Sz(1.0).canonical().terms
 
 
+@pytest.mark.parametrize("phase", [0, 1])
+def test_canonical_folds_phases_2_and_3_into_the_sign(phase):
+    # i^(phase + 2) = -i^phase: the two terms cancel, and one alone flips its sign
+    a = op_term(1.0, phase + 2, orders={"x": 0.5})
+    assert not (OperatorExpr((a,)) + OperatorExpr((op_term(1.0, phase, orders={"x": 0.5}),))
+                ).canonical().terms
+    assert OperatorExpr((a,)).canonical().terms == (
+        OperatorTerm(-1.0, phase, a.pre, a.inner, a.orders),)
+
+
 def test_canonical_refuses_like_terms_summing_to_nan():
     # as PolyExpr does: a NaN sum fails the drop test, but is not dropped
     op = build_H(0.5).scaled(math.inf)
