@@ -20,7 +20,8 @@ same cases:
   all-Gamma and an all-reciprocal mask; one case per kernel and argument;
 - ``casimir_grid``: ``casimir_L2`` and ``casimir_Lz`` at the nine
   ``CASIMIR_ALPHAS`` and L (or |M|) = 0..200, each case with the value of
-  the array body ``spectrum._CasimirPlan.array`` run over all L at once;
+  the array body ``spectrum._CasimirPlan.array`` run over all L at once
+  (the plan's vector, which holds just those Casimirs);
 - ``verify``: ``fraczee verify all`` at seeds 1729, 2024 and 0..10N-3;
 - ``checks``: the algebra workload's identity checks, drawn by
   ``perfbench/workloads.py::AlgebraWorkload`` at seeds 0..10N-1, 80 a seed,
@@ -40,16 +41,23 @@ same cases:
   ``--out`` bytes of ``fraczee fit``; then, at seeds 0..10N-1, three
   rank-deficient tables drawn from an RNG of their own (one L, one |M|,
   and one (L, |M|) for every row), on which every scan row falls back to
-  the least-squares solve;
+  the least-squares solve; then, at seeds 0..20N-1, a subset of the default
+  fit selection plus one row at L = 150..220, drawn from an RNG of its own
+  and fitted with the top L of the selection raised to that row's, on which
+  the scan masks the alphas where that row's Casimir overflows;
 - ``scan``: the ``float.hex`` of the alpha scan's profile losses on the same
   tables.  The fitted figures depend on the scan only through its minima,
   so a change that moves only the scan's roundoff reads as ``scan``
-  mismatches with none in ``fit``;
+  mismatches with none in ``fit``.  On the tables with an L = 150..220 row,
+  a change to how the scan masks its infeasible alphas may move only
+  ``scan`` bits, never a ``fit`` case;
 - ``casimir``: the Casimir plan's scalar body
   ``spectrum._CasimirPlan(ls, ms).values`` at each of 1-4 seeded alphas in
   (0, 1.5] (0.703 and 1.0 among them) and its array body ``.array`` at all
-  of them, for L and |M| sets up to 220, 400N cases, then 100N cases at
-  alphas in [-1.5, 0]; the ``float.hex`` of every value or the exception;
+  of them, for L and |M| lists up to 220, 400N cases, then 100N cases at
+  alphas in [-1.5, 0]; the ``float.hex`` of C_L2 at every L and C_Lz at
+  every |M| of the lists, repeats included, read from the plan's vector, or
+  the exception;
 - ``parse``: ``parse_expr`` on 4,000N seeded strings: random ones of up to
   24 characters over the tokenizer's alphabet, sums whose like terms differ
   near the merge grid, and strings of up to about 80 characters built from
@@ -262,6 +270,8 @@ def corpora(scale: int) -> dict[str, list]:
 def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> None:
     """The corpora that write files, run in the working directory ``tmp``, so
     that the relative paths in messages read the same in both trees."""
+    from fraczee.fitting import FitConfig
+
     for seed in range(10 * scale):
         wl = workloads.AlgebraWorkload(_Modules(), seed, tmp, smoke=True)
         for j in range(CHECKS_PER_SEED):
@@ -287,14 +297,17 @@ def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> 
                 for n in ("table.csv", "plot.tsv"):
                     (rep / n).unlink(missing_ok=True)
     out["levels"] += _losses_corpus(alphas)
+    l_max = FitConfig().l_range[1]  # the default fit's top L
     tables = itertools.chain(
-        ((f"seed {seed} {label}", path)
+        ((f"seed {seed} {label}", path, l_max)
          for seed in range(20 * scale) for label, path in _fit_tables(workloads, seed)),
-        ((f"rank-deficient seed {seed} {label}", path)
+        ((f"rank-deficient seed {seed} {label}", path, l_max)
          for seed in range(10 * scale) for label, path in _rank_deficient_tables(workloads, seed)),
+        ((f"overflow seed {seed} {label}", path, L)
+         for seed in range(20 * scale) for label, path, L in _overflow_tables(workloads, seed)),
     )
-    for label, path in tables:  # each table's file is written just before its fit
-        scan, fitted = _fit_outcome(cli, path)
+    for label, path, top in tables:  # each table's file is written just before its fit
+        scan, fitted = _fit_outcome(cli, path, top)
         out["fit"].append((label, fitted))
         out["scan"].append((label, scan))
     out["records"] = _records_corpus(scale)
@@ -381,12 +394,35 @@ def _rank_deficient_tables(workloads, seed: int):
         yield f"{label}, {len(rows)} rows", path
 
 
-def _fit_outcome(cli, path: Path) -> tuple:
-    """The scan losses of one table, and its default fit in process (scan
-    minima, result bits) and through ``fraczee fit --out``."""
+def _overflow_tables(workloads, seed: int):
+    """(label, CSV path, L) of a seeded subset of the default fit selection
+    plus one row at an L of 150..220, whose Casimir overflows at the larger
+    scan alphas, so that the scan masks those rows.  The heavy row's mass is
+    the oracle's level at the reference parameters plus relative noise; the
+    draws come from an RNG of their own."""
+    from fraczee import fitting
+    from fraczee.dataset import builtin_table
+
+    oracle = workloads.oracle
+    rng = random.Random(f"overflow-{seed}")
+    rows = [(r.name, r.L, r.M, r.mass_mev, r.status, r.group)
+            for r in fitting.select_records(builtin_table(), fitting.FitConfig())
+            if rng.random() >= FIT_DROP]
+    L = rng.randint(150, 220)
+    M = rng.randint(0, L)
+    mass = oracle.mass(oracle.REFERENCE, L, M)[0] * (1.0 + rng.gauss(0.0, 0.01))
+    path = Path("overflow.csv")
+    path.write_text(oracle.table_csv([*rows, (f"heavy{L}_{M}", L, M, mass, "", "baryon")]))
+    yield f"default subset of {len(rows)} rows and one at L = {L}", path, L
+
+
+def _fit_outcome(cli, path: Path, l_max: int) -> tuple:
+    """The scan losses of one table, and its fit in process (scan minima,
+    result bits) and through ``fraczee fit --out``, with the default config
+    but for the top L of the selection, ``l_max``."""
     from fraczee import dataset, fitting
 
-    cfg = fitting.FitConfig()
+    cfg = fitting.FitConfig(l_range=(fitting.FitConfig().l_range[0], l_max))
     selected = fitting.select_records(dataset.load_records(path), cfg)
 
     def fitted():
@@ -400,7 +436,7 @@ def _fit_outcome(cli, path: Path) -> tuple:
     except Exception as exc:
         scan = minima = ["raised", type(exc).__name__, str(exc)]
     out = Path("fit.json")
-    got = _cli(cli, ["fit", "--data", str(path), "--out", str(out)])
+    got = _cli(cli, ["fit", "--data", str(path), "--l-max", str(l_max), "--out", str(out)])
     written = out.read_text() if out.exists() else None
     out.unlink(missing_ok=True)
     return scan, [minima, _outcome(fitted), got, written]
@@ -536,8 +572,9 @@ def _casimir_grid_corpus(scale: int) -> list:
     kernel, alpha and L."""
     from fraczee.spectrum import _CasimirPlan, casimir_L2, casimir_Lz
 
-    kernels = {"casimir_L2": (casimir_L2, lambda alpha, ns: _CasimirPlan(ns, ()).array(alpha)[0]),
-               "casimir_Lz": (casimir_Lz, lambda alpha, ns: _CasimirPlan((), ns).array(alpha)[1])}
+    # a plan of distinct L alone (or |M| alone) returns their Casimirs in order
+    kernels = {"casimir_L2": (casimir_L2, lambda alpha, ns: _CasimirPlan(ns, ()).array(alpha)),
+               "casimir_Lz": (casimir_Lz, lambda alpha, ns: _CasimirPlan((), ns).array(alpha))}
     ns = range(CASIMIR_L_MAX + 1)
     out = []
     for name in CASIMIR_KERNELS:
@@ -550,7 +587,9 @@ def _casimir_grid_corpus(scale: int) -> list:
 
 
 def _casimir_corpus(scale: int) -> list:
-    """Both bodies of the Casimir plan on seeded alphas and L, |M| sets."""
+    """Both bodies of the Casimir plan on seeded alphas and L, |M| lists, each
+    read as C_L2 at every L and C_Lz at every |M| of the lists, repeats
+    included."""
     from fraczee.spectrum import _CasimirPlan
 
     def ns() -> list[int]:
@@ -559,9 +598,21 @@ def _casimir_corpus(scale: int) -> list:
 
     def case(alphas: list[float]) -> tuple:
         ls, ms = ns(), ns()
-        scalar = [_outcome(lambda: _CasimirPlan(ls, ms).values(a)) for a in alphas]
-        array = _outcome(lambda: [c.tolist() for c in _CasimirPlan(ls, ms).array(alphas)])
-        return f"alphas {alphas!r} L {ls} |M| {ms}", [scalar, array]
+        plan = _CasimirPlan(ls, ms)
+        # the positions in the plan's vector of C_L2 at each L of ls and of C_Lz
+        # at each |M| of ms, repeats included
+        at = ([plan.ls.index(L) for L in ls], [len(plan.ls) + plan.ms.index(m) for m in ms])
+
+        def scalar(a: float) -> list:
+            c = plan.values(a)
+            return [[c[k] for k in cols] for cols in at]
+
+        def array() -> list:
+            c = plan.array(alphas)
+            return [c[:, cols].tolist() for cols in at]
+
+        return (f"alphas {alphas!r} L {ls} |M| {ms}",
+                [[_outcome(lambda: scalar(a)) for a in alphas], _outcome(array)])
 
     rng = random.Random("casimir")
     out = []

@@ -23,26 +23,27 @@ Derivatives*, 1973, ch. 5; :func:`minimize_scalar` follows scipy's
 ``method="bounded"`` operation for operation, so it returns the same
 bits).  The records' (L, |M|) sets are fixed for the whole fit, so the
 fit plans their Casimir arguments once (the Casimir plan of the
-:mod:`fraczee.spectrum` docstring) and both stages evaluate that plan.
-The scan is one batched evaluation: the plan's array body gives the
-Casimirs at all grid alphas in one array-kernel pass, one take spreads
-both Casimir columns over the records, modified Gram-Schmidt on the two
-columns, centered together (which projects out the constant column),
-gives the 199 least-squares residuals without a QR factorization, and one
-numpy pass finds the local minima in the order they are refined.  The
-refine and the returned (m0, a0, b0) use the plan's scalar body, the one
-behind ``spectrum._energies``, and a minimum-norm least-squares solve on
-the records' design matrix [1, C_L2, C_Lz], taken from the vector
-[1, C_L2..., C_Lz...] in one indexing step, so the fitted parameters do
-not depend on the array kernel's roundoff.  The solve calls numpy's ``lstsq`` gufunc (LAPACK's
-gelsd) directly, with the arguments and error state that numpy's
-wrapper gives it for ``lstsq(A, e, rcond=None)``, so it returns the same
-bits without the wrapper's per-call conversions.  The refine loop and the
-final solve run under one entry of that error state (``_SOLVE_STATE``),
-so a refine step pays for its Gamma calls and gelsd.
-The gufunc is a private numpy name, which
-``tests/test_fitting.py::test_lstsq_gufunc_signature_exists`` guards.
-An alpha where a Casimir overflows gets an infinite loss.
+:mod:`fraczee.spectrum` docstring, which alone lays out the one Casimir
+vector [C_L2..., C_Lz...]) and both stages evaluate that plan.  The scan
+is one batched evaluation on one path for every alpha: the plan's array
+body gives the vector at all grid alphas in one array-kernel pass, one
+take spreads both Casimir columns over the records, modified Gram-Schmidt
+on the two columns, centered together (which projects out the constant
+column), gives the 199 least-squares residuals without a QR
+factorization, and one numpy pass finds the local minima in the order
+they are refined.  The refine and the returned (m0, a0, b0) use the
+plan's scalar body, the one behind ``spectrum._energies``, and a
+minimum-norm least-squares solve on the records' design matrix
+[1, C_L2, C_Lz], taken from [1, vector...] in one indexing step, so the
+fitted parameters do not depend on the array kernel's roundoff.  The
+solve calls numpy's ``lstsq`` gufunc (LAPACK's gelsd) directly, with the
+arguments and error state that numpy's wrapper gives it for
+``lstsq(A, e, rcond=None)``, so it returns the same bits without the
+wrapper's per-call conversions.  The refine loop and the final solve run
+under one entry of that error state (``_SOLVE_STATE``), so a refine step
+pays for its Gamma calls and gelsd.  The gufunc is a private numpy name,
+which ``tests/test_fitting.py::test_lstsq_gufunc_signature_exists``
+guards.  An alpha where a Casimir overflows gets an infinite loss.
 No random numbers are drawn; results are bit-reproducible.
 """
 
@@ -273,34 +274,30 @@ def select_records(
 class _Problem:
     """Record arrays and the profile loss over alpha.
 
-    ``plan`` is the Casimir plan of the records' distinct L and |M|, built
-    once.  :meth:`scan_losses` evaluates the loss at many alphas at once
-    through its array body and Gram-Schmidt residuals (the grid scan), taking
-    the record columns of C_L2 and C_Lz from [C_L2..., C_Lz...] at
-    ``scan_cols``; :meth:`_profile` evaluates one alpha through its scalar
-    body and :meth:`_solve` (the Brent refine and the final parameters), whose
-    right-hand side ``e_col`` and cut-off ``rcond`` are built once here, and a
-    least-squares design matrix is one take of the vector
-    [1, C_L2..., C_Lz...] at ``cols``.  ``_profile`` and ``_solve`` run under
-    the caller's ``np.errstate(**_SOLVE_STATE)``: :func:`fit` enters it once
-    for its whole refine loop and final solve.
+    ``plan`` is the Casimir plan of the records' L and |M|, built once; the
+    record columns are positions in its one vector [C_L2 at plan.ls..., C_Lz
+    at plan.ms...].  :meth:`scan_losses` evaluates the loss at many alphas at
+    once through its array body and Gram-Schmidt residuals (the grid scan),
+    taking the columns of C_L2 and C_Lz at ``scan_cols``; :meth:`_profile`
+    evaluates one alpha through its scalar body and :meth:`_solve` (the Brent
+    refine and the final parameters), whose right-hand side ``e_col`` and
+    cut-off ``rcond`` are built once here, and a least-squares design matrix
+    is one take of [1, vector...] at ``cols``.  ``_profile`` and ``_solve``
+    run under the caller's ``np.errstate(**_SOLVE_STATE)``: :func:`fit`
+    enters it once for its whole refine loop and final solve.
     """
 
     def __init__(self, records: Sequence[ParticleRecord]):
-        ls, ms = [r.L for r in records], [abs(r.M) for r in records]
         # Python ints, so that every Gamma argument 1 + k*alpha is a Python float
-        l_values, m_values = sorted(set(ls)), sorted(set(ms))
-        l_pos = {v: i for i, v in enumerate(l_values)}
-        m_pos = {v: i for i, v in enumerate(m_values)}
-        l_index = np.array([l_pos[v] for v in ls], dtype=np.intp)
-        m_index = np.array([m_pos[v] for v in ms], dtype=np.intp)
+        ls, ms = [r.L for r in records], [abs(r.M) for r in records]
         #: the Casimirs at the distinct L (plan.ls) and |M| (plan.ms), planned once
-        self.plan = _CasimirPlan(l_values, m_values)
-        #: (2, records) positions of C_L2 and C_Lz in [C_L2..., C_Lz...]
-        self.scan_cols = np.stack([l_index, len(l_values) + m_index])
-        #: (records, 3) positions of 1, C_L2 and C_Lz in [1, C_L2..., C_Lz...];
+        self.plan = plan = _CasimirPlan(ls, ms)
+        #: (2, records) positions of C_L2 and C_Lz in the plan's vector
+        self.scan_cols = np.array([[plan.ls.index(L) for L in ls],
+                                   [len(plan.ls) + plan.ms.index(m) for m in ms]], dtype=np.intp)
+        #: (records, 3) positions of 1, C_L2 and C_Lz in [1, plan vector...];
         #: row-major, as the solve's bits depend on the design matrix's layout
-        self.cols = np.stack([np.zeros_like(l_index), *(1 + self.scan_cols)], axis=1)
+        self.cols = np.stack([np.zeros(len(ls), np.intp), *(1 + self.scan_cols)], axis=1)
         self.e_exp = np.array([r.mass_mev for r in records], dtype=float)
         #: the right-hand side and the singular-value cut-off that numpy's
         #: lstsq wrapper builds on every call for lstsq(A, e_exp, rcond=None)
@@ -324,10 +321,9 @@ class _Problem:
         ``(inf, None)`` where a Casimir overflows for some record."""
         self.evals += 1
         try:
-            c_l2, c_lz = self.plan.values(alpha)
+            values = [1.0, *self.plan.values(alpha)]
         except OverflowError:
             return math.inf, None
-        values = [1.0, *c_l2, *c_lz]
         # the scalar Gamma raises on most overflows but returns inf on some
         # (just above x = 142.2), which the solve would reject
         if not all(map(math.isfinite, values)):
@@ -341,15 +337,14 @@ class _Problem:
         Modified Gram-Schmidt on the design columns [1, C_L2, C_Lz], applied
         to the masses too, gives each residual directly (Björck, BIT 7 (1967)
         1): projecting out the constant column is centering, then C_Lz is
-        orthogonalized against the centered C_L2.  A row whose pivot norms
-        flag rank deficiency is solved by :meth:`_solve` instead."""
+        orthogonalized against the centered C_L2.  Every alpha takes this one
+        path: a feasible row whose pivot norms flag rank deficiency is solved
+        by :meth:`_solve` instead, and a row where a Casimir is not finite
+        runs through as ``inf`` or ``nan`` and gets an infinite loss."""
         alphas = np.asarray(alphas, dtype=float)
         self.evals += len(alphas)
-        c = np.concatenate(self.plan.array(alphas), axis=1)
+        c = self.plan.array(alphas)
         feasible = np.isfinite(c).all(axis=1)
-        all_feasible = feasible.all()
-        if not all_feasible:
-            c = c[feasible]
         # (k, 2, records): the C_L2 and C_Lz columns of the records at each alpha,
         # column-major as the take makes them; the sums below, and so the scan's
         # bits, follow that layout
@@ -358,7 +353,8 @@ class _Problem:
         n = len(self.e_exp)
         sqrt_n = math.sqrt(n)
         # a zero pivot gives 0/0 = nan and an overflowing one inf: neither passes
-        # the rank test, so those rows go to the solve below
+        # the rank test, so those rows go to the solve below; an infeasible row
+        # runs through as nan or inf, and its loss is set to inf at the end
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             uv -= uv.mean(axis=2, keepdims=True)
             u_norm = np.sqrt(np.einsum("ij,ij->i", u, u))
@@ -375,15 +371,13 @@ class _Problem:
             low = np.minimum(np.minimum(u_norm, v_norm), sqrt_n)
             high = np.maximum(np.maximum(u_norm, v_norm), sqrt_n)
             full = low > _RANK_RTOL * high
-        if not full.all():
+        short = feasible & ~full
+        if short.any():
             with np.errstate(**_SOLVE_STATE):
-                for k in np.flatnonzero(~full):
+                for k in np.flatnonzero(short):
                     losses[k] = self._solve(np.concatenate([[1.0], c[k]])[self.cols])[0]
-        if all_feasible:
-            return losses
-        out = np.full(len(alphas), math.inf)
-        out[feasible] = losses
-        return out
+        losses[~feasible] = math.inf
+        return losses
 
 
 def _local_minima(losses: np.ndarray) -> list[int]:

@@ -211,11 +211,12 @@ class PolyExpr:
 
         Axes with zero exponent need not be supplied.  A zero coordinate
         under a negative exponent is a domain error, checked on every axis
-        before a zero factor makes the term 0.0.
+        before a zero factor makes the term 0.0, and before any power is
+        taken, so a factor that would overflow cannot hide a zero one.
         """
         total = 0.0
         for t in self.terms:
-            v = t.coeff
+            factors = []
             zero = False
             for axis, e in zip(AXES, t.exps):
                 if e == 0.0:
@@ -229,9 +230,12 @@ class PolyExpr:
                             f"zero coordinate on axis {axis!r} raised to exponent {e}"
                         )
                     zero = True
-                elif not zero:
+                factors.append((c, e))
+            if not zero:
+                v = t.coeff
+                for c, e in factors:
                     v *= math.copysign(abs(c) ** e, c)
-            total += 0.0 if zero else v
+                total += v
         return total
 
     def render(self) -> str:
@@ -279,10 +283,10 @@ def rl_derive(e: PolyExpr, axis: str, order: float) -> PolyExpr:
     """Riemann-Liouville derivative (integral for order < 0) along one axis.
 
     Each term ``c x^v`` maps to ``c Gamma(1+v) rgamma(1+v-order) x^(v-order)``.
-    Terms whose denominator Gamma sits at a pole are annihilated; the pole
-    test snaps ``1+v-order`` to the same 1e-9 grid used for exponent
-    merging, so cancellations that are exact in real arithmetic stay exact
-    under floating-point drift of the exponents.  The pole removes a term
+    Terms whose denominator Gamma sits at a pole are annihilated: the pole
+    test drops a term wherever ``1+v-order`` is within 1e-9 of an integer
+    <= 0 (a window, unlike the 9-decimal rounding of exponent merging), so
+    cancellations exact in real arithmetic survive floating-point drift.  The pole removes a term
     before its coefficient is formed, even an infinite one, as intended:
     D^3 of ``c x^2`` is 0 for every finite c.  Surviving terms must
     satisfy ``v - order >= -1``.

@@ -12,20 +12,22 @@ nonzero zero-point contribution b0 / Gamma(1-a) for a < 1.
 Every Gamma argument in it is 1 + k*a for an integer k, and a numerator
 argument of one Casimir is often a denominator argument of another (the
 L = 3 denominator 1 + 2a is the |M| = 2 numerator).  :class:`_CasimirPlan`
-is the one Casimir kernel.  It plans a set of L and |M| once: the distinct
-numerator k and the distinct denominator k, in order of first appearance.
-It holds index structure only, never a Gamma value.  Its scalar body
-:meth:`~_CasimirPlan.values` runs ``gamma`` at every numerator and takes
-``1.0 / gamma`` wherever a denominator is one of them, with the bits and
-the exceptions of ``rgamma`` (12 evaluations on the fit's default
-selection, k = -1..10, where one ``gamma``/``rgamma`` pair per Casimir
-takes 32).  Its array body :meth:`~_CasimirPlan.array` makes one pass of
-the array Gamma kernel ``specfun._kernel_array``, which returns Gamma on
-the numerator cells and 1/Gamma on the denominator cells that reuse none,
-and gives ``inf`` or ``nan`` where a Gamma overflows.  The fit's
-``_Problem`` plans once and evaluates its Brent refine through the scalar
-body and its alpha scan through the array body.  :func:`_energies`,
-:func:`casimir_L2` and :func:`casimir_Lz` plan, then call the scalar body.
+is the one Casimir kernel.  It plans a list of L and |M| once: each
+distinct L and |M|, which lay out its one Casimir vector [C_L2...,
+C_Lz...], and the distinct numerator k and denominator k, all in order of
+first appearance.  It holds index structure only, never a Gamma value.
+Its scalar body :meth:`~_CasimirPlan.values` runs ``gamma`` at every
+numerator and takes ``1.0 / gamma`` wherever a denominator is one of them,
+with the bits and the exceptions of ``rgamma`` (12 evaluations on the
+fit's default selection, k = -1..10, where one ``gamma``/``rgamma`` pair
+per Casimir takes 32).  Its array body :meth:`~_CasimirPlan.array` makes
+one pass of the array Gamma kernel ``specfun._kernel_array``, which
+returns Gamma on the numerator cells and 1/Gamma on the denominator cells
+that reuse none, and gives ``inf`` or ``nan`` where a Gamma overflows.
+The fit's ``_Problem`` plans once and evaluates its Brent refine through
+the scalar body and its alpha scan through the array body.
+:func:`_energies`, :func:`casimir_L2` and :func:`casimir_Lz` plan, then
+call the scalar body.
 :func:`_energies` is the one body of the formula, over (L, M, sign) keys:
 :func:`spectrum` (behind :func:`mass`, ``predict`` and the CLI level
 tables) and the fit's residuals (``fitting._levels``, behind the loss, the
@@ -97,23 +99,24 @@ class _CasimirPlan:
     """The Gamma arguments 1 + k*alpha of the Casimirs at the L of ``ls`` and the
     |M| of ``ms``, planned once for any number of alphas.
 
-    ``num`` holds the distinct numerator k (L + 1 and |M|) and ``den`` the
-    distinct denominator k (L - 1 and |M| - 1), each in order of first
-    appearance; C_L2 at L pairs the numerator L + 1 with the denominator
-    L - 1, and C_Lz at |M| pairs |M| with |M| - 1.  It is index structure
-    only and holds no Gamma value.
+    ``ls`` and ``ms`` keep each distinct L and |M|, ``num`` the distinct
+    numerator k (L + 1 and |M|) and ``den`` the distinct denominator k (L - 1
+    and |M| - 1), each in order of first appearance.  Both bodies return the
+    one Casimir vector [C_L2 at ls..., C_Lz at ms...]: C_L2 at L pairs the
+    numerator L + 1 with the denominator L - 1, and C_Lz at |M| pairs |M|
+    with |M| - 1.  It is index structure only and holds no Gamma value.
     """
 
     __slots__ = ("ls", "ms", "num", "den")
 
     def __init__(self, ls, ms):
-        self.ls, self.ms = tuple(ls), tuple(ms)
+        self.ls, self.ms = tuple(dict.fromkeys(ls)), tuple(dict.fromkeys(ms))
         self.num = dict.fromkeys([*(L + 1 for L in self.ls), *self.ms])
         self.den = dict.fromkeys([*(L - 1 for L in self.ls), *(m - 1 for m in self.ms)])
 
-    def values(self, alpha: float) -> tuple[list[float], list[float]]:
-        """C_L2 at each L and C_Lz at each |M| at one alpha, with the bits and
-        exceptions of ``gamma(num) * rgamma(den)`` per value.
+    def values(self, alpha: float) -> list[float]:
+        """The Casimir vector [C_L2 at ls..., C_Lz at ms...] at one alpha, with
+        the bits and exceptions of ``gamma(num) * rgamma(den)`` per value.
 
         ``gamma`` runs once at each numerator argument.  A denominator argument
         that is one of them and is at least 0.5 takes ``1.0 / gamma``: there
@@ -128,15 +131,14 @@ class _CasimirPlan:
         for k in self.den:
             x = 1.0 + k * alpha
             r[k] = 1.0 / g[k] if k in g and x >= 0.5 else rgamma(x)
-        return [g[L + 1] * r[L - 1] for L in self.ls], [g[m] * r[m - 1] for m in self.ms]
+        return [g[L + 1] * r[L - 1] for L in self.ls] + [g[m] * r[m - 1] for m in self.ms]
 
-    def array(self, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`values` at every alpha of an array: C_L2 of shape ``alpha.shape
-        + (len(ls),)`` and C_Lz of shape ``alpha.shape + (len(ms),)``, with the
-        bits of the array kernel's Gamma(num) times its 1/Gamma(den), and
-        ``inf`` or ``nan`` where a Gamma overflows.  One kernel pass gives Gamma
-        at the numerator cells and 1/Gamma at the denominator cells that reuse
-        none."""
+    def array(self, alpha) -> np.ndarray:
+        """:meth:`values` at every alpha of an array, of shape ``alpha.shape +
+        (len(ls) + len(ms),)``, with the bits of the array kernel's Gamma(num)
+        times its 1/Gamma(den), and ``inf`` or ``nan`` where a Gamma overflows.
+        One kernel pass gives Gamma at the numerator cells and 1/Gamma at the
+        denominator cells that reuse none."""
         at_num = {k: i for i, k in enumerate(self.num)}
         at_den = {k: i for i, k in enumerate(self.den)}
         a = np.asarray(alpha, dtype=float)[..., None]
@@ -154,15 +156,14 @@ class _CasimirPlan:
             g = out[: g.size].reshape(g.shape)
             r = 1.0 / g[..., slot]
             r[fresh] = out[g.size:]
-            c = g[..., i] * r[..., j]
-        return c[..., : len(self.ls)], c[..., len(self.ls):]
+            return g[..., i] * r[..., j]
 
 
 def casimir_L2(alpha: float, L: int) -> float:
     """Eigenvalue of the squared angular momentum: G(1+(L+1)a)/G(1+(L-1)a)."""
     if L < 0:
         raise ValueError("L must be nonnegative")
-    return _CasimirPlan([L], ()).values(alpha)[0][0]
+    return _CasimirPlan([L], ()).values(alpha)[0]
 
 
 def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
@@ -173,7 +174,7 @@ def casimir_Lz(alpha: float, M: int, sign: int = +1) -> float:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    return sign * _CasimirPlan((), [abs(M)]).values(alpha)[1][0]
+    return sign * _CasimirPlan((), [abs(M)]).values(alpha)[0]
 
 
 def mass(p: FitParams, mult: Multiplet) -> float:
@@ -185,10 +186,9 @@ def _energies(p: FitParams, keys: list[tuple[int, int, int]]) -> list[float]:
     """The level of each (L, M, sign) key, in order: one plan, one Casimir
     evaluation and one pass; ``ValueError`` at the first key whose level is
     not finite (the parameters or a Casimir overflow)."""
-    ls = list(dict.fromkeys(L for L, _, _ in keys))
-    ms = list(dict.fromkeys(abs(M) for _, M, _ in keys))
-    c_l2, c_lz = _CasimirPlan(ls, ms).values(p.alpha)
-    c_l2, c_lz = dict(zip(ls, c_l2)), dict(zip(ms, c_lz))
+    plan = _CasimirPlan([L for L, _, _ in keys], [abs(M) for _, M, _ in keys])
+    c = plan.values(p.alpha)
+    c_l2, c_lz = dict(zip(plan.ls, c)), dict(zip(plan.ms, c[len(plan.ls):]))
     m0, a0, b0 = p.m0, p.a0, p.b0
     out = []
     for L, M, sign in keys:

@@ -27,12 +27,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_child(code, *args):
-    """Run ``python -c code *args`` on this checkout's package, bounded in time."""
+def run_child(*argv):
+    """Run ``python *argv`` on this checkout's package, bounded in time."""
     src = str(Path(fraczee.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
     )
 
 
@@ -131,6 +131,15 @@ def test_derive_point_skips_empty_components(capsys):
     assert got == run(capsys, *argv, "x=1,y=2") and got[0] == 0
 
 
+def test_derive_zero_factor_after_an_overflowing_one_gives_zero(capsys):
+    # 10^400 overflows a float, but y = 0 makes the term's value 0 whatever
+    # the order of its factors
+    code, out, err = run(capsys, "derive", "x^400*y^2", "--axis", "y", "--order", "0.5",
+                         "--at", "x=10,y=0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "value: 0"
+
+
 @pytest.mark.parametrize(
     "expr, axis, at, want",
     [
@@ -173,7 +182,7 @@ def test_derive_trailing_sign_or_caret_is_a_parse_error():
     # a sign run that does not stop at the end of the input never returns:
     # the child process's timeout bounds such a hang
     exprs = ["x +", "x^", "-", "x^-", "2*x + -"]
-    proc = run_child(_DERIVE_PROBE, *exprs)
+    proc = run_child("-c", _DERIVE_PROBE, *exprs)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [2] * len(exprs)
     assert proc.stdout.splitlines()[:-1] == []
@@ -915,8 +924,8 @@ def test_config_does_not_reach_the_next_call(capsys, tmp_path, fresh_parser):
     code, out, _ = run(capsys, "--config", str(cfg), "spectrum")
     assert code == 0 and out.splitlines()[-1].split("\t")[:2] == ["3", "3"]
     code, out, _ = run(capsys, "spectrum")
-    child = run_child("import sys\nfrom fraczee.cli import main\nsys.exit(main(sys.argv[1:]))",
-                      "spectrum")
+    # the module's own __main__ guard, as `python -m fraczee.cli` runs it
+    child = run_child("-m", "fraczee.cli", "spectrum")
     assert (code, child.returncode) == (0, 0)
     assert out == child.stdout
     assert out.splitlines()[-1].split("\t")[:2] == ["9", "9"]
@@ -1034,7 +1043,7 @@ def import_budget_runs(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("report"))
 
     def probe(argv):
-        return run_child(_IMPORT_PROBE, *(a.format(out=out) for a in argv))
+        return run_child("-c", _IMPORT_PROBE, *(a.format(out=out) for a in argv))
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         procs = pool.map(probe, (argv for argv, _ in _IMPORT_BUDGET.values()))

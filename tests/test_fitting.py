@@ -275,8 +275,7 @@ def test_lstsq_loss_coefficients_are_numpys_bit_for_bit(n, kind, seed):
 def test_lstsq_loss_coefficients_are_numpys_on_the_default_grid():
     prob = _Problem(select_records(builtin_table(), FitConfig()))
     for alpha in _ALPHA_GRID.tolist():
-        c_l2, c_lz = prob.plan.values(alpha)
-        A = np.array([1.0, *c_l2, *c_lz])[prob.cols]
+        A = np.array([1.0, *prob.plan.values(alpha)])[prob.cols]
         want = np.linalg.lstsq(A, prob.e_exp, rcond=None)[0]
         with np.errstate(**_SOLVE_STATE):
             got = prob._solve(A)[1]
@@ -286,8 +285,7 @@ def test_lstsq_loss_coefficients_are_numpys_on_the_default_grid():
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_lstsq_loss_raises_numpys_error_on_non_finite_input(bad):
     prob = _Problem(select_records(builtin_table(), FitConfig()))
-    c_l2, c_lz = prob.plan.values(0.112)
-    A = np.array([1.0, *c_l2, *c_lz])[prob.cols]
+    A = np.array([1.0, *prob.plan.values(0.112)])[prob.cols]
     A[3, 1] = bad
     message = "SVD did not converge in Linear Least Squares"
     with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):

@@ -172,10 +172,13 @@ def test_fractional_derivative_of_constant_does_not_vanish():
     assert d.terms[0].coeff == pytest.approx(1.0 / gamma(0.5), rel=1e-12)
 
 
-def test_boundary_pole_drops_term_exactly():
-    # D^a z^(a-1) = Gamma(a)/Gamma(0) = 0
+@pytest.mark.parametrize("offset", [0.0, 7e-10, 9.9e-10])
+def test_boundary_pole_drops_term_exactly(offset):
+    # D^a z^(a-1) = Gamma(a)/Gamma(0) = 0, also where the order misses the pole
+    # by less than 1e-9: the pole test is a window, though round(-7e-10, 9) is
+    # -1e-09 and not 0
     a = 0.112
-    assert rl_derive(poly(term(1.0, z=a - 1)), "z", a).is_zero()
+    assert rl_derive(poly(term(1.0, z=a - 1)), "z", a + offset).is_zero()
 
 
 def test_a_pole_annihilates_a_non_finite_coefficient():
@@ -273,8 +276,11 @@ def test_eval_checks_every_axis_after_a_zero_factor(expr, zero, other):
 
 
 def test_eval_zero_factor_skips_an_overflowing_later_one():
-    # 10^400 overflows a float, but the product holds a zero factor
+    # 10^400 overflows a float, but the product holds a zero factor, before or
+    # after the overflowing one
     assert parse_expr("x^2*y^400 + 3").evaluate({"x": 0.0, "y": 10.0}) == 3.0
+    assert parse_expr("x^400*y^2 + 3").evaluate({"x": 10.0, "y": 0.0}) == 3.0
+    assert parse_expr("x^400*y^2").evaluate({"x": 10.0, "y": 0.0}) == 0.0
 
 
 # ---------------------------------------------------------------- rendering
