@@ -46,11 +46,13 @@ same cases:
   and fitted with the top L of the selection raised to that row's, on which
   the scan masks the alphas where that row's Casimir overflows;
 - ``scan``: the ``float.hex`` of the alpha scan's profile losses on the same
-  tables.  The fitted figures depend on the scan only through its minima,
-  so a change that moves only the scan's roundoff reads as ``scan``
-  mismatches with none in ``fit``.  On the tables with an L = 150..220 row,
-  a change to how the scan masks its infeasible alphas may move only
-  ``scan`` bits, never a ``fit`` case;
+  tables, from the same run of them as ``fit``, each the output of one
+  ``scan_losses`` call over all 199 alphas (a loss's bits depend on how
+  many alphas one call evaluates).  The fitted figures depend on the scan
+  only through its minima, so a change that moves only the scan's
+  roundoff reads as ``scan`` mismatches with none in ``fit``.  On the
+  tables with an L = 150..220 row, a change to how the scan masks its
+  infeasible alphas may move only ``scan`` bits, never a ``fit`` case;
 - ``casimir``: the Casimir plan's scalar body
   ``spectrum._CasimirPlan(ls, ms).values`` at each of 1-4 seeded alphas in
   (0, 1.5] (0.703 and 1.0 among them) and its array body ``.array`` at all
@@ -89,12 +91,12 @@ same cases:
 It prints each corpus's case count and the first mismatches, and exits 1 on
 any mismatch (2 when a tree's run fails).  At module level the harness
 imports the standard library only (its corpora import fraczee, and numpy,
-where they run), and it imports nothing from ``tests/``.  The
-``derive``, ``gamma``, ``casimir_grid``, ``casimir``, ``parse``,
-``records`` and ``operators`` corpora at ``--scale 1`` are also pinned in
-Tier-1, as the slices of ``tests/fixtures/golden.json`` that
-``tests/test_golden.py`` builds with this file's corpus functions, run in
-``_scratch_workdir``.  This file is the one home of the inputs, oracles and
+where they run), and it imports nothing from ``tests/``.  ``CORPORA`` maps
+each of the twelve corpus names to its function of the scale, and
+``corpus`` runs one of them in a ``_scratch_workdir`` of its own.  All
+twelve corpora at ``--scale 1`` are also pinned in Tier-1, as the slices of
+``tests/fixtures/golden.json`` that ``tests/test_golden.py`` builds through
+``corpus``.  This file is the one home of the inputs, oracles and
 encoders that the tests share with it: ``tests/test_fitting.py`` takes
 ``_scan_minima`` (the order of the scan's minima), ``_outcome`` (a result's
 float bits, or its exception) and ``_fit_workload_table`` (the fit
@@ -107,6 +109,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import importlib
 import io
 import itertools
@@ -250,53 +253,93 @@ def _scratch_workdir():
             os.chdir(home)
 
 
+def corpus(name: str, scale: int) -> list:
+    """(label, outcome) pairs of the corpus ``name``, run on the importable
+    fraczee in a scratch working directory."""
+    with _scratch_workdir():
+        return CORPORA[name](scale)
+
+
 def corpora(scale: int) -> dict[str, list]:
-    """(label, outcome) pairs of every corpus, run on the importable fraczee."""
+    """(label, outcome) pairs of every corpus, by name."""
+    return {name: corpus(name, scale) for name in CORPORA}
+
+
+def _verify_corpus(scale: int) -> list:
+    """``fraczee verify all`` at seeds 1729, 2024 and 0..10N-3."""
     from fraczee import cli
 
-    out: dict[str, list] = {"derive": _derive_corpus(scale), "verify": [], "checks": [],
-                            "levels": [], "fit": [], "scan": [], "casimir": _casimir_corpus(scale),
-                            "parse": _parse_corpus(scale), "operators": _operators_corpus(scale),
-                            "gamma": _gamma_corpus(scale),
-                            "casimir_grid": _casimir_grid_corpus(scale)}
-    for seed in (1729, 2024, *range(10 * scale - 2)):
-        out["verify"].append((f"verify all --seed {seed}",
-                              _cli(cli, ["verify", "all", "--seed", str(seed)])))
-    with _scratch_workdir() as tmp:  # report prints its out-dir, relative to it
-        _in_workdir(out, scale, cli, _workloads(), tmp)
-    return out
+    return [(f"verify all --seed {seed}", _cli(cli, ["verify", "all", "--seed", str(seed)]))
+            for seed in (1729, 2024, *range(10 * scale - 2))]
 
 
-def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> None:
-    """The corpora that write files, run in the working directory ``tmp``, so
-    that the relative paths in messages read the same in both trees."""
-    from fraczee.fitting import FitConfig
-
+def _checks_corpus(scale: int) -> list:
+    """The algebra workload's identity checks, ``CHECKS_PER_SEED`` at each of
+    the seeds 0..10N-1: every fifth request of its stream."""
+    workloads, out = _workloads(), []
     for seed in range(10 * scale):
-        wl = workloads.AlgebraWorkload(_Modules(), seed, tmp, smoke=True)
+        wl = workloads.AlgebraWorkload(_Modules(), seed, Path("."), smoke=True)
         for j in range(CHECKS_PER_SEED):
             req = wl.request(5 * j + 4)  # every fifth request is a check
             label = f"seed {seed} request {5 * j + 4}: {req['kind']}"
-            out["checks"].append((label, _outcome(lambda: wl.run(req))))
+            out.append((label, _outcome(lambda: wl.run(req))))
+    return out
+
+
+def _levels_corpus(scale: int) -> list:
+    """``spectrum``, ``predict`` and ``report`` over a grid of alphas, L bands
+    and parameter sets, then the losses of ``_losses_corpus`` at those alphas.
+    ``report`` writes its files in the working directory, and each case reads
+    and removes them."""
+    from fraczee import cli
+
     rng = random.Random(0)
     alphas = [0.01, 0.112, 0.3, 0.5, 0.703, 0.9, 1.0]
     alphas += [round(rng.uniform(0.01, 1.0), 6) for _ in range(8 * scale)]
     rep = Path("rep")
+    out = []
     for alpha in alphas:
         for l_min, l_max in L_BANDS:
             for params in PARAM_SETS:
                 argv = ["--alpha", repr(alpha), "--l-min", str(l_min),
                         "--l-max", str(l_max), *params]
                 for command in ("spectrum", "predict"):
-                    out["levels"].append((" ".join([command, *argv]),
-                                          _cli(cli, [command, *argv])))
+                    out.append((" ".join([command, *argv]), _cli(cli, [command, *argv])))
                 got = _cli(cli, ["report", "--out-dir", str(rep), *argv])
                 files = [(rep / n).read_text() if (rep / n).exists() else None
                          for n in ("table.csv", "plot.tsv")]
-                out["levels"].append((" ".join(["report", *argv]), [got, files]))
+                out.append((" ".join(["report", *argv]), [got, files]))
                 for n in ("table.csv", "plot.tsv"):
                     (rep / n).unlink(missing_ok=True)
-    out["levels"] += _losses_corpus(alphas)
+    return out + _losses_corpus(alphas)
+
+
+def _fit_corpus(scale: int) -> list:
+    """The fits of ``_fit_runs``: scan minima, result bits and ``fraczee fit``."""
+    return _fit_runs(scale)[0]
+
+
+def _scan_corpus(scale: int) -> list:
+    """The alpha scan's losses of ``_fit_runs``: the output of one call of
+    ``_Problem.scan_losses`` over all 199 alphas of ``fitting._ALPHA_GRID``.
+    A loss's bits depend on the take's layout and on how many alphas one call
+    evaluates, since BLAS blocks the rows of the scan's ``u @ e``, so this
+    corpus pins a 199-alpha call, not the loss at each alpha alone."""
+    return _fit_runs(scale)[1]
+
+
+@functools.cache
+def _fit_runs(scale: int) -> tuple[list, list]:
+    """The ``fit`` and ``scan`` corpora, from one run of the fit tables: at
+    seeds 0..20N-1 those of ``_fit_tables``, at seeds 0..10N-1 those of
+    ``_rank_deficient_tables`` and at seeds 0..20N-1 those of
+    ``_overflow_tables``, each table's file written in the working directory
+    just before its fit.  Cached per scale, so that ``fit`` and ``scan`` share
+    the run."""
+    from fraczee import cli
+    from fraczee.fitting import FitConfig
+
+    workloads = _workloads()
     l_max = FitConfig().l_range[1]  # the default fit's top L
     tables = itertools.chain(
         ((f"seed {seed} {label}", path, l_max)
@@ -306,11 +349,12 @@ def _in_workdir(out: dict[str, list], scale: int, cli, workloads, tmp: Path) -> 
         ((f"overflow seed {seed} {label}", path, L)
          for seed in range(20 * scale) for label, path, L in _overflow_tables(workloads, seed)),
     )
-    for label, path, top in tables:  # each table's file is written just before its fit
+    fits, scans = [], []
+    for label, path, top in tables:
         scan, fitted = _fit_outcome(cli, path, top)
-        out["fit"].append((label, fitted))
-        out["scan"].append((label, scan))
-    out["records"] = _records_corpus(scale)
+        fits.append((label, fitted))
+        scans.append((label, scan))
+    return fits, scans
 
 
 def _losses_corpus(alphas: list[float]) -> list:
@@ -874,6 +918,15 @@ def _malformed_json(rng: random.Random) -> str:
             values[key] = rng.choice(ODD_JSON_VALUES[key])
         entries.append("{" + ", ".join(f'"{k}": {values[k]}' for k in keys) + "}")
     return "[" + ", ".join(entries) + "]"
+
+
+#: every corpus by name, a function of the scale N that returns its (label,
+#: outcome) pairs; ``corpora`` runs them all, and each is a golden slice
+CORPORA = {"operators": _operators_corpus, "parse": _parse_corpus, "records": _records_corpus,
+           "casimir": _casimir_corpus, "derive": _derive_corpus, "gamma": _gamma_corpus,
+           "casimir_grid": _casimir_grid_corpus, "verify": _verify_corpus,
+           "checks": _checks_corpus, "levels": _levels_corpus, "fit": _fit_corpus,
+           "scan": _scan_corpus}
 
 
 def _require_tree(src: Path) -> None:

@@ -12,7 +12,9 @@ long option of the chosen subcommand (``l-min`` or ``l_min``); keys the
 subcommand does not have are ignored.  Config and environment values are
 converted by the option's own type before the command runs, so a bad
 value exits 2 with nothing printed.  The required options ``--axis``,
-``--order`` and ``--out-dir`` must be given as flags.
+``--order`` and ``--out-dir`` must be given as flags.  ``--params-file``
+replaces ``--alpha``, ``--m0``, ``--a0`` and ``--b0``: given with any of
+them, as a flag or a config entry, it exits 2.
 
 ``main`` builds its parser once per process; a call whose defaults come
 from ``--config`` or ``FRACZEE_SEED`` parses on a parser of its own.
@@ -21,6 +23,7 @@ from ``--config`` or ``FRACZEE_SEED`` parses on a parser of its own.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -111,9 +114,16 @@ def _option_defaults(command: argparse.ArgumentParser, cfg: dict[str, str]) -> d
 
 
 def _params_from_args(args) -> FitParams:
+    """The level parameters of ``--params-file``, or of ``--alpha/--m0/--a0/--b0``
+    with ``REFERENCE_PARAMS`` for those not given; a file and any of the four
+    options, as flags or config entries, do not combine."""
+    given = {name: getattr(args, name) for name in ("alpha", "m0", "a0", "b0")
+             if getattr(args, name) is not None}
     pf = args.params_file
     if not pf:
-        return FitParams(args.alpha, args.m0, args.a0, args.b0)
+        return dataclasses.replace(REFERENCE_PARAMS, **given)
+    if given:
+        raise ValueError(f"--params-file cannot be combined with --{next(iter(given))}")
     try:
         doc = json.loads(Path(pf).read_text())
     except (ValueError, RecursionError) as exc:
@@ -384,8 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     def add_level_options(p, l_max: int = 9):
-        for name in ("alpha", "m0", "a0", "b0"):
-            p.add_argument(f"--{name}", type=float, default=getattr(REFERENCE_PARAMS, name))
+        for name in ("alpha", "m0", "a0", "b0"):  # REFERENCE_PARAMS where not given
+            p.add_argument(f"--{name}", type=float)
         p.add_argument("--params-file", help="JSON report from 'fit --out'")
         p.add_argument("--l-min", type=int, default=1)
         p.add_argument("--l-max", type=int, default=l_max)

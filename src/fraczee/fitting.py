@@ -346,8 +346,10 @@ class _Problem:
         c = self.plan.array(alphas)
         feasible = np.isfinite(c).all(axis=1)
         # (k, 2, records): the C_L2 and C_Lz columns of the records at each alpha,
-        # column-major as the take makes them; the sums below, and so the scan's
-        # bits, follow that layout
+        # column-major as the take makes them.  A loss's bits depend on two
+        # things: the sums below follow that layout, and BLAS blocks the rows of
+        # ``u @ e`` by how many alphas one call evaluates, so a loss can differ
+        # in its last bits between a 199-alpha call and a one-alpha call
         uv = c[:, self.scan_cols]
         u, v = uv[:, 0], uv[:, 1]
         n = len(self.e_exp)

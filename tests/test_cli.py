@@ -450,6 +450,27 @@ def test_params_file_rejects_bad_values(capsys, tmp_path, doc):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "config, argv, option",
+    [
+        ("", ["spectrum", "--b0", "1", "--alpha", "0.5"], "alpha"),
+        ("b0 = 1\nm0 = 3\n", ["report", "--out-dir", "rep"], "m0"),
+    ],
+    ids=["flag", "config"],
+)
+def test_params_file_refuses_a_level_option(capsys, tmp_path, monkeypatch, config, argv, option):
+    # the file's levels at alpha 0.2 would silently replace the ones asked for
+    monkeypatch.chdir(tmp_path)
+    Path("p.json").write_text(json.dumps({"params": {"alpha": 0.2, "m0_mev": -17171.6,
+                                                     "a0_mev": 10971.8, "b0_mev": 8064.6}}))
+    Path("fraczee.conf").write_text(config)
+    code, out, err = run(capsys, "--config", "fraczee.conf", argv[0], "--params-file", "p.json",
+                         *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: --params-file cannot be combined with --{option}\n"
+    assert not Path("rep").exists()
+
+
 _DEEP = "[" * 100_000 + "]" * 100_000
 
 

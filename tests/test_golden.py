@@ -1,15 +1,21 @@
-"""Golden corpus: the same-numbers harness's corpora pinned as slices.
+"""Golden corpus: every corpus of the same-numbers harness pinned as a slice.
 
 These are characterization ("golden master") tests (M. Feathers, *Working
 Effectively with Legacy Code*, 2004, ch. 13).  ``fixtures/golden.json`` holds
-one slice for each of seven corpora of ``scripts/same_numbers.py`` at
-``--scale 1``, built by the harness's own corpus functions (its docstring
-describes each): ``derive`` (200 seeded ``fraczee derive`` cases with and
-without ``--at``, and the bits of ``rl_derive``'s result terms, which catch
-an ulp-level change that 11 printed digits hide), ``gamma`` (the scalar and
-array Gamma kernels on 56 arguments), ``casimir_grid`` (``casimir_L2`` and
-``casimir_Lz`` next to the array body at nine alphas and L = 0..200), and
-the ``operators``, ``parse``, ``records`` and ``casimir`` corpora.
+one slice for each of the twelve corpora of ``scripts/same_numbers.py`` at
+``--scale 1``, one for each name of the harness's registry ``CORPORA``,
+each run by the harness's ``corpus`` in a scratch working directory of its
+own (the harness's docstring describes each corpus): ``derive`` (200 seeded
+``fraczee derive`` cases with and without ``--at``, and the bits of
+``rl_derive``'s result terms, which catch an ulp-level change that 11
+printed digits hide), ``gamma`` (the scalar and array Gamma kernels on 56
+arguments), ``casimir_grid`` (``casimir_L2`` and ``casimir_Lz`` next to the
+array body at nine alphas and L = 0..200), ``verify`` (``verify all`` at ten
+seeds), ``checks`` (the algebra workload's identity checks), ``levels``
+(``spectrum``, ``predict``, ``report`` and the losses over a grid of
+alphas), ``fit`` and ``scan`` (the fits and the 199-alpha scan losses of one
+run of the fit tables), and the ``operators``, ``parse``, ``records`` and
+``casimir`` corpora.
 
 Each slice holds its scale, its case count, a digest of its case labels and
 one 8-hex-digit digest of each case's outcome bits (``float.hex`` of every
@@ -17,14 +23,15 @@ float, or the exception), so a changed number names its corpus and case.
 ``test_derive_matches_golden``, ``test_gamma_bits_match_golden`` and
 ``test_casimir_grid_matches_golden`` check one case, one kernel or one
 (kernel, alpha) row each, picked by the prefix of its case labels, so the
-harness alone knows the order of its cases.  Each slice runs in the
-harness's ``_scratch_workdir``.  A pinned case may change only as a named bug fix.
-After such a fix, regenerate the fixture with
+harness alone knows the order of its cases.  A pinned case may change only
+as a named bug fix.  After such a fix, regenerate the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
 which refuses to run on a ``fraczee`` from outside this checkout's ``src``,
-then prints the slice cases that differ from the file on disk.
+prints the slice cases that differ from the file on disk, then each slice's
+case count and wall seconds as it writes the file (the ``fit`` and ``scan``
+slices share one run, which ``fit`` times).
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,11 +54,7 @@ sys.path.insert(0, str(ROOT / "scripts"))
 
 import same_numbers as sn  # noqa: E402
 
-#: the harness corpora pinned as slices, each run at --scale SLICE_SCALE
-SLICES = {"operators": sn._operators_corpus, "parse": sn._parse_corpus,
-          "records": sn._records_corpus, "casimir": sn._casimir_corpus,
-          "derive": sn._derive_corpus, "gamma": sn._gamma_corpus,
-          "casimir_grid": sn._casimir_grid_corpus}
+#: the scale at which every corpus of the harness is pinned
 SLICE_SCALE = 1
 _DIGESTS_PER_ROW = 50
 
@@ -61,11 +65,8 @@ def _digest(obj) -> str:
 
 @functools.cache
 def run_slice(name: str) -> tuple[list[str], list[str]]:
-    """The case labels of one harness corpus and the digests of their
-    outcomes, run in the harness's scratch working directory, where the
-    ``records`` corpus writes its files."""
-    with sn._scratch_workdir():
-        cases = SLICES[name](SLICE_SCALE)
+    """The case labels of one harness corpus and the digests of their outcomes."""
+    cases = sn.corpus(name, SLICE_SCALE)
     return [label for label, _ in cases], [_digest(outcome) for _, outcome in cases]
 
 
@@ -99,7 +100,13 @@ def _assert_pinned(name: str, prefix: str = "") -> None:
     assert not bad, f"{name}: {len(bad)} cases differ, the first is {bad[0]}"
 
 
-@pytest.mark.parametrize("name", list(SLICES))
+def test_every_corpus_has_a_pin_and_every_pin_a_corpus():
+    pinned, corpora = set(CORPUS["slices"]), set(sn.CORPORA)
+    assert not corpora - pinned, f"corpora without a pin: {sorted(corpora - pinned)}"
+    assert not pinned - corpora, f"pins without a corpus: {sorted(pinned - corpora)}"
+
+
+@pytest.mark.parametrize("name", list(sn.CORPORA))
 def test_slice_cases_come_from_the_generator(name):
     # a changed harness generator reads as a stale fixture, not as changed numbers
     got = {k: v for k, v in slice_cell(name).items() if k != "digests"}
@@ -107,7 +114,8 @@ def test_slice_cases_come_from_the_generator(name):
     assert got == pinned, f"the harness's {name} corpus has other cases: regenerate golden.json"
 
 
-@pytest.mark.parametrize("name", ["operators", "parse", "records", "casimir"])
+@pytest.mark.parametrize("name", ["operators", "parse", "records", "casimir", "verify",
+                                  "checks", "levels", "fit", "scan"])
 def test_slice_matches_golden(name):
     _assert_pinned(name)
 
@@ -149,7 +157,11 @@ def test_a_run_without_the_package_exits_with_one_line(tmp_path, script):
 
 if __name__ == "__main__":
     sn._require_tree(ROOT / "src")
-    slices = {name: slice_cell(name) for name in SLICES}
+    slices, seconds = {}, {}
+    for name in sn.CORPORA:
+        start = time.perf_counter()
+        slices[name] = slice_cell(name)
+        seconds[name] = time.perf_counter() - start
     for name, cell in slices.items():
         pinned = CORPUS["slices"].get(name)
         if pinned is None or any(pinned[k] != cell[k] for k in ("scale", "cases", "labels")):
@@ -158,4 +170,6 @@ if __name__ == "__main__":
         for label in mismatches(name):
             print(f"changed: slices.{name} case {label}")
     GOLDEN.write_text(json.dumps({"slices": slices}, indent=1) + "\n")
+    for name, cell in slices.items():
+        print(f"{name}: {cell['cases']} cases, {seconds[name]:.2f} s")
     print(f"wrote {GOLDEN}")
